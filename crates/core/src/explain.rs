@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 
 use dbhist_distribution::AttrSet;
-use dbhist_histogram::IndexLayout;
+use dbhist_histogram::{IndexLayout, TreeIndex};
 
 /// How the engine resolved a query, from fastest to slowest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +150,8 @@ pub trait ExplainProbe {
     /// wall-clock nanoseconds, producing `mass`.
     fn kernel_group(&mut self, _index: usize, _mass: f64, _ns: u64) {}
 
-    /// A group marginal (or kernel group) uses the given flat layout.
-    fn layout(&mut self, _layout: IndexLayout) {}
+    /// A group marginal (or kernel group) was lowered into `index`.
+    fn layout(&mut self, _index: &TreeIndex) {}
 
     /// After plan execution: `true` if every group lowered and a kernel
     /// was cached for this shape, `false` on an interpreter-representation
@@ -216,6 +216,10 @@ pub struct ExplainReport {
     /// Flat-layout choice per lowered group (`dense` / `sparse`), from
     /// the kernel on a hit or from this execution's lowering.
     pub layouts: Vec<&'static str>,
+    /// Heap bytes the kernel's lowered groups hold (the sum of their
+    /// [`TreeIndex::storage_bytes`]): what this query shape costs in the
+    /// kernel cache. `0` when nothing was lowered.
+    pub kernel_bytes: usize,
     /// Whether this execution lowered (or reused) a kernel; `None` when
     /// no lowering was attempted (e.g. [`QueryPath::TableTotal`]).
     pub kernel_lowered: Option<bool>,
@@ -286,6 +290,7 @@ impl ExplainReport {
             let _ = write!(s, "\"{l}\"");
         }
         s.push(']');
+        let _ = write!(s, ",\"kernel_bytes\":{}", self.kernel_bytes);
         if let Some(lowered) = self.kernel_lowered {
             let _ = write!(s, ",\"kernel_lowered\":{lowered}");
         }
@@ -346,6 +351,7 @@ impl ExplainRecorder {
                 target: format!("{target}"),
                 groups: Vec::new(),
                 layouts: Vec::new(),
+                kernel_bytes: 0,
                 kernel_lowered: None,
                 scratch_reused: None,
                 total_ns: 0,
@@ -429,8 +435,9 @@ impl ExplainProbe for ExplainRecorder {
         });
     }
 
-    fn layout(&mut self, layout: IndexLayout) {
-        self.report.layouts.push(layout_str(layout));
+    fn layout(&mut self, index: &TreeIndex) {
+        self.report.layouts.push(layout_str(index.layout()));
+        self.report.kernel_bytes += index.storage_bytes();
     }
 
     fn kernel_lowered(&mut self, lowered: bool) {
@@ -466,6 +473,14 @@ mod tests {
 
     #[test]
     fn recorder_assembles_a_report() {
+        use dbhist_distribution::{Relation, Schema};
+        use dbhist_histogram::{mhist::MhistBuilder, SplitCriterion};
+        let schema = Schema::new(vec![("a", 8), ("b", 8)]).unwrap();
+        let rows: Vec<Vec<u32>> = (0..64).map(|i| vec![i % 8, (i * 3) % 8]).collect();
+        let dist = Relation::from_rows(schema, rows).unwrap().distribution();
+        let tree = MhistBuilder::build(&dist, 6, SplitCriterion::MaxDiff).unwrap();
+        let index = TreeIndex::lower(&tree).unwrap();
+
         let target = AttrSet::from_ids([0, 2]);
         let mut rec = ExplainRecorder::new(&target);
         rec.resolved_path(QueryPath::PlanCompiled);
@@ -474,7 +489,8 @@ mod tests {
         rec.step(StepKind::ShedSkipped(ShedSkip::AlreadyTidy), 40, 16);
         rec.group_mass(12.5, false);
         rec.kernel_lowered(true);
-        rec.layout(IndexLayout::Dense);
+        rec.layout(&index);
+        rec.layout(&index);
         let report = rec.finish(12.5, 999);
         assert_eq!(report.path, QueryPath::PlanCompiled);
         assert_eq!(report.groups.len(), 1);
@@ -482,13 +498,16 @@ mod tests {
         assert_eq!(report.groups[0].steps[0].clique, Some(1));
         assert_eq!(report.groups[0].steps[1].skip, Some("already_tidy"));
         assert_eq!(report.groups[0].mass, Some(12.5));
-        assert_eq!(report.layouts, vec!["dense"]);
+        assert_eq!(report.layouts, vec!["dense", "dense"]);
+        assert!(index.storage_bytes() > 0);
+        assert_eq!(report.kernel_bytes, 2 * index.storage_bytes());
         assert_eq!(report.kernel_lowered, Some(true));
         assert_eq!(report.total_ns, 999);
         let json = report.to_json();
         assert!(json.contains("\"path\":\"plan_compiled\""));
         assert!(json.contains("\"op\":\"load\",\"clique\":1"));
         assert!(json.contains("\"skip\":\"already_tidy\""));
+        assert!(json.contains(&format!("\"kernel_bytes\":{}", report.kernel_bytes)));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -6,11 +6,13 @@
 //! known, each independent component's **loose marginal** is executed one
 //! time through the ordinary factor algebra (so it is bit-identical by
 //! construction) and then *lowered* into a
-//! [`TreeIndex`](dbhist_histogram::TreeIndex) — two contiguous flat
-//! arrays (per-node subtree totals in `f64`, packed split structure with
-//! precomputed child offsets) that answer `mass_in_box` with a pruned
+//! [`TreeIndex`](dbhist_histogram::TreeIndex) — one contiguous preorder
+//! array of 64-bit slots (a subtree total per node, plus one packed word
+//! of split structure and right-child offset per internal node: 8 bytes
+//! per leaf, 16 per split) that answers `mass_in_box` with a pruned
 //! O(log b)-per-boundary walk instead of re-running products, projections,
-//! and full-tree scans per query.
+//! and full-tree scans per query. EXPLAIN reports the sum of a kernel's
+//! group `storage_bytes()` as the memory its query shape holds.
 //!
 //! A [`MassKernel`] bundles the lowered group indices with the synopsis
 //! total and replays the exact arithmetic of

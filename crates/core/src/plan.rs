@@ -30,7 +30,7 @@
 //!    execution of a mass-plan shape lowers each group's loose marginal
 //!    into a flattened [`MassKernel`](crate::kernel::MassKernel); every
 //!    subsequent query with that shape skips plan execution *and*
-//!    `mass_in_box` tree recursion, answering from two flat arrays with
+//!    `mass_in_box` tree recursion, answering from one flat slot array with
 //!    pooled scratch ([`crate::scratch`]) — no per-query allocation.
 //!
 //! Planned execution is *operation-identical* to the recursive
@@ -1079,7 +1079,7 @@ impl<F: Factor> QueryEngine<F> {
                 probe.resolved_path(QueryPath::KernelHit);
                 probe.kernel_lowered(true);
                 for group in kernel.groups() {
-                    probe.layout(group.layout());
+                    probe.layout(group);
                 }
             }
             let mut scratch;
@@ -1178,7 +1178,7 @@ impl<F: Factor> QueryEngine<F> {
                         IndexLayout::Sparse => t.kernel_lowered_sparse += 1,
                     }
                     if P::ACTIVE {
-                        probe.layout(ix.layout());
+                        probe.layout(ix);
                     }
                 }
                 self.kernels.insert(kernel_key, Arc::new(MassKernel::new(total, lowered)));

@@ -45,5 +45,5 @@ pub use criterion::SplitCriterion;
 pub use error::HistogramError;
 pub use grid::GridHistogram;
 pub use mhist::{IndexLayout, SplitTree, TreeIndex};
-pub use one_dim::{OneDimHistogram, PrefixSums};
+pub use one_dim::OneDimHistogram;
 pub use traits::MultiHistogram;

@@ -264,13 +264,6 @@ impl OneDimHistogram {
         mass
     }
 
-    /// Precomputes the cumulative-mass aggregate over this histogram's
-    /// buckets; see [`PrefixSums`].
-    #[must_use]
-    pub fn prefix_sums(&self) -> PrefixSums {
-        PrefixSums::new(self)
-    }
-
     /// Estimated frequency of a single value.
     #[must_use]
     pub fn estimate_point(&self, v: u32) -> f64 {
@@ -282,71 +275,6 @@ impl OneDimHistogram {
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
         8 * self.buckets.len()
-    }
-}
-
-/// Cumulative bucket-mass aggregate over a [`OneDimHistogram`], giving
-/// O(1) whole-bucket range sums and O(log b) value lookups.
-///
-/// `sums[i]` is the total mass of buckets `0..i` accumulated left to
-/// right, so a contiguous bucket run `i..j` aggregates as
-/// `sums[j] - sums[i]`.
-///
-/// **Summation-order note:** subtraction of two prefix sums is *not*
-/// bit-identical to summing the run's buckets directly, so this aggregate
-/// is for analytics and monitoring surfaces (totals, cumulative-share
-/// curves), never for the estimate path — estimates go through
-/// [`OneDimHistogram::estimate_range`], whose windowed scan keeps the
-/// exact per-bucket summation order (DESIGN.md §15, summation-order
-/// contract).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefixSums {
-    /// Bucket boundaries, copied so lookups need no histogram reference.
-    edges: Vec<(u32, u32)>,
-    /// `sums[i]` = mass of buckets `0..i`; length `b + 1`.
-    sums: Vec<f64>,
-}
-
-impl PrefixSums {
-    /// Builds the aggregate from `hist`'s buckets.
-    #[must_use]
-    pub fn new(hist: &OneDimHistogram) -> Self {
-        let mut sums = Vec::with_capacity(hist.buckets.len() + 1);
-        let mut acc = 0.0;
-        sums.push(acc);
-        for b in &hist.buckets {
-            acc += b.freq;
-            sums.push(acc);
-        }
-        Self { edges: hist.buckets.iter().map(|b| (b.lo, b.hi)).collect(), sums }
-    }
-
-    /// Number of buckets the aggregate covers.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Total mass of buckets `0..i` (clamped to the bucket count).
-    #[must_use]
-    pub fn cumulative(&self, i: usize) -> f64 {
-        self.sums[i.min(self.edges.len())]
-    }
-
-    /// Total mass of the contiguous bucket run `lo..hi` in O(1).
-    #[must_use]
-    pub fn run_sum(&self, lo: usize, hi: usize) -> f64 {
-        let hi = hi.min(self.edges.len());
-        let lo = lo.min(hi);
-        self.sums[hi] - self.sums[lo]
-    }
-
-    /// Total mass of every bucket that lies entirely below value `v`,
-    /// found by binary search in O(log b).
-    #[must_use]
-    pub fn mass_below(&self, v: u32) -> f64 {
-        let i = self.edges.partition_point(|&(_, hi)| hi < v);
-        self.sums[i]
     }
 }
 
@@ -647,32 +575,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prefix_sums_aggregate() {
-        let d = skewed();
-        let h = OneDimHistogram::build(&d, 0, 4, SplitCriterion::MaxDiff).unwrap();
-        let ps = h.prefix_sums();
-        assert_eq!(ps.bucket_count(), h.bucket_count());
-        assert!((ps.cumulative(h.bucket_count()) - h.total()).abs() < 1e-9);
-        assert_eq!(ps.cumulative(0), 0.0);
-        // run_sum agrees with direct bucket sums (within float error; the
-        // subtraction form is documented as not bit-path).
-        for i in 0..=h.bucket_count() {
-            for j in i..=h.bucket_count() {
-                let direct: f64 = h.buckets()[i..j].iter().map(|b| b.freq).sum();
-                assert!((ps.run_sum(i, j) - direct).abs() < 1e-9);
-            }
-        }
-        // mass_below(v) = mass of buckets ending before v.
-        for v in 0..9u32 {
-            let direct: f64 = h.buckets().iter().filter(|b| b.hi < v).map(|b| b.freq).sum();
-            assert!((ps.mass_below(v) - direct).abs() < 1e-9);
-        }
-        // Out-of-range indices clamp instead of panicking.
-        assert!((ps.run_sum(0, 99) - h.total()).abs() < 1e-9);
-        assert!((ps.cumulative(99) - h.total()).abs() < 1e-9);
     }
 
     #[test]

@@ -115,6 +115,54 @@ fn random_ranges(target: &AttrSet, domain: u32, state: &mut u64) -> Vec<(AttrId,
         .collect()
 }
 
+/// Lowers `tree` and checks the index against it: the layout follows
+/// the occupancy threshold (recomputed from the source leaves), the
+/// stored total is the full walk's mass, the slots hold no more than the
+/// split tree's `3b − 2` numbers, and random boxes over `attrs`
+/// answer bit-identically — through the caller's shared scratch pair.
+fn check_lowered(
+    tree: &SplitTree,
+    attrs: &AttrSet,
+    domain: u32,
+    state: &mut u64,
+    bounds: &mut Vec<(u32, u32)>,
+    constraint: &mut Vec<(u32, u32)>,
+) -> Result<(), String> {
+    let index = TreeIndex::lower(tree).ok_or("tree did not lower")?;
+    let leaves = tree.leaves();
+    #[allow(clippy::cast_precision_loss)]
+    let occupancy = leaves.iter().filter(|&&(_, f)| f != 0.0).count() as f64 / leaves.len() as f64;
+    let expected = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
+        IndexLayout::Sparse
+    } else {
+        IndexLayout::Dense
+    };
+    prop_assert_eq!(index.layout(), expected, "occupancy {}", occupancy);
+    prop_assert_eq!(index.total().to_bits(), tree.mass_in_box(&[]).to_bits());
+    // The paper's `3b − 2` numbers at 8 bytes each; fewer once collapsed.
+    let dense_bytes = 8 * tree.stored_numbers();
+    match index.layout() {
+        IndexLayout::Dense => prop_assert_eq!(index.storage_bytes(), dense_bytes),
+        IndexLayout::Sparse => prop_assert!(index.storage_bytes() <= dense_bytes),
+    }
+    for _ in 0..12 {
+        let ranges = random_ranges(attrs, domain, state);
+        let walked = tree.mass_in_box(&ranges);
+        let indexed = index.mass_in_box_with(&ranges, bounds, constraint);
+        prop_assert_eq!(
+            indexed.to_bits(),
+            walked.to_bits(),
+            "{:?} over {} on {:?}: {} vs {}",
+            index.layout(),
+            tree.attrs(),
+            &ranges,
+            indexed,
+            walked
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -291,7 +339,9 @@ proptest! {
     /// occupancy threshold (computed here independently from the source
     /// tree's leaves), and both layouts answer `mass_in_box` bit-identical
     /// to the recursive `SplitTree` walk — including when one scratch
-    /// buffer pair is reused across interleaved trees and queries.
+    /// buffer pair is reused across interleaved trees and queries, and
+    /// for the products and projections the engine lowers as group
+    /// marginals (deeper right offsets, zero-collapsed product forests).
     #[test]
     fn lowered_index_layout_and_mass_bit_identical(
         arity in 1usize..=3,
@@ -304,7 +354,8 @@ proptest! {
         let mut state = seed | 1;
         let schema = Schema::new((0..arity).map(|i| (format!("a{i}"), domain))).unwrap();
         // `spiky` concentrates mass on the two extreme values so gap
-        // buckets go to zero and the sparse layout gets exercised too.
+        // buckets go to zero; the thinned trees below reach the sparse
+        // layout.
         let data: Vec<Vec<u32>> = (0..rows)
             .map(|_| {
                 (0..arity)
@@ -364,6 +415,41 @@ proptest! {
                 other_index.mass_in_box_with(sub, &mut bounds, &mut constraint).to_bits(),
                 other.mass_in_box(sub).to_bits()
             );
+        }
+
+        // Zero four of every five buckets (a maintained tree after
+        // deletes) so products and projections also lower sparse.
+        let mut thinned = tree.clone();
+        for (i, (bbox, _)) in tree.leaves().iter().enumerate() {
+            if i % 5 != 0 {
+                let key: Vec<u32> = bbox.ranges().iter().map(|&(lo, _)| lo).collect();
+                thinned.update(&key, f64::NEG_INFINITY);
+            }
+        }
+        // A chained product over the first and last attributes reaches
+        // hundreds of nodes, so right-child offsets pass 8 bits.
+        let last = AttrSet::singleton(arity as AttrId - 1);
+        let last =
+            MhistBuilder::build(&rel.marginal(&last).unwrap(), buckets, SplitCriterion::MaxDiff)
+                .unwrap();
+        let chain = other.product(&last).unwrap();
+        let singleton = AttrSet::singleton(0);
+        let mut derived = Vec::new();
+        for source in [&tree, &thinned] {
+            let product = source.product(&other).unwrap();
+            derived.push(other.product(source).unwrap());
+            derived.push(chain.product(source).unwrap());
+            derived.push(product.project(&singleton).unwrap());
+            derived.push(source.project(&singleton).unwrap());
+            if arity > 1 {
+                derived.push(source.project(&AttrSet::from_ids(1..arity as AttrId)).unwrap());
+            }
+            derived.push(product);
+        }
+        derived.push(other.project(&singleton).unwrap());
+        derived.push(thinned);
+        for derived_tree in &derived {
+            check_lowered(derived_tree, &all, domain, &mut state, &mut bounds, &mut constraint)?;
         }
     }
 
