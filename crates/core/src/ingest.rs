@@ -267,8 +267,10 @@ impl IngestSession {
         snapshot_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
     ) -> Result<Self, SynopsisError> {
-        self.maintained
-            .persist_to_with_wal(snapshot_path, WalPosition { generation: 0, batches_covered: 0 })?;
+        self.maintained.persist_to_with_wal(
+            snapshot_path,
+            WalPosition { generation: 0, batches_covered: 0 },
+        )?;
         let arity = self.arity_u16()?;
         self.wal = Some(WalWriter::create(wal_path.into(), arity)?);
         Ok(self)
@@ -325,8 +327,7 @@ impl IngestSession {
             }
             let skip = batches_to_skip(snap_pos, &recovery)?;
             report.batches_skipped = skip;
-            for batch in recovery.batches.iter().skip(usize::try_from(skip).unwrap_or(usize::MAX))
-            {
+            for batch in recovery.batches.iter().skip(usize::try_from(skip).unwrap_or(usize::MAX)) {
                 for op in &batch.ops {
                     match op {
                         WalOp::Insert(row) => maintained.insert(row),
@@ -854,9 +855,8 @@ mod tests {
         let mut foreign = WalWriter::create_at(&wal, 3, 7).unwrap();
         foreign.append(&[WalOp::Insert(vec![1, 1, 1])]).unwrap();
         drop(foreign);
-        let err =
-            IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
-                .unwrap_err();
+        let err = IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
+            .unwrap_err();
         assert!(matches!(err, SynopsisError::Persist(PersistError::Corrupt { .. })), "{err:?}");
         std::fs::remove_file(&snap).ok();
         std::fs::remove_file(&wal).ok();
@@ -873,9 +873,8 @@ mod tests {
         let mut w = WalWriter::create(&wal, 3).unwrap();
         w.append(&[WalOp::Insert(vec![1, 1, 1])]).unwrap();
         drop(w);
-        let err =
-            IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
-                .unwrap_err();
+        let err = IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
+            .unwrap_err();
         assert!(matches!(err, SynopsisError::Persist(PersistError::Corrupt { .. })), "{err:?}");
         // An *empty* log beside a positionless snapshot is harmless:
         // nothing to replay, so recovery proceeds.

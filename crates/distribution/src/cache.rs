@@ -8,6 +8,13 @@
 //! paper's full version highlights minimizing the *number of entropy
 //! calculations* as the key cost lever of selection; the cache exposes a
 //! counter so tests and benches can verify that optimization.
+//!
+//! Each computation is one [`Relation::marginal_entropy`] call: the rows'
+//! packed codes are counted and `f·ln f` is summed over the ordered counts,
+//! without materializing the marginal as a [`Distribution`]. That keeps
+//! the cost of each calculation low as well as their number.
+//!
+//! [`Distribution`]: crate::Distribution
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -15,6 +22,17 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::attr::AttrSet;
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
+
+/// `E(f_S)` for one subset, counted from the relation's rows: `0` for the
+/// empty set, and `0` for a subset outside the schema (callers only query
+/// schema attributes; a corrupt query contributes zero entropy rather than
+/// aborting selection).
+fn marginal_entropy(relation: &Relation, attrs: &AttrSet) -> f64 {
+    if attrs.is_empty() {
+        return 0.0;
+    }
+    relation.marginal_entropy(attrs).unwrap_or(0.0)
+}
 
 /// Memoizes `E(f_S)` for attribute subsets `S` of a fixed relation.
 #[derive(Debug)]
@@ -39,24 +57,14 @@ impl<'a> EntropyCache<'a> {
     }
 
     /// Entropy `E(f_S)` of the marginal over `attrs`, computing and caching
-    /// it on first access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attrs` references attributes outside the relation's
-    /// schema (callers derive subsets from the same schema).
+    /// it on first access. A subset outside the relation's schema has
+    /// entropy `0`.
     pub fn entropy(&mut self, attrs: &AttrSet) -> f64 {
         if let Some(&h) = self.entropies.get(attrs) {
             self.hits += 1;
             return h;
         }
-        let h = if attrs.is_empty() {
-            0.0
-        } else {
-            // Callers only query schema attributes; a miss (corrupt query)
-            // contributes zero entropy rather than aborting selection.
-            self.relation.marginal(attrs).map_or(0.0, |d| d.entropy())
-        };
+        let h = marginal_entropy(self.relation, attrs);
         self.computed += 1;
         self.entropies.insert(attrs.clone(), h);
         h
@@ -163,13 +171,7 @@ impl<'a> SyncEntropyCache<'a> {
     /// toward [`SyncEntropyCache::computations`]). Used by parallel
     /// pre-warming, which inserts results in a deterministic batch.
     pub fn compute(&self, attrs: &AttrSet) -> f64 {
-        let h = if attrs.is_empty() {
-            0.0
-        } else {
-            // Callers only query schema attributes; a miss (corrupt query)
-            // contributes zero entropy rather than aborting selection.
-            self.relation.marginal(attrs).map_or(0.0, |d| d.entropy())
-        };
+        let h = marginal_entropy(self.relation, attrs);
         // lint:allow-next-line(atomic-ordering): monotonic stat counter; crate layering puts this below the telemetry registry
         self.computed.fetch_add(1, Ordering::Relaxed);
         h

@@ -5,8 +5,15 @@
 //! distribution of a relation and every marginal of it are all instances of
 //! this one type, which keeps projection ([`Distribution::marginal`]) and
 //! information measures ([`Distribution::entropy`]) uniform.
+//!
+//! Distributions of a relation's rows ([`Distribution::from_relation`]) are
+//! counted by the crate's packed-code kernel, which hands over the cells
+//! already in ascending key order with exact counts; the cell map is then
+//! bulk-built from that ordered stream instead of by one map insert per
+//! row.
 
 use crate::attr::{AttrId, AttrSet, Schema};
+use crate::count::CellCounts;
 use crate::error::DistributionError;
 use crate::relation::Relation;
 use std::collections::BTreeMap;
@@ -44,23 +51,30 @@ impl Distribution {
         Ok(Self { schema, attrs, cells: BTreeMap::new(), total: 0.0 })
     }
 
-    /// Builds the marginal distribution over `attrs` by a single pass over
-    /// a relation's rows.
+    /// Builds the marginal distribution over `attrs` from a relation's rows.
+    ///
+    /// Cells are counted by the crate's one counting kernel (packed row
+    /// codes, see DESIGN.md §10 "Counting marginals"), which yields them
+    /// in ascending key order with exact integer counts; `total` is the
+    /// row count.
     ///
     /// # Errors
     ///
     /// Returns [`DistributionError::UnknownAttr`] if `attrs` references an
     /// attribute outside the relation's schema.
     pub fn from_relation(rel: &Relation, attrs: &AttrSet) -> Result<Self, DistributionError> {
-        let mut dist = Self::empty(rel.schema().clone(), attrs.clone())?;
-        let cols: Vec<usize> = attrs.iter().map(usize::from).collect();
-        let mut key: Vec<u32> = vec![0; cols.len()];
-        for row in rel.rows() {
-            for (k, &c) in key.iter_mut().zip(&cols) {
-                *k = row[c];
-            }
-            dist.add(&key, 1.0);
-        }
+        let counts = CellCounts::new(rel, attrs)?;
+        let mut cells = Vec::with_capacity(counts.cell_count());
+        cells.extend(counts.cells().map(|(code, count)| (counts.key(code), count as f64)));
+        // Free the counts first: the map's sort buffer and nodes can then
+        // reuse their memory.
+        drop(counts);
+        let dist = Self {
+            schema: rel.schema().clone(),
+            attrs: attrs.clone(),
+            cells: cells.into_iter().collect(),
+            total: rel.row_count() as f64,
+        };
         #[cfg(debug_assertions)]
         if let Err(violation) = dist.validate() {
             panic!("distribution invariant violated: {violation}"); // lint:allow(panic-surface): debug-only invariant validator
@@ -197,17 +211,7 @@ impl Distribution {
     /// Returns `0` for an empty distribution.
     #[must_use]
     pub fn entropy(&self) -> f64 {
-        if self.total <= 0.0 {
-            return 0.0;
-        }
-        let n = self.total;
-        let mut sum = 0.0;
-        for &f in self.cells.values() {
-            if f > 0.0 {
-                sum += f * f.ln();
-            }
-        }
-        n.ln() - sum / n
+        entropy(self.total, self.cells.values().copied())
     }
 
     /// Restricts the distribution to cells matching a conjunction of
@@ -255,6 +259,24 @@ impl Distribution {
         }
         self.total *= scale;
     }
+}
+
+/// `E = log N − (1/N) Σ f log f` over the positive frequencies, in the
+/// order given; `0` when `total` is not positive. The one entropy formula
+/// shared by [`Distribution::entropy`] and [`Relation::marginal_entropy`],
+/// so both agree bit for bit when they visit the same cells in the same
+/// order.
+pub(crate) fn entropy(total: f64, frequencies: impl Iterator<Item = f64>) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let mut sum = 0.0;
+    for f in frequencies {
+        if f > 0.0 {
+            sum += f * f.ln();
+        }
+    }
+    total.ln() - sum / total
 }
 
 #[cfg(test)]

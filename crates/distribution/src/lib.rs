@@ -15,7 +15,9 @@
 //!
 //! * [`Schema`], [`Attr`], [`AttrSet`] — attribute metadata and ordered
 //!   attribute-id sets.
-//! * [`Relation`] — a materialized table of integer-coded rows.
+//! * [`Relation`] — a materialized table of integer-coded rows, with exact
+//!   marginals ([`Relation::marginal`]) and marginal entropies
+//!   ([`Relation::marginal_entropy`]) counted from packed row codes.
 //! * [`Distribution`] — a sparse frequency distribution over any subset of
 //!   the schema's attributes, with projection ([`Distribution::marginal`]),
 //!   Shannon entropy ([`Distribution::entropy`]), and Kullback–Leibler
@@ -52,6 +54,7 @@
 
 pub mod attr;
 pub mod cache;
+mod count;
 pub mod distribution;
 pub mod error;
 pub mod fxhash;

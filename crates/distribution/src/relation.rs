@@ -3,11 +3,11 @@
 //! A [`Relation`] is the paper's input table `R`: `N` tuples over `n`
 //! attributes whose values are integer-coded into `0..|D_j|`. It is stored
 //! column-major-free — a flat row-major `Vec<u32>` — which keeps row access
-//! cache-friendly for ground-truth query evaluation and distribution
-//! construction.
+//! cache-friendly for ground-truth query evaluation and marginal counting.
 
 use crate::attr::{AttrId, AttrSet, Schema};
-use crate::distribution::Distribution;
+use crate::count::CellCounts;
+use crate::distribution::{entropy, Distribution};
 use crate::error::DistributionError;
 
 /// A materialized table of integer-coded tuples.
@@ -97,8 +97,10 @@ impl Relation {
     }
 
     /// Builds the marginal frequency distribution over `attrs` directly
-    /// from the rows (cheaper than projecting the full joint when only a
-    /// few marginals are needed).
+    /// from the rows by counting packed row codes, not by projecting the
+    /// full joint. Callers that only need the marginal's entropy should
+    /// use [`Relation::marginal_entropy`], which skips building the cell
+    /// map.
     ///
     /// # Errors
     ///
@@ -106,6 +108,21 @@ impl Relation {
     /// attribute not in the schema.
     pub fn marginal(&self, attrs: &AttrSet) -> Result<Distribution, DistributionError> {
         Distribution::from_relation(self, attrs)
+    }
+
+    /// Shannon entropy `E(f_S)` of the marginal over `attrs`, in nats,
+    /// summed straight from the counted cells without materializing a
+    /// [`Distribution`]. Bit-identical to
+    /// `self.marginal(attrs)?.entropy()`: the same exact counts are
+    /// visited in the same ascending key order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistributionError::UnknownAttr`] if `attrs` mentions an
+    /// attribute not in the schema.
+    pub fn marginal_entropy(&self, attrs: &AttrSet) -> Result<f64, DistributionError> {
+        let counts = CellCounts::new(self, attrs)?;
+        Ok(entropy(self.row_count() as f64, counts.cells().map(|(_, count)| count as f64)))
     }
 
     /// Counts the tuples matching a conjunction of per-attribute inclusive
