@@ -11,20 +11,18 @@
 //!
 //! The workload is fixed (a deterministic wide-domain table whose clique
 //! marginals support thousands of buckets, and a byte budget large
-//! enough that the `IncrementalGains` phase dominates — the regime
-//! parallel construction targets), so the numbers form a comparable perf
-//! trajectory across commits. Besides timing, the run
+//! enough that thousands of splits are funded), so the numbers form a
+//! comparable perf trajectory across commits. Besides timing, the run
 //! asserts that the serial (`threads = 1`) and parallel (`threads >= 4`)
 //! pipelines produce bit-identical synopses — same model, same factors,
 //! same estimate checksum — making it an end-to-end determinism smoke
 //! test as well.
 //!
-//! The parallel win has two sources: independent work (candidate
-//! scoring, per-clique builders, gain tables) fans across worker
-//! threads, and the allocation phase's tabulated replay performs one
-//! split-probe per funded proposal where the serial greedy re-probes
-//! every clique every round. The second source is machine-independent,
-//! so the speedup holds even on low-core CI boxes.
+//! Both configurations run the same serial `IncrementalGains` greedy:
+//! every clique builder caches its next split, so a round costs one
+//! split and allocation has no parallel path. `threads` fans out only
+//! candidate scoring, per-clique construction and assembly, each above
+//! the work-size floor recorded under `thresholds` in the output.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // binaries/examples: abort on a broken build
 

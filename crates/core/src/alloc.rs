@@ -6,15 +6,16 @@
 //! `Σ β_i·s_i ≤ B`:
 //!
 //! * [`incremental_gains`] — the paper's Fig. 2 greedy: repeatedly fund
-//!   the split with the best error decrease per byte. `O(|C| + B log |C|)`
-//!   and *optimal* whenever the error curves obey diminishing returns.
-//! * [`incremental_gains_parallel`] — the same allocation computed from
-//!   per-clique *proposal tables* recorded concurrently, then merged by a
-//!   serial cursor walk that replays the live greedy decision-for-decision
-//!   (bit-identical output; see the function docs for the argument).
+//!   the split with the best error decrease per byte. *Optimal* whenever
+//!   the error curves obey diminishing returns. Every builder caches its
+//!   next proposal (see [`IncrementalBuilder`]), so a round reads `|C|`
+//!   cached gains and pays for exactly one split; the greedy is serial
+//!   and its cost is the funded splits themselves.
 //! * [`optimal_dp`] — the pseudo-polynomial dynamic program over the
 //!   precomputed error curves, `O(|C| · B²)` in budget units; exact
-//!   regardless of curve shape.
+//!   regardless of curve shape. Curve measurement and the final apply
+//!   fan out across builders ([`error_curves_parallel`],
+//!   [`apply_allocation_parallel`]).
 
 use rayon::prelude::*;
 
@@ -113,213 +114,6 @@ pub fn incremental_gains<B: IncrementalBuilder>(
         used += extra;
         splits += 1;
     }
-    let report = AllocationReport {
-        buckets: builders.iter().map(IncrementalBuilder::bucket_count).collect(),
-        bytes_used: used,
-        total_error: builders.iter().map(IncrementalBuilder::error).sum(),
-        splits,
-    };
-    #[cfg(debug_assertions)]
-    if let Err(violation) = report.validate(budget_bytes) {
-        panic!("allocation invariant violated: {violation}"); // lint:allow(panic-surface): debug-only invariant validator
-    }
-    Ok(report)
-}
-
-/// Proposals materialized per lazy recording step in
-/// [`incremental_gains_parallel`]; bounds wasted probes past the last
-/// funded split at `RECORD_CHUNK · |C|`.
-const RECORD_CHUNK: usize = 64;
-
-/// A probe clone of one clique builder plus the prefix of its proposal
-/// sequence recorded so far (see [`incremental_gains_parallel`]).
-struct GainProbe<B> {
-    builder: B,
-    /// `(extra_bytes, error_gain)` of the builder's 1st, 2nd, ... split.
-    table: Vec<(usize, f64)>,
-    /// Bytes the recorded proposals would cumulatively cost.
-    spent: usize,
-    /// Saturated, or past the budget headroom — no further proposals.
-    done: bool,
-    /// Builder snapshot taken when the latest extension started, with
-    /// exactly `.1` splits applied. Extensions only happen once the
-    /// cursor walk has consumed the whole table, so `.1` never exceeds
-    /// the builder's final funded split count — the apply phase replays
-    /// at most one chunk forward from here instead of from scratch.
-    checkpoint: Option<(B, usize)>,
-}
-
-impl<B: IncrementalBuilder + Clone> GainProbe<B> {
-    fn new(builder: B) -> Self {
-        Self { builder, table: Vec::new(), spent: 0, done: false, checkpoint: None }
-    }
-
-    /// `true` when the cursor walk has consumed every recorded proposal
-    /// but the sequence may still continue.
-    fn needs_extension(&self, cursor: usize) -> bool {
-        cursor >= self.table.len() && !self.done
-    }
-
-    /// Drives a builder with `from` splits applied to `to` splits,
-    /// following the same deterministic split sequence the probe took.
-    fn replay(snapshot: &mut B, from: usize, to: usize) {
-        for _ in from..to {
-            if !snapshot.split_once() {
-                break;
-            }
-        }
-    }
-
-    /// Leaves `real` in the state the serial greedy would: `funded`
-    /// splits applied. Replays from the checkpoint snapshot when one
-    /// exists (at most one chunk of splits), from `real` itself
-    /// otherwise (the walk never outran the first chunk).
-    fn apply(self, real: &mut B, funded: usize) {
-        match self.checkpoint {
-            Some((mut snapshot, at)) if at <= funded => {
-                Self::replay(&mut snapshot, at, funded);
-                *real = snapshot;
-            }
-            _ => Self::replay(real, 0, funded),
-        }
-    }
-
-    /// Records up to `chunk` further proposals (stopping at saturation or
-    /// the byte headroom).
-    fn extend(&mut self, chunk: usize, headroom: usize) {
-        self.checkpoint = Some((self.builder.clone(), self.table.len()));
-        for _ in 0..chunk {
-            let Some(p) = self.builder.peek() else {
-                self.done = true;
-                return;
-            };
-            if self.spent + p.extra_bytes > headroom {
-                self.done = true;
-                return;
-            }
-            self.spent += p.extra_bytes;
-            self.table.push((p.extra_bytes, p.error_gain));
-            if !self.builder.split_once() {
-                self.done = true;
-                return;
-            }
-        }
-    }
-}
-
-/// [`incremental_gains`] computed with per-clique parallelism; the
-/// allocation it returns (and the builder states it leaves behind) are
-/// bit-identical to the serial greedy's. `threads <= 1` delegates to the
-/// serial implementation outright.
-///
-/// Strategy: each builder's *proposal sequence* — the `(extra_bytes,
-/// error_gain)` of its 1st, 2nd, ... split — is a pure function of the
-/// builder alone, independent of how the greedy interleaves cliques. So
-/// the sequences are recorded concurrently on probe clones, a serial
-/// cursor walk replays the greedy's rank-and-fund loop over the recorded
-/// tables (same stable sort, same first-that-fits rule, same tie
-/// behaviour), and the chosen split counts are applied to the real
-/// builders concurrently. Recording is *lazy*: tables grow in
-/// fixed-size chunks only when the cursor walk catches up to a table's
-/// end, so the total number of split probes stays proportional to the
-/// splits actually funded rather than to the byte headroom. Beyond the
-/// speedup from threads, that makes the table walk algorithmically
-/// cheaper than the live greedy, which re-peeks every clique each round
-/// (`O(rounds · |C|)` split probes).
-///
-/// # Errors
-///
-/// Returns [`SynopsisError::Budget`] if the budget cannot hold even the
-/// initial one-bucket histograms.
-pub fn incremental_gains_parallel<B>(
-    builders: &mut [B],
-    budget_bytes: usize,
-    threads: usize,
-) -> Result<AllocationReport, SynopsisError>
-where
-    B: IncrementalBuilder + Clone + Send + Sync,
-{
-    if threads <= 1 {
-        return incremental_gains(builders, budget_bytes);
-    }
-    let _span = dbhist_telemetry::span!("dbhist_alloc_incremental_gains_latency_us");
-    let initial: usize = builders.iter().map(IncrementalBuilder::storage_bytes).sum();
-    if initial > budget_bytes {
-        return Err(SynopsisError::Budget {
-            reason: format!(
-                "budget of {budget_bytes} bytes cannot hold {} one-bucket histograms ({initial} bytes)",
-                builders.len()
-            ),
-        });
-    }
-    // No single builder can be funded past the global headroom, so a
-    // probe that has proposed `headroom` worth of splits is exhausted.
-    let headroom = budget_bytes - initial;
-    let mut probes: Vec<GainProbe<B>> = with_pool(threads, || {
-        builders[..]
-            .par_iter()
-            .map(|b| {
-                let mut probe = GainProbe::new(b.clone());
-                probe.extend(RECORD_CHUNK, headroom);
-                probe
-            })
-            .collect()
-    });
-    // Serial replay of the greedy over the tables: identical candidate
-    // order (builder index), identical stable sort on the gain/byte
-    // ratio, identical first-that-fits funding rule.
-    let mut cursors = vec![0usize; builders.len()];
-    let mut used = initial;
-    let mut splits = 0usize;
-    loop {
-        // Materialize the next proposal of every probe the walk has
-        // caught up with (concurrently — probe sequences stay pure).
-        let needy: Vec<usize> =
-            (0..probes.len()).filter(|&i| probes[i].needs_extension(cursors[i])).collect();
-        match needy.len() {
-            0 => {}
-            // One table ran dry (the steady state once every probe holds
-            // its first chunk): extend inline, a worker pool would cost
-            // more than the chunk.
-            1 => probes[needy[0]].extend(RECORD_CHUNK, headroom),
-            _ => with_pool(threads, || {
-                let needy: Vec<&mut GainProbe<B>> = probes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, p)| p.needs_extension(cursors[*i]))
-                    .map(|(_, p)| p)
-                    .collect();
-                needy.into_par_iter().for_each(|p| p.extend(RECORD_CHUNK, headroom));
-            }),
-        }
-        let mut candidates: Vec<(usize, usize, f64)> = probes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                p.table.get(cursors[i]).map(|&(extra, gain)| (i, extra, gain / extra.max(1) as f64))
-            })
-            .collect();
-        candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        let Some(&(idx, extra, _)) =
-            candidates.iter().find(|&&(_, extra, _)| used + extra <= budget_bytes)
-        else {
-            break;
-        };
-        cursors[idx] += 1;
-        used += extra;
-        splits += 1;
-    }
-    // Drive the real builders to their chosen split counts concurrently,
-    // replaying from each probe's checkpoint snapshot.
-    with_pool(threads, || {
-        let work: Vec<(&mut B, GainProbe<B>, usize)> = builders
-            .iter_mut()
-            .zip(probes)
-            .zip(cursors.iter().copied())
-            .map(|((real, probe), funded)| (real, probe, funded))
-            .collect();
-        work.into_par_iter().for_each(|(real, probe, funded)| probe.apply(real, funded));
-    });
     let report = AllocationReport {
         buckets: builders.iter().map(IncrementalBuilder::bucket_count).collect(),
         bytes_used: used,
@@ -678,37 +472,6 @@ mod tests {
         for (b, p) in builders.iter().zip(&picks) {
             assert_eq!(b.bucket_count(), p.buckets);
         }
-    }
-
-    #[test]
-    fn parallel_gains_bit_identical_to_serial() {
-        let rel = relation();
-        for budget in [18usize, 90, 300, 900, 2700] {
-            let mut serial = mhist_builders(&rel);
-            let serial_report = incremental_gains(&mut serial, budget).unwrap();
-            for threads in [1usize, 2, 4] {
-                let mut parallel = mhist_builders(&rel);
-                let report = incremental_gains_parallel(&mut parallel, budget, threads).unwrap();
-                assert_eq!(report.buckets, serial_report.buckets, "budget {budget} t{threads}");
-                assert_eq!(report.bytes_used, serial_report.bytes_used);
-                assert_eq!(report.splits, serial_report.splits);
-                assert_eq!(report.total_error.to_bits(), serial_report.total_error.to_bits());
-                for (a, b) in serial.iter().zip(&parallel) {
-                    assert_eq!(a.bucket_count(), b.bucket_count());
-                    assert_eq!(a.error().to_bits(), b.error().to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_gains_rejects_impossible_budget() {
-        let rel = relation();
-        let mut builders = mhist_builders(&rel);
-        assert!(matches!(
-            incremental_gains_parallel(&mut builders, 10, 4),
-            Err(SynopsisError::Budget { .. })
-        ));
     }
 
     #[test]

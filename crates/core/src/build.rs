@@ -35,6 +35,21 @@ pub struct SplitProposal {
 
 /// A histogram builder that grows one split at a time under external
 /// storage control.
+///
+/// **Cached-proposal contract.** A builder computes its next proposal
+/// once, when it starts and at the end of each [`split_once`], and keeps
+/// it together with its current error (or, for MHIST, each bucket's).
+/// [`peek`] and [`error`] only read those cached values, so the allocator
+/// may call them every round; the work of a split is paid once, by the
+/// split itself. Caching changes no value: both return the bits a
+/// from-scratch computation over the current buckets gives (the
+/// histogram crate's cache-consistency tests pin this for the MHIST,
+/// grid and one-dimensional builders), so it never changes which split
+/// the allocator funds.
+///
+/// [`split_once`]: IncrementalBuilder::split_once
+/// [`peek`]: IncrementalBuilder::peek
+/// [`error`]: IncrementalBuilder::error
 pub trait IncrementalBuilder {
     /// The finished histogram type.
     type Histogram;
@@ -45,13 +60,14 @@ pub trait IncrementalBuilder {
     /// Bytes the histogram would occupy if finished now.
     fn storage_bytes(&self) -> usize;
 
-    /// Current approximation error (total variance / SSE).
+    /// Current approximation error (total variance / SSE); a cached read.
     fn error(&self) -> f64;
 
-    /// The next split, if any.
+    /// The next split, if any; a cached read.
     fn peek(&self) -> Option<SplitProposal>;
 
-    /// Applies the next split. Returns `false` when saturated.
+    /// Applies the cached next split and computes the one after it.
+    /// Returns `false` when saturated.
     fn split_once(&mut self) -> bool;
 
     /// Materializes the histogram.

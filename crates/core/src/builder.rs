@@ -32,15 +32,18 @@
 //!
 //! # Parallelism and determinism
 //!
-//! [`SynopsisBuilder::threads`] controls every phase: candidate-edge
-//! scoring during forward selection, per-clique histogram construction,
-//! and the marginal-gain tables of budget allocation. `1` runs the exact
-//! serial code path; larger counts fan independent work across scoped
-//! worker threads while keeping the result **bit-identical** (entropies
-//! are pure functions of the relation, per-clique builder runs are
-//! independent, and every ranking/reduction stays serial with the same
-//! deterministic tie-breaks). `0` (the default) resolves to the machine's
-//! available parallelism.
+//! [`SynopsisBuilder::threads`] controls candidate-edge scoring during
+//! forward selection, per-clique histogram construction and assembly,
+//! and the per-clique error curves of the optimal-DP allocation. The
+//! `IncrementalGains` allocation is one serial greedy at every setting:
+//! each builder caches its next split, so a round costs one split and
+//! there is nothing left to fan out. `1` runs the exact serial code path;
+//! larger counts fan independent work across scoped worker threads while
+//! keeping the result **bit-identical** (entropies are pure functions of
+//! the relation, per-clique builder runs are independent, and every
+//! ranking/reduction stays serial with the same deterministic
+//! tie-breaks). `0` (the default) resolves to the machine's available
+//! parallelism.
 
 use std::time::Duration;
 
@@ -341,9 +344,12 @@ impl<'a> SynopsisBuilder<'a> {
         self
     }
 
-    /// Worker threads for every build phase. `0` (default) resolves to
-    /// the machine's available parallelism; `1` forces the exact serial
-    /// path. Any setting produces bit-identical synopses.
+    /// Worker threads for model selection, clique construction and
+    /// assembly, and the optimal-DP allocation's curve measurement and
+    /// apply. `IncrementalGains` allocation always runs serially. `0`
+    /// (default) resolves to the machine's available parallelism; `1`
+    /// forces the exact serial path. Any setting produces bit-identical
+    /// synopses.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;

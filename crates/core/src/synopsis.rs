@@ -31,8 +31,7 @@ use dbhist_telemetry::{DriftMonitor, SpanCollector};
 use rayon::prelude::*;
 
 use crate::alloc::{
-    apply_allocation_parallel, error_curves_parallel, incremental_gains_parallel, optimal_dp,
-    with_pool,
+    apply_allocation_parallel, error_curves_parallel, incremental_gains, optimal_dp, with_pool,
 };
 use crate::build::{GridCliqueBuilder, IncrementalBuilder, MhistCliqueBuilder};
 use crate::builder::BuildTrace;
@@ -417,16 +416,17 @@ where
 /// Shared construction pipeline: select a model, then build the clique
 /// histograms within the budget using `start` to create each builder and
 /// `finish` to materialize it. The worker-thread count comes from
-/// `config.selection.threads` and governs every phase; the result is
-/// bit-identical across thread counts. Phase wall times and task counts
-/// are recorded on the returned synopsis's [`BuildTrace`].
+/// `config.selection.threads` and governs every phase except the serial
+/// `IncrementalGains` greedy; the result is bit-identical across thread
+/// counts. Phase wall times and task counts are recorded on the returned
+/// synopsis's [`BuildTrace`].
 fn build_generic<B, F>(
     relation: &Relation,
     config: &DbConfig,
     start: impl Fn(&Distribution) -> Result<B, SynopsisError> + Sync,
 ) -> Result<(DbHistogram<F>, SelectionResult), SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F> + Clone + Send + Sync,
+    B: IncrementalBuilder<Histogram = F> + Send + Sync,
     F: Factor + Send,
 {
     config.selection.validate()?;
@@ -464,7 +464,7 @@ fn build_for_model<B, F>(
     start: impl Fn(&Distribution) -> Result<B, SynopsisError> + Sync,
 ) -> Result<DbHistogram<F>, SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F> + Clone + Send + Sync,
+    B: IncrementalBuilder<Histogram = F> + Send + Sync,
     F: Factor + Send,
 {
     let threads = config.selection.threads.max(1);
@@ -480,7 +480,7 @@ where
         let _span = dbhist_telemetry::span!("dbhist_build_allocation_latency_us");
         match config.allocation {
             AllocationStrategy::IncrementalGains => {
-                incremental_gains_parallel(&mut builders, config.budget_bytes, threads)?.splits
+                incremental_gains(&mut builders, config.budget_bytes)?.splits
             }
             AllocationStrategy::OptimalDp => {
                 // Measuring the error curves drives the builders to

@@ -337,8 +337,28 @@ impl GridHistogram {
     }
 }
 
+/// Inserts split value `v` into a sorted boundary list.
+fn insert_boundary(bounds: &mut Vec<u32>, v: u32) {
+    let pos = bounds.partition_point(|&b| b < v);
+    bounds.insert(pos, v);
+}
+
+/// The split a [`GridBuilder`] would apply next.
+#[derive(Debug, Clone, Copy)]
+struct GridSplit {
+    /// Dimension position.
+    pos: usize,
+    value: u32,
+    /// Buckets the split adds.
+    extra: usize,
+    /// Total SSE once the split is applied.
+    error_after: f64,
+}
+
 /// Incremental builder for [`GridHistogram`] (greedy whole-distribution
-/// splits, paper §3.2).
+/// splits, paper §3.2). The current error and the next split (with the
+/// error it leads to) are computed once per split, so `error`,
+/// `peek_split` and `peek_gain` are reads.
 #[derive(Debug, Clone)]
 pub struct GridBuilder {
     attrs: AttrSet,
@@ -350,6 +370,9 @@ pub struct GridBuilder {
     cells: Vec<(Vec<u32>, f64)>,
     boundaries: Vec<Vec<u32>>,
     total: f64,
+    /// Total SSE of the current grid.
+    error: f64,
+    next: Option<GridSplit>,
 }
 
 impl GridBuilder {
@@ -368,7 +391,7 @@ impl GridBuilder {
         let ranges: Vec<(u32, u32)> =
             attrs.iter().map(|a| (0, dist.schema().domain_size(a) - 1)).collect();
         let marginals: Vec<Vec<(u32, f64)>> = attrs.iter().map(|a| dist.values_along(a)).collect();
-        Ok(Self {
+        let mut builder = Self {
             domain: BoundingBox::new(attrs.clone(), ranges),
             boundaries: vec![Vec::new(); attrs.len()],
             cells: dist.iter().map(|(k, f)| (k.to_vec(), f)).collect(),
@@ -376,7 +399,12 @@ impl GridBuilder {
             attrs,
             criterion,
             marginals,
-        })
+            error: 0.0,
+            next: None,
+        };
+        builder.error = builder.error_with(&builder.boundaries);
+        builder.next = builder.propose();
+        Ok(builder)
     }
 
     /// Convenience: builds a grid histogram using at most `max_buckets`
@@ -416,6 +444,12 @@ impl GridBuilder {
     /// `Π_{d' ≠ d} cells_{d'}` buckets.
     #[must_use]
     pub fn peek_split(&self) -> Option<(usize, u32, usize)> {
+        self.next.map(|n| (n.pos, n.value, n.extra))
+    }
+
+    /// Finds the split the partitioning constraint rates highest across
+    /// every segment of every dimension, and the error after it.
+    fn propose(&self) -> Option<GridSplit> {
         let mut best: Option<(usize, u32, f64)> = None;
         for (p, marginal) in self.marginals.iter().enumerate() {
             // Evaluate the best split within each existing segment.
@@ -440,26 +474,27 @@ impl GridBuilder {
                 start = end;
             }
         }
-        best.map(|(p, v, _)| {
-            let extra: usize = self
-                .boundaries
-                .iter()
-                .enumerate()
-                .filter(|&(q, _)| q != p)
-                .map(|(_, b)| b.len() + 1)
-                .product();
-            (p, v, extra)
-        })
+        let (pos, value, _) = best?;
+        let extra: usize = self
+            .boundaries
+            .iter()
+            .enumerate()
+            .filter(|&(q, _)| q != pos)
+            .map(|(_, b)| b.len() + 1)
+            .product();
+        let mut trial = self.boundaries.clone();
+        insert_boundary(&mut trial[pos], value);
+        Some(GridSplit { pos, value, extra, error_after: self.error_with(&trial) })
     }
 
     /// Applies the next split. Returns `false` when saturated.
     pub fn split_once(&mut self) -> bool {
-        let Some((p, v, _)) = self.peek_split() else {
+        let Some(split) = self.next else {
             return false;
         };
-        let bounds = &mut self.boundaries[p];
-        let pos = bounds.partition_point(|&b| b < v);
-        bounds.insert(pos, v);
+        insert_boundary(&mut self.boundaries[split.pos], split.value);
+        self.error = split.error_after;
+        self.next = self.propose();
         true
     }
 
@@ -475,17 +510,13 @@ impl GridBuilder {
     /// Current total volume-aware SSE across buckets.
     #[must_use]
     pub fn error(&self) -> f64 {
-        self.error_with(&self.boundaries)
+        self.error
     }
 
     /// The error decrease the next split would achieve.
     #[must_use]
     pub fn peek_gain(&self) -> Option<f64> {
-        let (p, v, _) = self.peek_split()?;
-        let mut trial = self.boundaries.clone();
-        let pos = trial[p].partition_point(|&b| b < v);
-        trial[p].insert(pos, v);
-        Some(self.error() - self.error_with(&trial))
+        self.next.map(|n| self.error - n.error_after)
     }
 
     fn error_with(&self, boundaries: &[Vec<u32>]) -> f64 {
@@ -560,7 +591,54 @@ impl GridBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{distribution_strategy, fractional};
     use dbhist_distribution::{Relation, Schema};
+    use proptest::prelude::*;
+
+    /// The cached error and next split of `b` equal a from-scratch
+    /// recompute, bit for bit.
+    fn assert_fresh(b: &GridBuilder) {
+        assert_eq!(b.error().to_bits(), b.error_with(&b.boundaries).to_bits(), "error");
+        let bits = |n: GridSplit| (n.pos, n.value, n.extra, n.error_after.to_bits());
+        assert_eq!(b.next.map(bits), b.propose().map(bits), "next split");
+    }
+
+    /// Drives a builder over `dist` to saturation, checking the cache at
+    /// every step and that each split's `error_after` becomes the next
+    /// `error()`.
+    fn check_cache_to_saturation(dist: &Distribution, criterion: SplitCriterion) {
+        let mut b = GridBuilder::new(dist, criterion).unwrap();
+        assert_fresh(&b);
+        while let Some(next) = b.next {
+            let before = b.error();
+            assert_eq!(b.peek_gain().unwrap().to_bits(), (before - next.error_after).to_bits());
+            assert!(b.split_once());
+            assert_eq!(b.error().to_bits(), next.error_after.to_bits());
+            assert_fresh(&b);
+        }
+        assert!(b.peek_gain().is_none());
+        assert!(!b.split_once());
+    }
+
+    #[test]
+    fn cache_matches_recompute_to_saturation() {
+        let grid = grid_relation().distribution();
+        for criterion in [SplitCriterion::MaxDiff, SplitCriterion::VOptimal] {
+            check_cache_to_saturation(&grid, criterion);
+            check_cache_to_saturation(&fractional(), criterion);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cache_matches_recompute_on_random_distributions(
+            (dist, criterion) in distribution_strategy()
+        ) {
+            check_cache_to_saturation(&dist, criterion);
+        }
+    }
 
     fn grid_relation() -> Relation {
         let schema = Schema::new(vec![("x", 8), ("y", 8)]).unwrap();

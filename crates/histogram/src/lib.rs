@@ -47,3 +47,75 @@ pub use grid::GridHistogram;
 pub use mhist::{IndexLayout, SplitTree, TreeIndex};
 pub use one_dim::OneDimHistogram;
 pub use traits::MultiHistogram;
+
+/// Shared fixtures for the builders' cache-consistency tests.
+#[cfg(test)]
+mod test_support {
+    use dbhist_distribution::{AttrSet, Distribution, Schema};
+    use proptest::prelude::*;
+
+    use crate::criterion::SplitCriterion;
+
+    /// Random distributions over one to three attributes with domain sizes
+    /// from 1 (a single-value attribute) to 9, up to 40 non-zero cells and
+    /// fractional frequencies, paired with a split criterion.
+    pub(crate) fn distribution_strategy() -> impl Strategy<Value = (Distribution, SplitCriterion)> {
+        any::<u64>().prop_map(|seed| {
+            let mut state = seed | 1;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let arity = 1 + next(3) as usize;
+            let domains: Vec<u32> = (0..arity).map(|_| 1 + next(9) as u32).collect();
+            let cells: Vec<(Vec<u32>, f64)> = (0..1 + next(40))
+                .map(|_| {
+                    let key = domains.iter().map(|&d| next(u64::from(d)) as u32).collect();
+                    // Eighths, or an arbitrary fraction with a long mantissa.
+                    let weight = if next(2) == 0 {
+                        (1 + next(400)) as f64 / 8.0
+                    } else {
+                        (1 + next(1 << 20)) as f64 / 21_001.0
+                    };
+                    (key, weight)
+                })
+                .collect();
+            let criterion =
+                if next(2) == 0 { SplitCriterion::MaxDiff } else { SplitCriterion::VOptimal };
+            (distribution(&domains, cells.iter().map(|(k, w)| (k.as_slice(), *w))), criterion)
+        })
+    }
+
+    /// A distribution over attributes `0..domains.len()` with the given
+    /// domain sizes, accumulating `cells` (repeated keys add up).
+    fn distribution<'a>(
+        domains: &[u32],
+        cells: impl IntoIterator<Item = (&'a [u32], f64)>,
+    ) -> Distribution {
+        let schema = Schema::new(domains.iter().enumerate().map(|(i, &d)| (format!("a{i}"), d)))
+            .expect("valid schema");
+        let attrs = AttrSet::from_ids(0..domains.len() as u16);
+        let mut dist = Distribution::empty(schema, attrs).expect("attributes are in the schema");
+        for (key, weight) in cells {
+            dist.add(key, weight);
+        }
+        dist
+    }
+
+    /// Fractional frequencies over a single-value attribute and two sparse
+    /// ones, with gaps that force trimming splits.
+    pub(crate) fn fractional() -> Distribution {
+        distribution(
+            &[1, 7, 5],
+            [
+                (&[0, 0, 4][..], 0.125),
+                (&[0, 3, 0][..], 2.5),
+                (&[0, 3, 1][..], 1.0 / 3.0),
+                (&[0, 6, 2][..], 7.75),
+                (&[0, 2, 2][..], 0.1),
+            ],
+        )
+    }
+}

@@ -8,8 +8,12 @@
 //!
 //! Like [`crate::one_dim::OneDimBuilder`], the builder is *incremental*:
 //! `IncrementalGains` space allocation interleaves construction across
-//! clique histograms, so it can ask for the error improvement of the next
-//! split (`peek_gain`) before paying a bucket for it.
+//! clique histograms, so it asks for the error improvement of the next
+//! split (`peek_gain`) before paying a bucket for it. Every bucket caches
+//! its best split together with the SSE of the two halves that split
+//! would produce, and the builder caches the index of the bucket it would
+//! split next, so `peek_gain` is a read, `error` sums cached bucket SSEs,
+//! and `split_once` refreshes only the two new buckets.
 
 use dbhist_distribution::{AttrId, AttrSet, Distribution};
 
@@ -19,18 +23,57 @@ use crate::error::HistogramError;
 
 use super::{Node, NodeId, SplitTree};
 
+/// A bucket's cached best split.
+#[derive(Debug, Clone, Copy)]
+struct BestSplit {
+    attr: AttrId,
+    value: u32,
+    /// Partitioning-constraint score (higher = more in need of a split).
+    score: f64,
+    /// Volume-aware SSE of the left (`< value`) half.
+    left_sse: f64,
+    /// Volume-aware SSE of the right (`≥ value`) half.
+    right_sse: f64,
+}
+
 /// A bucket under construction: its cells, box, and cached best split.
 #[derive(Debug, Clone)]
 struct BucketState {
-    /// Non-zero cells inside the bucket: key (aligned with attrs) → freq.
-    cells: Vec<(Vec<u32>, f64)>,
+    /// Keys of the bucket's non-zero cells, flattened: cell `i`'s key
+    /// (aligned with the builder's attrs) is `keys[i * arity..][..arity]`.
+    keys: Vec<u32>,
+    /// Frequencies of the cells, in the same order as `keys`.
+    freqs: Vec<f64>,
     bbox: BoundingBox,
     /// Arena id of the leaf node representing this bucket.
     node: NodeId,
-    /// Cached best split `(attr, split value, criterion score)`.
-    best: Option<(AttrId, u32, f64)>,
     /// Cached volume-aware SSE of the bucket.
     sse: f64,
+    /// Cached best split (`None` when no split is possible).
+    best: Option<BestSplit>,
+}
+
+/// Volume-aware SSE of a bucket of `volume` cells holding `freqs`: cells
+/// not listed count as zeroes. Both the bucket's own SSE and the cached
+/// SSE of each half go through this one fold, in cell order, so a half's
+/// prediction and the child's own value are the same bits.
+fn volume_sse(freqs: impl Iterator<Item = f64> + Clone, volume: u64) -> f64 {
+    let volume = volume as f64;
+    let total: f64 = freqs.clone().sum();
+    let nnz = freqs.clone().count() as f64;
+    let mean = total / volume;
+    let nonzero_sse: f64 = freqs.map(|f| (f - mean).powi(2)).sum();
+    nonzero_sse + (volume - nnz) * mean * mean
+}
+
+/// The boxes of the two halves of splitting `bbox` at `attr = value`.
+fn split_boxes(bbox: &BoundingBox, attr: AttrId, value: u32) -> Option<(BoundingBox, BoundingBox)> {
+    let (lo, hi) = bbox.range(attr)?;
+    let mut lbox = bbox.clone();
+    lbox.clamp(attr, lo, value - 1);
+    let mut rbox = bbox.clone();
+    rbox.clamp(attr, value, hi);
+    Some((lbox, rbox))
 }
 
 /// Incremental MHIST-2 builder over a marginal [`Distribution`].
@@ -41,6 +84,8 @@ pub struct MhistBuilder {
     criterion: SplitCriterion,
     nodes: Vec<Node>,
     buckets: Vec<BucketState>,
+    /// Index of the bucket the next split applies to.
+    next: Option<usize>,
 }
 
 impl MhistBuilder {
@@ -66,12 +111,24 @@ impl MhistBuilder {
         let ranges: Vec<(u32, u32)> =
             attrs.iter().map(|a| (0, dist.schema().domain_size(a) - 1)).collect();
         let domain = BoundingBox::new(attrs.clone(), ranges);
-        let cells: Vec<(Vec<u32>, f64)> = dist.iter().map(|(k, f)| (k.to_vec(), f)).collect();
+        let mut keys = Vec::with_capacity(dist.support_size() * attrs.len());
+        let mut freqs = Vec::with_capacity(dist.support_size());
+        for (k, f) in dist.iter() {
+            keys.extend_from_slice(k);
+            freqs.push(f);
+        }
         let nodes = vec![Node::Leaf { freq: dist.total() }];
-        let mut bucket = BucketState { cells, bbox: domain.clone(), node: 0, best: None, sse: 0.0 };
-        let mut builder = Self { attrs, domain, criterion, nodes, buckets: Vec::new() };
-        builder.refresh_bucket(&mut bucket);
+        let mut builder = Self {
+            attrs,
+            domain: domain.clone(),
+            criterion,
+            nodes,
+            buckets: Vec::new(),
+            next: None,
+        };
+        let bucket = builder.bucket(keys, freqs, domain);
         builder.buckets.push(bucket);
+        builder.next = builder.scan_next();
         Ok(builder)
     }
 
@@ -95,30 +152,40 @@ impl MhistBuilder {
         Ok(b.finish())
     }
 
-    /// Recomputes a bucket's cached best split and SSE.
-    fn refresh_bucket(&self, bucket: &mut BucketState) {
-        // Volume-aware SSE: cells not present count as zeroes.
-        let volume = bucket.bbox.volume() as f64;
-        let total: f64 = bucket.cells.iter().map(|(_, f)| f).sum();
-        let nnz = bucket.cells.len() as f64;
-        let mean = total / volume;
-        let nonzero_sse: f64 = bucket.cells.iter().map(|(_, f)| (f - mean).powi(2)).sum();
-        bucket.sse = nonzero_sse + (volume - nnz) * mean * mean;
+    /// A bucket over `keys`/`freqs` inside `bbox`, with its SSE and best
+    /// split computed (node id unassigned).
+    fn bucket(&self, keys: Vec<u32>, freqs: Vec<f64>, bbox: BoundingBox) -> BucketState {
+        let sse = volume_sse(freqs.iter().copied(), bbox.volume());
+        let mut bucket = BucketState { keys, freqs, bbox, node: 0, sse, best: None };
+        bucket.best = self.best_split(&bucket);
+        bucket
+    }
 
-        // Best split across dimensions by the partitioning constraint.
-        let mut best: Option<(AttrId, u32, f64)> = None;
+    /// The best split of `bucket` across dimensions by the partitioning
+    /// constraint, with the SSE of both halves.
+    fn best_split(&self, bucket: &BucketState) -> Option<BestSplit> {
+        let arity = self.attrs.len();
+        let mut best: Option<(usize, AttrId, u32, f64)> = None;
+        let mut tmp: Vec<(u32, f64)> = Vec::with_capacity(bucket.freqs.len());
+        let mut agg: Vec<(u32, f64)> = Vec::with_capacity(bucket.freqs.len());
         for (pos, attr) in self.attrs.iter().enumerate() {
             // Aggregate cell frequencies along this dimension.
-            let mut agg: Vec<(u32, f64)> = Vec::new();
-            {
-                let mut tmp: Vec<(u32, f64)> =
-                    bucket.cells.iter().map(|(k, f)| (k[pos], *f)).collect();
-                tmp.sort_unstable_by_key(|&(v, _)| v);
-                for (v, f) in tmp {
-                    match agg.last_mut() {
-                        Some(last) if last.0 == v => last.1 += f,
-                        _ => agg.push((v, f)),
-                    }
+            tmp.clear();
+            tmp.extend(
+                bucket
+                    .keys
+                    .iter()
+                    .skip(pos)
+                    .step_by(arity)
+                    .copied()
+                    .zip(bucket.freqs.iter().copied()),
+            );
+            tmp.sort_unstable_by_key(|&(v, _)| v);
+            agg.clear();
+            for &(v, f) in &tmp {
+                match agg.last_mut() {
+                    Some(last) if last.0 == v => last.1 += f,
+                    _ => agg.push((v, f)),
                 }
             }
             // Bucket boxes cover every histogram attribute by
@@ -127,12 +194,41 @@ impl MhistBuilder {
                 continue;
             };
             if let Some(choice) = best_split_bounded(&agg, lo, hi, self.criterion) {
-                if best.is_none_or(|(_, _, s)| choice.score > s) {
-                    best = Some((attr, choice.value, choice.score));
+                if best.is_none_or(|(_, _, _, s)| choice.score > s) {
+                    best = Some((pos, attr, choice.value, choice.score));
                 }
             }
         }
-        bucket.best = best;
+        let (pos, attr, value, score) = best?;
+        let (lbox, rbox) = split_boxes(&bucket.bbox, attr, value)?;
+        let side = |left: bool| {
+            bucket
+                .keys
+                .iter()
+                .skip(pos)
+                .step_by(arity)
+                .zip(&bucket.freqs)
+                .filter(move |&(&k, _)| (k < value) == left)
+                .map(|(_, &f)| f)
+        };
+        Some(BestSplit {
+            attr,
+            value,
+            score,
+            left_sse: volume_sse(side(true), lbox.volume()),
+            right_sse: volume_sse(side(false), rbox.volume()),
+        })
+    }
+
+    /// The bucket with the highest best-split score; the last one wins
+    /// ties.
+    fn scan_next(&self) -> Option<usize> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.best.map(|s| (i, s.score)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
     }
 
     /// Current number of buckets.
@@ -142,70 +238,55 @@ impl MhistBuilder {
     }
 
     /// Current total volume-aware SSE across buckets (the error measure
-    /// handed to the space-allocation algorithms).
+    /// handed to the space-allocation algorithms), summed from the
+    /// buckets' cached SSEs.
     #[must_use]
     pub fn error(&self) -> f64 {
         self.buckets.iter().map(|b| b.sse).sum()
-    }
-
-    /// Index of the bucket the construction algorithm would split next.
-    fn next_bucket(&self) -> Option<usize> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.best.map(|(_, _, score)| (i, score)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-
-    /// Splits `bucket`'s cell list by its cached best split, returning the
-    /// two halves as fresh bucket states (node ids unassigned).
-    fn split_bucket(&self, idx: usize) -> Option<(BucketState, BucketState)> {
-        let bucket = &self.buckets[idx];
-        let (attr, value, _) = bucket.best?;
-        let pos = self.attrs.position(attr)?;
-        let (mut left_cells, mut right_cells) = (Vec::new(), Vec::new());
-        for (k, f) in &bucket.cells {
-            if k[pos] < value {
-                left_cells.push((k.clone(), *f));
-            } else {
-                right_cells.push((k.clone(), *f));
-            }
-        }
-        let (lo, hi) = bucket.bbox.range(attr)?;
-        let mut lbox = bucket.bbox.clone();
-        lbox.clamp(attr, lo, value - 1);
-        let mut rbox = bucket.bbox.clone();
-        rbox.clamp(attr, value, hi);
-        let mut left = BucketState { cells: left_cells, bbox: lbox, node: 0, best: None, sse: 0.0 };
-        let mut right =
-            BucketState { cells: right_cells, bbox: rbox, node: 0, best: None, sse: 0.0 };
-        self.refresh_bucket(&mut left);
-        self.refresh_bucket(&mut right);
-        Some((left, right))
     }
 
     /// The error decrease the next split would achieve (`None` when no
     /// bucket can be split further).
     #[must_use]
     pub fn peek_gain(&self) -> Option<f64> {
-        let idx = self.next_bucket()?;
-        let (left, right) = self.split_bucket(idx)?;
-        Some(self.buckets[idx].sse - left.sse - right.sse)
+        let bucket = &self.buckets[self.next?];
+        let best = bucket.best?;
+        Some(bucket.sse - best.left_sse - best.right_sse)
     }
 
     /// Applies the next split (adding exactly one bucket). Returns `false`
     /// when construction is saturated.
     pub fn split_once(&mut self) -> bool {
-        let Some(idx) = self.next_bucket() else {
+        let Some(idx) = self.next else {
             return false;
         };
-        let Some((attr, value, _)) = self.buckets[idx].best else {
+        let parent = &self.buckets[idx];
+        let Some(best) = parent.best else {
             return false;
         };
-        let Some((mut left, mut right)) = self.split_bucket(idx) else {
+        let Some(pos) = self.attrs.position(best.attr) else {
             return false;
         };
+        let Some((lbox, rbox)) = split_boxes(&parent.bbox, best.attr, best.value) else {
+            return false;
+        };
+        // Partition the cells, keeping their relative order.
+        let arity = self.attrs.len();
+        let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+        let (mut left_freqs, mut right_freqs) = (Vec::new(), Vec::new());
+        for (key, &f) in parent.keys.chunks_exact(arity).zip(&parent.freqs) {
+            if key[pos] < best.value {
+                left_keys.extend_from_slice(key);
+                left_freqs.push(f);
+            } else {
+                right_keys.extend_from_slice(key);
+                right_freqs.push(f);
+            }
+        }
+        let mut left = self.bucket(left_keys, left_freqs, lbox);
+        let mut right = self.bucket(right_keys, right_freqs, rbox);
+        debug_assert_eq!(left.sse.to_bits(), best.left_sse.to_bits(), "cached left-half SSE");
+        debug_assert_eq!(right.sse.to_bits(), best.right_sse.to_bits(), "cached right-half SSE");
         let leaf = self.buckets[idx].node;
         // The old leaf becomes an internal node with two fresh leaves.
         let left_id = self.nodes.len() as NodeId;
@@ -213,11 +294,12 @@ impl MhistBuilder {
         let right_id = self.nodes.len() as NodeId;
         self.nodes.push(Node::Leaf { freq: 0.0 });
         self.nodes[leaf as usize] =
-            Node::Internal { attr, split: value, left: left_id, right: right_id };
+            Node::Internal { attr: best.attr, split: best.value, left: left_id, right: right_id };
         left.node = left_id;
         right.node = right_id;
         self.buckets[idx] = left;
         self.buckets.push(right);
+        self.next = self.scan_next();
         true
     }
 
@@ -226,7 +308,7 @@ impl MhistBuilder {
     pub fn finish(&self) -> SplitTree {
         let mut nodes = self.nodes.clone();
         for bucket in &self.buckets {
-            let freq: f64 = bucket.cells.iter().map(|(_, f)| f).sum();
+            let freq: f64 = bucket.freqs.iter().sum();
             nodes[bucket.node as usize] = Node::Leaf { freq };
         }
         SplitTree::from_parts(self.attrs.clone(), self.domain.clone(), nodes)
@@ -237,7 +319,83 @@ impl MhistBuilder {
 mod tests {
     use super::*;
     use crate::mhist::tests::grid_relation;
+    use crate::test_support::{distribution_strategy, fractional};
     use dbhist_distribution::{Relation, Schema};
+    use proptest::prelude::*;
+
+    /// The cached state of `b` equals a from-scratch recompute: every
+    /// bucket holds exactly the distribution's cells inside its box, in
+    /// key order; its SSE and best split (with both halves' SSE) are what
+    /// a fresh computation gives; the total error is the fresh sum; and
+    /// the cached next bucket is the last bucket with the highest score.
+    fn assert_fresh(b: &MhistBuilder, dist: &Distribution) {
+        let bits = |s: BestSplit| {
+            (s.attr, s.value, s.score.to_bits(), s.left_sse.to_bits(), s.right_sse.to_bits())
+        };
+        let mut error = Vec::new();
+        let mut next: Option<(usize, f64)> = None;
+        for (i, bucket) in b.buckets.iter().enumerate() {
+            let (mut keys, mut freqs) = (Vec::new(), Vec::new());
+            for (k, f) in dist.iter().filter(|(k, _)| bucket.bbox.contains_point(k)) {
+                keys.extend_from_slice(k);
+                freqs.push(f);
+            }
+            assert_eq!(bucket.keys, keys, "bucket {i} cells");
+            assert_eq!(bucket.freqs, freqs, "bucket {i} frequencies");
+            let fresh = b.bucket(keys, freqs, bucket.bbox.clone());
+            assert_eq!(bucket.sse.to_bits(), fresh.sse.to_bits(), "bucket {i} SSE");
+            assert_eq!(bucket.best.map(bits), fresh.best.map(bits), "bucket {i} best split");
+            error.push(fresh.sse);
+            if let Some(s) = fresh.best {
+                if next.is_none_or(|(_, top)| s.score >= top) {
+                    next = Some((i, s.score));
+                }
+            }
+        }
+        assert_eq!(b.error().to_bits(), error.iter().sum::<f64>().to_bits(), "total error");
+        assert_eq!(b.next, next.map(|(i, _)| i), "next bucket");
+    }
+
+    /// Drives a builder over `dist` to saturation. After every split the
+    /// two new buckets' SSEs must be the bits the parent cached for its
+    /// halves, and the whole cache must match a fresh recompute.
+    fn check_cache_to_saturation(dist: &Distribution, criterion: SplitCriterion) {
+        let mut b = MhistBuilder::new(dist, criterion).unwrap();
+        assert_fresh(&b, dist);
+        while let Some(idx) = b.next {
+            let best = b.buckets[idx].best.unwrap();
+            let gain = b.peek_gain().unwrap();
+            assert_eq!(
+                gain.to_bits(),
+                (b.buckets[idx].sse - best.left_sse - best.right_sse).to_bits()
+            );
+            let right = b.bucket_count();
+            assert!(b.split_once());
+            assert_eq!(b.buckets[idx].sse.to_bits(), best.left_sse.to_bits(), "left half");
+            assert_eq!(b.buckets[right].sse.to_bits(), best.right_sse.to_bits(), "right half");
+            assert_fresh(&b, dist);
+        }
+        assert!(b.peek_gain().is_none());
+        assert!(!b.split_once());
+    }
+
+    #[test]
+    fn cache_matches_recompute_to_saturation() {
+        let grid = grid_relation().distribution();
+        for criterion in [SplitCriterion::MaxDiff, SplitCriterion::VOptimal] {
+            check_cache_to_saturation(&grid, criterion);
+            check_cache_to_saturation(&fractional(), criterion);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cache_matches_recompute_on_random_distributions((dist, criterion) in distribution_strategy()) {
+            check_cache_to_saturation(&dist, criterion);
+        }
+    }
 
     #[test]
     fn budget_and_mass_conservation() {

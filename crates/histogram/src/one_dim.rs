@@ -303,7 +303,25 @@ fn validated_values(
     Ok(values)
 }
 
-/// Incremental builder for [`OneDimHistogram`].
+/// The split a [`OneDimBuilder`] would apply next.
+#[derive(Debug, Clone, Copy)]
+struct OneDimSplit {
+    /// Index of the bucket to split.
+    bucket: usize,
+    value: u32,
+    /// Index into `values` of the first value of the right half.
+    at: usize,
+    /// Partitioning-constraint score.
+    score: f64,
+    /// Error decrease of the split (the bucket's SSE minus its halves').
+    gain: f64,
+    /// Total error once the split is applied.
+    error_after: f64,
+}
+
+/// Incremental builder for [`OneDimHistogram`]. The current error and the
+/// next split (with its gain and the error it leads to) are computed once
+/// per split, so `error`, `peek_split` and `peek_gain` are reads.
 #[derive(Debug, Clone)]
 pub struct OneDimBuilder {
     attr: AttrId,
@@ -313,6 +331,9 @@ pub struct OneDimBuilder {
     /// Bucket boundaries as index ranges into `values`: bucket `i` covers
     /// `values[bounds[i]..bounds[i + 1]]`.
     bounds: Vec<usize>,
+    /// Total error of the current buckets.
+    error: f64,
+    next: Option<OneDimSplit>,
 }
 
 impl OneDimBuilder {
@@ -339,7 +360,10 @@ impl OneDimBuilder {
             });
         }
         let bounds = vec![0, values.len()];
-        Ok(Self { attr, criterion, values, bounds })
+        let mut builder = Self { attr, criterion, values, bounds, error: 0.0, next: None };
+        builder.error = builder.error_with(&builder.bounds);
+        builder.next = builder.propose();
+        Ok(builder)
     }
 
     /// Current number of buckets.
@@ -352,7 +376,12 @@ impl OneDimBuilder {
     /// member-value frequencies around the bucket mean).
     #[must_use]
     pub fn error(&self) -> f64 {
-        self.bucket_ranges().map(|(lo, hi)| sse(&self.values[lo..hi])).sum()
+        self.error
+    }
+
+    /// The total error of the buckets delimited by `bounds`.
+    fn error_with(&self, bounds: &[usize]) -> f64 {
+        bounds.windows(2).map(|w| sse(&self.values[w[0]..w[1]])).sum()
     }
 
     fn bucket_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -364,6 +393,19 @@ impl OneDimBuilder {
     /// bucket is a single value.
     #[must_use]
     pub fn peek_split(&self) -> Option<(usize, u32, f64)> {
+        self.next.map(|n| (n.bucket, n.value, n.score))
+    }
+
+    /// The decrease in [`OneDimBuilder::error`] the next split would
+    /// achieve. `None` when no split is possible.
+    #[must_use]
+    pub fn peek_gain(&self) -> Option<f64> {
+        self.next.map(|n| n.gain)
+    }
+
+    /// Finds the best split over all buckets, its gain, and the error
+    /// after it.
+    fn propose(&self) -> Option<OneDimSplit> {
         let mut best: Option<(usize, u32, f64)> = None;
         for (i, (lo, hi)) in self.bucket_ranges().enumerate() {
             if let Some(choice) = best_split(&self.values[lo..hi], self.criterion) {
@@ -372,29 +414,26 @@ impl OneDimBuilder {
                 }
             }
         }
-        best
-    }
-
-    /// The decrease in [`OneDimBuilder::error`] the next split would
-    /// achieve. `None` when no split is possible.
-    #[must_use]
-    pub fn peek_gain(&self) -> Option<f64> {
-        let (bucket, value, _) = self.peek_split()?;
+        let (bucket, value, score) = best?;
         let (lo, hi) = (self.bounds[bucket], self.bounds[bucket + 1]);
         let run = &self.values[lo..hi];
         let mid = run.partition_point(|&(v, _)| v < value);
-        Some(sse(run) - sse(&run[..mid]) - sse(&run[mid..]))
+        debug_assert!(mid > 0 && mid < run.len(), "split must be interior");
+        let gain = sse(run) - sse(&run[..mid]) - sse(&run[mid..]);
+        let at = lo + mid;
+        let mut trial = self.bounds.clone();
+        trial.insert(bucket + 1, at);
+        Some(OneDimSplit { bucket, value, at, score, gain, error_after: self.error_with(&trial) })
     }
 
     /// Applies the next split. Returns `false` when no split is possible.
     pub fn split_once(&mut self) -> bool {
-        let Some((bucket, value, _)) = self.peek_split() else {
+        let Some(split) = self.next else {
             return false;
         };
-        let (lo, hi) = (self.bounds[bucket], self.bounds[bucket + 1]);
-        let mid = lo + self.values[lo..hi].partition_point(|&(v, _)| v < value);
-        debug_assert!(mid > lo && mid < hi, "split must be interior");
-        self.bounds.insert(bucket + 1, mid);
+        self.bounds.insert(split.bucket + 1, split.at);
+        self.error = split.error_after;
+        self.next = self.propose();
         true
     }
 
@@ -417,7 +456,57 @@ impl OneDimBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{distribution_strategy, fractional};
     use dbhist_distribution::{AttrSet, Relation, Schema};
+    use proptest::prelude::*;
+
+    /// The cached error and next split of `b` equal a from-scratch
+    /// recompute, bit for bit.
+    fn assert_fresh(b: &OneDimBuilder) {
+        let error: f64 = b.bucket_ranges().map(|(lo, hi)| sse(&b.values[lo..hi])).sum();
+        assert_eq!(b.error().to_bits(), error.to_bits(), "error");
+        let bits = |n: OneDimSplit| {
+            (n.bucket, n.value, n.at, n.score.to_bits(), n.gain.to_bits(), n.error_after.to_bits())
+        };
+        assert_eq!(b.next.map(bits), b.propose().map(bits), "next split");
+    }
+
+    /// Drives a builder over every attribute of `dist` to saturation,
+    /// checking the cache at every step and that each split's
+    /// `error_after` becomes the next `error()`.
+    fn check_cache_to_saturation(dist: &Distribution, criterion: SplitCriterion) {
+        for attr in dist.attrs().iter() {
+            let mut b = OneDimBuilder::new(dist, attr, criterion).unwrap();
+            assert_fresh(&b);
+            while let Some(next) = b.next {
+                assert!(b.split_once());
+                assert_eq!(b.error().to_bits(), next.error_after.to_bits());
+                assert_fresh(&b);
+            }
+            assert_eq!(b.bucket_count(), b.values.len(), "saturated at one value per bucket");
+            assert!(b.peek_gain().is_none());
+            assert!(!b.split_once());
+        }
+    }
+
+    #[test]
+    fn cache_matches_recompute_to_saturation() {
+        for criterion in [SplitCriterion::MaxDiff, SplitCriterion::VOptimal] {
+            check_cache_to_saturation(&skewed(), criterion);
+            check_cache_to_saturation(&fractional(), criterion);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cache_matches_recompute_on_random_distributions(
+            (dist, criterion) in distribution_strategy()
+        ) {
+            check_cache_to_saturation(&dist, criterion);
+        }
+    }
 
     /// A skewed 1-D distribution: value v occurs (v+1)² times, v in 0..8.
     fn skewed() -> Distribution {

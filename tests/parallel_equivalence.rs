@@ -2,10 +2,10 @@
 //! bit-identical to the serial path (`threads = 1`).
 //!
 //! The parallel pipeline fans out candidate-edge scoring, per-clique
-//! histogram construction, and allocation gain tables — but every value
-//! it computes is a pure function of the relation, and every ranking or
-//! reduction stays serial with the serial path's deterministic
-//! tie-breaks. So over randomized relations, budgets, factor families,
+//! histogram construction and the optimal DP's error curves — but every
+//! value it computes is a pure function of the relation, and every
+//! ranking or reduction stays serial with the serial path's
+//! deterministic tie-breaks. So over randomized relations, budgets, factor families,
 //! and selection knobs, the two builds must agree exactly: same model,
 //! same factors, same storage accounting, same instrumentation counts,
 //! and bit-for-bit identical estimates.
