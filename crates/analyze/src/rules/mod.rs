@@ -91,13 +91,6 @@ pub const EXEMPTIONS: &[Exemption] = &[
     },
     Exemption {
         rule: "atomic-ordering",
-        path: "crates/core/src/sharded.rs",
-        why: "the sharded-cache capacity knob is an advisory Relaxed atomic: every \
-              cached value moves under a per-shard mutex, so a stale capacity read \
-              only delays an eviction or skips a memoization, never corrupts data",
-    },
-    Exemption {
-        rule: "atomic-ordering",
         path: "crates/telemetry/src/journal.rs",
         why: "the journal's sequence claim is a Relaxed fetch_add: the counter only \
               hands out distinct slot numbers, and every event payload is published \
@@ -197,8 +190,8 @@ mod tests {
     #[test]
     fn path_exempt_matches_exactly() {
         assert!(path_exempt("atomic-ordering", "crates/telemetry/src/registry.rs"));
-        assert!(path_exempt("atomic-ordering", "crates/core/src/sharded.rs"));
         assert!(path_exempt("atomic-ordering", "crates/telemetry/src/journal.rs"));
+        assert!(!path_exempt("atomic-ordering", "crates/core/src/sharded.rs"));
         assert!(!path_exempt("atomic-ordering", "crates/core/src/service.rs"));
         assert!(!path_exempt("hash-iter-order", "crates/telemetry/src/registry.rs"));
     }

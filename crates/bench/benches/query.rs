@@ -101,7 +101,7 @@ fn bench_plan_vs_interpreter(c: &mut Criterion) {
     });
     // Warm the plan cache once so the measurement reflects the steady
     // state (replayed plans, zero-clone execution).
-    let engine: QueryEngine<_> = QueryEngine::new(tree);
+    let engine = QueryEngine::new(tree);
     for (t, r) in &queries {
         engine.estimate_mass(tree, factors, t, r).unwrap();
     }
@@ -110,19 +110,6 @@ fn bench_plan_vs_interpreter(c: &mut Criterion) {
             queries
                 .iter()
                 .map(|(t, r)| engine.estimate_mass(tree, factors, t, r).unwrap())
-                .sum::<f64>()
-        });
-    });
-    let cached: QueryEngine<_> = QueryEngine::new(tree);
-    cached.enable_marginal_cache(64);
-    for (t, r) in &queries {
-        cached.estimate_mass(tree, factors, t, r).unwrap();
-    }
-    group.bench_function("planned_marginal_cache", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|(t, r)| cached.estimate_mass(tree, factors, t, r).unwrap())
                 .sum::<f64>()
         });
     });

@@ -7,11 +7,10 @@
 //!
 //! The workload is fixed (quick-scale census data, fixed seeds), so the
 //! numbers form a comparable perf trajectory across commits. Besides
-//! timing, the run asserts that all four paths — interpreter, plan
-//! engine (which lowers per-clique kernels on first contact), warm
-//! kernel replay, and plan engine with the materialized-marginal cache —
-//! produce bit-identical estimate checksums, making it an end-to-end
-//! equivalence smoke test as well. A kernel micro-section reports how
+//! timing, the run asserts that all three paths — interpreter, plan
+//! engine (which lowers per-clique kernels on first contact), and warm
+//! kernel replay — produce bit-identical estimate checksums, making it an
+//! end-to-end equivalence smoke test as well. A kernel micro-section reports how
 //! many cliques lowered to dense vs. CSR-sparse tree indexes.
 //!
 //! The run also measures telemetry overhead (the planned path with the
@@ -39,7 +38,7 @@ use dbhist_data::workload::{Workload, WorkloadConfig};
 use dbhist_distribution::AttrSet;
 
 /// Passes over the workload: the first compiles plans, the rest replay
-/// them (and, in the cached mode, replay materialized marginals).
+/// them.
 const REPEATS: usize = 8;
 const QUERIES: usize = 24;
 const BUDGET: usize = 3 * 1024;
@@ -48,29 +47,8 @@ const BUDGET: usize = 3 * 1024;
 type BoxQuery = (AttrSet, Query);
 
 fn trace_json(t: &QueryTrace) -> String {
-    format!(
-        "{{\"products\": {}, \"projections\": {}, \"identity_projections\": {}, \
-         \"sheds\": {}, \"sheds_skipped\": {}, \"clique_loads\": {}, \"factor_clones\": {}, \
-         \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \
-         \"marginal_cache_hits\": {}, \"marginal_cache_misses\": {}, \
-         \"kernel_hits\": {}, \"kernel_lowered_dense\": {}, \
-         \"kernel_lowered_sparse\": {}, \"kernel_fallbacks\": {}}}",
-        t.products,
-        t.projections,
-        t.identity_projections,
-        t.sheds,
-        t.sheds_skipped,
-        t.clique_loads,
-        t.factor_clones,
-        t.plan_cache_hits,
-        t.plan_cache_misses,
-        t.marginal_cache_hits,
-        t.marginal_cache_misses,
-        t.kernel_hits,
-        t.kernel_lowered_dense,
-        t.kernel_lowered_sparse,
-        t.kernel_fallbacks,
-    )
+    let fields: Vec<String> = t.fields().iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 fn hit_rate(hits: usize, misses: usize) -> f64 {
@@ -131,7 +109,7 @@ fn main() {
 
     // 2. The plan engine: first pass compiles, later passes replay cached
     //    plans with zero-clone execution.
-    let engine: QueryEngine<_> = QueryEngine::new(tree);
+    let engine = QueryEngine::new(tree);
     let start = Instant::now();
     let mut planned_sum = 0.0;
     for _ in 0..REPEATS {
@@ -142,21 +120,7 @@ fn main() {
     let planned_ns = start.elapsed().as_nanos();
     let planned_trace = engine.trace();
 
-    // 3. The plan engine with the materialized-marginal cache: repeated
-    //    shapes skip factor algebra entirely.
-    let cached_engine: QueryEngine<_> = QueryEngine::new(tree);
-    cached_engine.enable_marginal_cache(64);
-    let start = Instant::now();
-    let mut cached_sum = 0.0;
-    for _ in 0..REPEATS {
-        for (target, query) in &queries {
-            cached_sum += cached_engine.estimate_mass(tree, factors, target, query).unwrap();
-        }
-    }
-    let cached_ns = start.elapsed().as_nanos();
-    let cached_trace = cached_engine.trace();
-
-    // 3b. Kernel micro-benchmark: after the first pass the engine rides
+    // 3. Kernel micro-benchmark: after the first pass the engine rides
     //     the lowered per-clique kernels (dense or CSR-sparse tree
     //     indexes), so a warm replay measures pure kernel evaluation with
     //     pooled scratch and no plan execution at all.
@@ -196,7 +160,7 @@ fn main() {
     //    one-off scheduler burst (which the worst-pair policy this
     //    replaced turned into a flaky gate on shared runners) cannot
     //    fail the run.
-    let overhead_engine: QueryEngine<_> = QueryEngine::new(tree);
+    let overhead_engine = QueryEngine::new(tree);
     for (target, query) in &queries {
         // Compile every plan so both modes replay.
         overhead_engine.estimate_mass(tree, factors, target, query).unwrap();
@@ -330,17 +294,12 @@ fn main() {
         "warm explained replay must resolve through the lowered kernels"
     );
 
-    // The three paths must agree bit-for-bit — the engine is an
-    // optimization, never an approximation of the interpreter.
+    // The paths must agree bit-for-bit — the engine is an optimization,
+    // never an approximation of the interpreter.
     assert_eq!(
         interpreted_sum.to_bits(),
         planned_sum.to_bits(),
         "planned execution diverged from the interpreter"
-    );
-    assert_eq!(
-        interpreted_sum.to_bits(),
-        cached_sum.to_bits(),
-        "cached execution diverged from the interpreter"
     );
 
     let speedup = |ns: u128| if ns == 0 { 0.0 } else { interpreted_ns as f64 / ns as f64 };
@@ -359,22 +318,18 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"latency_ns\": {{\"interpreted_total\": {interpreted_ns}, \
-         \"planned_total\": {planned_ns}, \"planned_cached_total\": {cached_ns}, \
-         \"kernel_warm_total\": {kernel_ns}, \
+         \"planned_total\": {planned_ns}, \"kernel_warm_total\": {kernel_ns}, \
          \"interpreted_per_query\": {}, \"planned_per_query\": {}, \
-         \"planned_cached_per_query\": {}, \"kernel_warm_per_query\": {}}},",
+         \"kernel_warm_per_query\": {}}},",
         interpreted_ns / total_queries as u128,
         planned_ns / total_queries as u128,
-        cached_ns / total_queries as u128,
         kernel_ns / total_queries as u128
     );
     let _ = writeln!(
         json,
         "  \"speedup\": {{\"planned_vs_interpreted\": {:.3}, \
-         \"planned_cached_vs_interpreted\": {:.3}, \
          \"kernel_warm_vs_interpreted\": {:.3}}},",
         speedup(planned_ns),
-        speedup(cached_ns),
         speedup(kernel_ns)
     );
     let _ = writeln!(
@@ -389,12 +344,10 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"cache_hit_rates\": {{\"plan_cache\": {:.4}, \"marginal_cache\": {:.4}}},",
-        hit_rate(planned_trace.plan_cache_hits, planned_trace.plan_cache_misses),
-        hit_rate(cached_trace.marginal_cache_hits, cached_trace.marginal_cache_misses)
+        "  \"cache_hit_rates\": {{\"plan_cache\": {:.4}}},",
+        hit_rate(planned_trace.plan_cache_hits, planned_trace.plan_cache_misses)
     );
     let _ = writeln!(json, "  \"planned_trace\": {},", trace_json(&planned_trace));
-    let _ = writeln!(json, "  \"planned_cached_trace\": {},", trace_json(&cached_trace));
     let _ = writeln!(
         json,
         "  \"telemetry\": {{\"noop_total_ns\": {noop_ns}, \"active_total_ns\": {active_ns}, \
@@ -430,17 +383,14 @@ fn main() {
         .unwrap();
     }
     eprintln!(
-        "wrote {out_path}: planned {:.2}x, cached {:.2}x, warm kernels {:.2}x vs interpreted \
+        "wrote {out_path}: planned {:.2}x, warm kernels {:.2}x vs interpreted \
          ({} dense / {} sparse lowerings, plan-cache hit rate {:.1}%, \
-         marginal-cache hit rate {:.1}%, telemetry overhead {:.2}%, explain off/on overhead \
-         {:.2}%/{:.2}%)",
+         telemetry overhead {:.2}%, explain off/on overhead {:.2}%/{:.2}%)",
         speedup(planned_ns),
-        speedup(cached_ns),
         speedup(kernel_ns),
         planned_trace.kernel_lowered_dense,
         planned_trace.kernel_lowered_sparse,
         100.0 * hit_rate(planned_trace.plan_cache_hits, planned_trace.plan_cache_misses),
-        100.0 * hit_rate(cached_trace.marginal_cache_hits, cached_trace.marginal_cache_misses),
         100.0 * telemetry_overhead,
         100.0 * explain_off_overhead,
         100.0 * explain_on_overhead

@@ -138,9 +138,8 @@ pub trait ExplainProbe {
     /// Execution of the group covering `attrs` begins.
     fn group(&mut self, _attrs: &AttrSet) {}
 
-    /// The current group produced `mass`; `from_cache` marks a
-    /// materialized-marginal cache hit (no plan steps ran).
-    fn group_mass(&mut self, _mass: f64, _from_cache: bool) {}
+    /// The current group produced `mass`.
+    fn group_mass(&mut self, _mass: f64) {}
 
     /// One plan step executed in `ns` wall-clock nanoseconds, leaving an
     /// operand of `result_size` stored entries on top of the stack.
@@ -193,14 +192,11 @@ pub struct StepReport {
 pub struct GroupReport {
     /// The group's target attribute set, rendered.
     pub attrs: String,
-    /// Executed steps, in order (empty for marginal-cache hits and
-    /// kernel-path groups).
+    /// Executed steps, in order (one `kernel_walk` step for kernel-path
+    /// groups).
     pub steps: Vec<StepReport>,
     /// The group's box mass, when observed.
     pub mass: Option<f64>,
-    /// `true` when the group marginal came from the materialized-marginal
-    /// cache (no steps ran).
-    pub from_cache: bool,
 }
 
 /// The full record of one explained query.
@@ -302,12 +298,7 @@ impl ExplainReport {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(
-                s,
-                "{{\"attrs\":\"{}\",\"from_cache\":{}",
-                json_escape(&g.attrs),
-                g.from_cache
-            );
+            let _ = write!(s, "{{\"attrs\":\"{}\"", json_escape(&g.attrs));
             if let Some(mass) = g.mass {
                 let _ = write!(s, ",\"mass\":{}", fmt_f64(mass));
             }
@@ -381,14 +372,12 @@ impl ExplainProbe for ExplainRecorder {
             attrs: format!("{attrs}"),
             steps: Vec::new(),
             mass: None,
-            from_cache: false,
         });
     }
 
-    fn group_mass(&mut self, mass: f64, from_cache: bool) {
+    fn group_mass(&mut self, mass: f64) {
         if let Some(g) = self.report.groups.last_mut() {
             g.mass = Some(mass);
-            g.from_cache = from_cache;
         }
     }
 
@@ -415,7 +404,6 @@ impl ExplainProbe for ExplainRecorder {
                 attrs: self.report.target.clone(),
                 steps: vec![record],
                 mass: None,
-                from_cache: false,
             });
         }
     }
@@ -431,7 +419,6 @@ impl ExplainProbe for ExplainRecorder {
                 result_size: 0,
             }],
             mass: Some(mass),
-            from_cache: false,
         });
     }
 
@@ -487,7 +474,7 @@ mod tests {
         rec.group(&target);
         rec.step(StepKind::Load { clique: 1 }, 120, 16);
         rec.step(StepKind::ShedSkipped(ShedSkip::AlreadyTidy), 40, 16);
-        rec.group_mass(12.5, false);
+        rec.group_mass(12.5);
         rec.kernel_lowered(true);
         rec.layout(&index);
         rec.layout(&index);

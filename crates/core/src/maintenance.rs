@@ -566,18 +566,18 @@ mod tests {
     }
 
     #[test]
-    fn updates_invalidate_cached_marginals() {
+    fn updates_drop_stale_kernels() {
         let rel = relation(4096);
         let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(400)).unwrap();
-        // With the materialized-marginal cache on, an update must not let
-        // a stale cached marginal answer the next query.
-        m.synopsis().enable_marginal_cache(8);
+        // The first query lowers a kernel for its shape; an update must
+        // not let that stale kernel answer the next query.
         let before = m.estimate(&Query::range(0, 3, 3));
+        assert_eq!(m.synopsis().query_trace().kernel_fallbacks, 0, "split trees lower");
         for _ in 0..500 {
             m.insert(&[3, 3, 0]);
         }
         let after = m.estimate(&Query::range(0, 3, 3));
-        assert!(after > before + 400.0, "stale cached marginal served after update: {after}");
+        assert!(after > before + 400.0, "stale kernel served after update: {after}");
     }
 
     #[test]

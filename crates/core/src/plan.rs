@@ -20,18 +20,22 @@
 //!    [`Factor`] slice with [`Cow`]-based operands: clique loads and
 //!    identity projections *borrow* the stored factors (zero clones);
 //!    only genuine products and projections materialize new factors.
-//! 3. **Workload cache** — [`QueryEngine`] memoizes compiled plans in a
-//!    bounded [`LruCache`] keyed by canonical [`AttrSet`] and, when
-//!    enabled, caches materialized group marginals so repeated query
-//!    shapes skip execution entirely. Every operation is counted in a
-//!    [`QueryTrace`] for tests, benches, and production introspection.
+//! 3. **Workload cache** — [`QueryEngine`] keeps one bounded
+//!    [`ShardedLru`] entry per query shape (canonical [`AttrSet`] plus
+//!    plan variant), holding the compiled plan and, once lowered, its
+//!    kernel. Each query probes it once. Every operation is counted in a
+//!    [`QueryTrace`] for tests, benches, and production introspection;
+//!    each counter is declared once, in the `query_counters!` table.
 //! 4. **Lowered kernels** — for factor representations with a
 //!    bit-identical lowering ([`Factor::lower_index`]), the first
 //!    execution of a mass-plan shape lowers each group's loose marginal
-//!    into a flattened [`MassKernel`](crate::kernel::MassKernel); every
-//!    subsequent query with that shape skips plan execution *and*
-//!    `mass_in_box` tree recursion, answering from one flat slot array with
-//!    pooled scratch ([`crate::scratch`]) — no per-query allocation.
+//!    into a flattened [`MassKernel`](crate::kernel::MassKernel) stored in
+//!    the shape's entry; every subsequent query with that shape skips
+//!    plan execution *and* `mass_in_box` tree recursion, answering from
+//!    one flat slot array with pooled scratch ([`crate::scratch`]) — no
+//!    per-query allocation. This is the flat tree-like bucket index of
+//!    Buccafurri et al., "Enhancing Histograms by Tree-Like Bucket
+//!    Indices".
 //!
 //! Planned execution is *operation-identical* to the recursive
 //! interpreter ([`crate::marginal::compute_marginal_interpreted`]): the
@@ -40,7 +44,7 @@
 //! `tests/plan_equivalence.rs`).
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dbhist_distribution::AttrSet;
@@ -58,7 +62,6 @@ use crate::factor::Factor;
 use crate::kernel::MassKernel;
 use crate::query::Query;
 use crate::scratch::ScratchPool;
-pub use crate::sharded::LruCache;
 use crate::sharded::ShardedLru;
 
 /// Intermediate factors larger than this skip "tidying" (shed)
@@ -67,216 +70,148 @@ use crate::sharded::ShardedLru;
 /// quadratic.
 pub const SHED_LIMIT: usize = 2048;
 
-/// Default capacity of a [`QueryEngine`]'s plan cache (distinct query
-/// attribute-set shapes retained).
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Operation counters for the plan-based query path.
-///
-/// Grows the old `MarginalStats` pair into a full engine trace: per-step
-/// execution counts plus plan-cache and marginal-cache hit/miss counters.
-/// Counters are cumulative where the engine accumulates them (see
-/// [`QueryEngine::trace`]) and per-call where an executor fills a fresh
-/// one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryTrace {
-    /// Factor multiplications performed.
-    pub products: usize,
-    /// Proper (non-identity) projections performed.
-    pub projections: usize,
-    /// Identity projections resolved as zero-clone borrows.
-    pub identity_projections: usize,
-    /// Shed (tidying) projections applied.
-    pub sheds: usize,
-    /// Shed steps skipped (factor too large, already tidy, or nothing to
-    /// keep).
-    pub sheds_skipped: usize,
-    /// Clique factors loaded by borrow (never cloned).
-    pub clique_loads: usize,
-    /// Whole-factor clones performed (materializing a borrowed result or
-    /// seeding the marginal cache). Pure estimation never clones.
-    pub factor_clones: usize,
-    /// Queries answered with an already-compiled plan.
-    pub plan_cache_hits: usize,
-    /// Queries that had to compile a fresh plan.
-    pub plan_cache_misses: usize,
-    /// Group marginals served from the materialized-marginal cache.
-    pub marginal_cache_hits: usize,
-    /// Group marginals executed and (when enabled) inserted into the
-    /// cache.
-    pub marginal_cache_misses: usize,
-    /// Queries answered entirely by a lowered [`crate::kernel::MassKernel`]
-    /// (no plan execution, no tree recursion).
-    pub kernel_hits: usize,
-    /// Group marginals lowered into dense flat indices.
-    pub kernel_lowered_dense: usize,
-    /// Group marginals lowered into sparse (zero-subtree-collapsed) flat
-    /// indices.
-    pub kernel_lowered_sparse: usize,
-    /// Mass-plan executions that could not lower every group (factor
-    /// representation has no bit-identical lowering); the engine keeps
-    /// executing those plans directly.
-    pub kernel_fallbacks: usize,
-}
-
-impl QueryTrace {
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &Self) {
-        self.products += other.products;
-        self.projections += other.projections;
-        self.identity_projections += other.identity_projections;
-        self.sheds += other.sheds;
-        self.sheds_skipped += other.sheds_skipped;
-        self.clique_loads += other.clique_loads;
-        self.factor_clones += other.factor_clones;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.marginal_cache_hits += other.marginal_cache_hits;
-        self.marginal_cache_misses += other.marginal_cache_misses;
-        self.kernel_hits += other.kernel_hits;
-        self.kernel_lowered_dense += other.kernel_lowered_dense;
-        self.kernel_lowered_sparse += other.kernel_lowered_sparse;
-        self.kernel_fallbacks += other.kernel_fallbacks;
-    }
-}
+/// Capacity of a [`QueryEngine`]'s shape cache (distinct query
+/// attribute-set shapes retained, each with its plan and kernel).
+pub const PLAN_CACHE_CAPACITY: usize = 256;
 
 fn to_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-fn to_usize(n: u64) -> usize {
-    usize::try_from(n).unwrap_or(usize::MAX)
+/// Declares every per-query counter exactly once. Each row names a
+/// [`QueryTrace`] field, its doc, and the process-wide `dbhist_query_*`
+/// counter(s) it is mirrored into; the macro generates `QueryTrace` and
+/// its `absorb`, and the engine's lock-free `EngineMetrics` with its
+/// `add`, `snapshot`, `reset`, and global mirror. Adding a counter is a
+/// one-row edit.
+macro_rules! query_counters {
+    ($($(#[$doc:meta])+ $field:ident => $($metric:literal),+;)+) => {
+        /// Operation counters for the plan-based query path: per-step
+        /// execution counts plus shape-cache and kernel hit/miss
+        /// counters. Counters are cumulative where the engine accumulates
+        /// them (see [`QueryEngine::trace`]) and per-call where an
+        /// executor fills a fresh one.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct QueryTrace {
+            $($(#[$doc])+ pub $field: usize,)+
+        }
+
+        impl QueryTrace {
+            /// Adds every counter of `other` into `self`.
+            pub fn absorb(&mut self, other: &Self) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Every counter as a `(field name, value)` pair, in
+            /// declaration order.
+            #[must_use]
+            pub fn fields(&self) -> Vec<(&'static str, usize)> {
+                vec![$((stringify!($field), self.$field)),+]
+            }
+        }
+
+        /// The engine's cumulative counters, one lock-free [`Counter`]
+        /// per [`QueryTrace`] field. Executors still fill a local
+        /// `QueryTrace` (exact, single-threaded accounting); the engine
+        /// absorbs it here with relaxed `fetch_add`s, so concurrent
+        /// queries never serialize on a trace mutex.
+        #[derive(Debug, Default)]
+        struct EngineMetrics {
+            $($field: Counter,)+
+        }
+
+        impl EngineMetrics {
+            /// Adds a per-call trace into the cumulative counters.
+            fn add(&self, t: &QueryTrace) {
+                $(self.$field.add(to_u64(t.$field));)+
+            }
+
+            /// Reads the counters into a [`QueryTrace`] value.
+            /// Non-destructive: reading never changes the counters. Each
+            /// field is individually exact; under concurrent absorption
+            /// the fields may reflect different instants (no global
+            /// atomic cut).
+            fn snapshot(&self) -> QueryTrace {
+                QueryTrace {
+                    $($field: usize::try_from(self.$field.value()).unwrap_or(usize::MAX),)+
+                }
+            }
+
+            fn reset(&self) {
+                $(self.$field.reset();)+
+            }
+        }
+
+        /// Mirrors a per-call trace into the process-wide `dbhist_query_*`
+        /// counters, registered on first use.
+        fn mirror_globally(t: &QueryTrace) {
+            static GLOBAL: OnceLock<Vec<(Arc<Counter>, fn(&QueryTrace) -> usize)>> =
+                OnceLock::new();
+            let global = GLOBAL.get_or_init(|| {
+                let r = dbhist_telemetry::registry::global();
+                vec![$($((r.counter($metric), |t: &QueryTrace| t.$field),)+)+]
+            });
+            for (counter, count) in global {
+                counter.add(to_u64(count(t)));
+            }
+        }
+    };
 }
 
-/// The engine's cumulative counters, one lock-free
-/// [`Counter`] per [`QueryTrace`] field. Executors still fill a local
-/// `QueryTrace` (exact, single-threaded accounting); the engine absorbs
-/// it here with relaxed `fetch_add`s, so concurrent queries never
-/// serialize on a trace mutex. When global telemetry is enabled
-/// ([`dbhist_telemetry::set_enabled`]), every absorbed delta is mirrored
-/// into the process-wide `dbhist_query_*` metrics as well.
-#[derive(Debug, Default)]
-struct EngineMetrics {
-    products: Counter,
-    projections: Counter,
-    identity_projections: Counter,
-    sheds: Counter,
-    sheds_skipped: Counter,
-    clique_loads: Counter,
-    factor_clones: Counter,
-    plan_cache_hits: Counter,
-    plan_cache_misses: Counter,
-    marginal_cache_hits: Counter,
-    marginal_cache_misses: Counter,
-    kernel_hits: Counter,
-    kernel_lowered_dense: Counter,
-    kernel_lowered_sparse: Counter,
-    kernel_fallbacks: Counter,
+query_counters! {
+    /// Factor multiplications performed.
+    products => "dbhist_query_products_total";
+    /// Proper (non-identity) projections performed.
+    projections => "dbhist_query_projections_total";
+    /// Identity projections resolved as zero-clone borrows.
+    identity_projections => "dbhist_query_identity_projections_total";
+    /// Shed (tidying) projections applied.
+    sheds => "dbhist_query_sheds_total";
+    /// Shed steps skipped (factor too large, already tidy, or nothing to
+    /// keep).
+    sheds_skipped => "dbhist_query_sheds_skipped_total";
+    /// Clique factors loaded by borrow (never cloned).
+    clique_loads => "dbhist_query_clique_loads_total";
+    /// Whole-factor clones performed (materializing a borrowed strict
+    /// marginal). Pure estimation never clones.
+    factor_clones => "dbhist_query_factor_clones_total";
+    /// Queries that found their shape cached without a kernel and
+    /// executed the cached plan.
+    plan_cache_hits => "dbhist_query_plan_cache_hits_total";
+    /// Queries that had to compile a fresh plan (every miss compiles
+    /// exactly one).
+    plan_cache_misses =>
+        "dbhist_query_plan_cache_misses_total", "dbhist_query_plans_compiled_total";
+    /// Queries answered entirely by a lowered [`crate::kernel::MassKernel`]
+    /// (no plan execution, no tree recursion).
+    kernel_hits => "dbhist_query_kernel_hits_total";
+    /// Group marginals lowered into dense flat indices.
+    kernel_lowered_dense => "dbhist_query_kernel_lowered_dense_total";
+    /// Group marginals lowered into sparse (zero-subtree-collapsed) flat
+    /// indices.
+    kernel_lowered_sparse => "dbhist_query_kernel_lowered_sparse_total";
+    /// Mass-plan executions that could not lower every group (factor
+    /// representation has no bit-identical lowering); the engine keeps
+    /// executing those plans directly.
+    kernel_fallbacks => "dbhist_query_kernel_fallbacks_total";
 }
 
 impl EngineMetrics {
-    /// Adds a per-call trace into the cumulative counters (and mirrors it
-    /// globally when telemetry is on).
+    /// Adds a per-call trace into the cumulative counters and, when
+    /// global telemetry is enabled ([`dbhist_telemetry::set_enabled`]),
+    /// into the process-wide `dbhist_query_*` metrics as well.
     fn absorb(&self, t: &QueryTrace) {
-        self.products.add(to_u64(t.products));
-        self.projections.add(to_u64(t.projections));
-        self.identity_projections.add(to_u64(t.identity_projections));
-        self.sheds.add(to_u64(t.sheds));
-        self.sheds_skipped.add(to_u64(t.sheds_skipped));
-        self.clique_loads.add(to_u64(t.clique_loads));
-        self.factor_clones.add(to_u64(t.factor_clones));
-        self.plan_cache_hits.add(to_u64(t.plan_cache_hits));
-        self.plan_cache_misses.add(to_u64(t.plan_cache_misses));
-        self.marginal_cache_hits.add(to_u64(t.marginal_cache_hits));
-        self.marginal_cache_misses.add(to_u64(t.marginal_cache_misses));
-        self.kernel_hits.add(to_u64(t.kernel_hits));
-        self.kernel_lowered_dense.add(to_u64(t.kernel_lowered_dense));
-        self.kernel_lowered_sparse.add(to_u64(t.kernel_lowered_sparse));
-        self.kernel_fallbacks.add(to_u64(t.kernel_fallbacks));
+        self.add(t);
         if dbhist_telemetry::enabled() {
-            let w = wellknown();
-            w.query_products.add(to_u64(t.products));
-            w.query_projections.add(to_u64(t.projections));
-            w.query_identity_projections.add(to_u64(t.identity_projections));
-            w.query_sheds.add(to_u64(t.sheds));
-            w.query_sheds_skipped.add(to_u64(t.sheds_skipped));
-            w.query_clique_loads.add(to_u64(t.clique_loads));
-            w.query_factor_clones.add(to_u64(t.factor_clones));
-            w.query_plan_cache_hits.add(to_u64(t.plan_cache_hits));
-            w.query_plan_cache_misses.add(to_u64(t.plan_cache_misses));
-            // Every plan-cache miss compiles exactly one plan.
-            w.query_plans_compiled.add(to_u64(t.plan_cache_misses));
-            w.query_marginal_cache_hits.add(to_u64(t.marginal_cache_hits));
-            w.query_marginal_cache_misses.add(to_u64(t.marginal_cache_misses));
-            w.query_kernel_hits.add(to_u64(t.kernel_hits));
-            w.query_kernel_lowered_dense.add(to_u64(t.kernel_lowered_dense));
-            w.query_kernel_lowered_sparse.add(to_u64(t.kernel_lowered_sparse));
-            w.query_kernel_fallbacks.add(to_u64(t.kernel_fallbacks));
+            mirror_globally(t);
         }
-    }
-
-    /// Reads the counters into a [`QueryTrace`] value. Non-destructive:
-    /// reading never changes the counters. Each field is individually
-    /// exact; under concurrent absorption the fields may reflect
-    /// different instants (no global atomic cut).
-    fn snapshot(&self) -> QueryTrace {
-        QueryTrace {
-            products: to_usize(self.products.value()),
-            projections: to_usize(self.projections.value()),
-            identity_projections: to_usize(self.identity_projections.value()),
-            sheds: to_usize(self.sheds.value()),
-            sheds_skipped: to_usize(self.sheds_skipped.value()),
-            clique_loads: to_usize(self.clique_loads.value()),
-            factor_clones: to_usize(self.factor_clones.value()),
-            plan_cache_hits: to_usize(self.plan_cache_hits.value()),
-            plan_cache_misses: to_usize(self.plan_cache_misses.value()),
-            marginal_cache_hits: to_usize(self.marginal_cache_hits.value()),
-            marginal_cache_misses: to_usize(self.marginal_cache_misses.value()),
-            kernel_hits: to_usize(self.kernel_hits.value()),
-            kernel_lowered_dense: to_usize(self.kernel_lowered_dense.value()),
-            kernel_lowered_sparse: to_usize(self.kernel_lowered_sparse.value()),
-            kernel_fallbacks: to_usize(self.kernel_fallbacks.value()),
-        }
-    }
-
-    fn reset(&self) {
-        self.products.reset();
-        self.projections.reset();
-        self.identity_projections.reset();
-        self.sheds.reset();
-        self.sheds_skipped.reset();
-        self.clique_loads.reset();
-        self.factor_clones.reset();
-        self.plan_cache_hits.reset();
-        self.plan_cache_misses.reset();
-        self.marginal_cache_hits.reset();
-        self.marginal_cache_misses.reset();
-        self.kernel_hits.reset();
-        self.kernel_lowered_dense.reset();
-        self.kernel_lowered_sparse.reset();
-        self.kernel_fallbacks.reset();
     }
 }
 
 impl Clone for EngineMetrics {
     fn clone(&self) -> Self {
         let fresh = Self::default();
-        let snap = self.snapshot();
-        fresh.products.add(to_u64(snap.products));
-        fresh.projections.add(to_u64(snap.projections));
-        fresh.identity_projections.add(to_u64(snap.identity_projections));
-        fresh.sheds.add(to_u64(snap.sheds));
-        fresh.sheds_skipped.add(to_u64(snap.sheds_skipped));
-        fresh.clique_loads.add(to_u64(snap.clique_loads));
-        fresh.factor_clones.add(to_u64(snap.factor_clones));
-        fresh.plan_cache_hits.add(to_u64(snap.plan_cache_hits));
-        fresh.plan_cache_misses.add(to_u64(snap.plan_cache_misses));
-        fresh.marginal_cache_hits.add(to_u64(snap.marginal_cache_hits));
-        fresh.marginal_cache_misses.add(to_u64(snap.marginal_cache_misses));
-        fresh.kernel_hits.add(to_u64(snap.kernel_hits));
-        fresh.kernel_lowered_dense.add(to_u64(snap.kernel_lowered_dense));
-        fresh.kernel_lowered_sparse.add(to_u64(snap.kernel_lowered_sparse));
-        fresh.kernel_fallbacks.add(to_u64(snap.kernel_fallbacks));
+        fresh.add(&self.snapshot());
         fresh
     }
 }
@@ -509,6 +444,18 @@ impl Planner<'_> {
             self.steps.push(PlanStep::Project { attrs: sq.clone() });
             sq.clone()
         }
+    }
+}
+
+/// Counts a kernel-less shape probe as a plan-cache hit or miss and
+/// returns the path the query resolved through.
+fn count_plan_probe(t: &mut QueryTrace, hit: bool) -> QueryPath {
+    if hit {
+        t.plan_cache_hits += 1;
+        QueryPath::PlanCacheHit
+    } else {
+        t.plan_cache_misses += 1;
+        QueryPath::PlanCompiled
     }
 }
 
@@ -748,6 +695,21 @@ pub fn execute_mass_probed<F: Factor, P: ExplainProbe>(
     trace: &mut QueryTrace,
     probe: &mut P,
 ) -> Result<f64, SynopsisError> {
+    execute_groups(plan, factors, query, trace, probe, |_| {})
+}
+
+/// The group fold behind [`execute_mass_probed`] and the engine's
+/// uncached path: executes each group's loose plan, hands the resulting
+/// marginal to `visit`, and folds its box mass into `N · Π (mass / N)`.
+/// A non-positive total answers `0.0` right after the first group.
+fn execute_groups<F: Factor, P: ExplainProbe>(
+    plan: &MassPlan,
+    factors: &[F],
+    query: &Query,
+    trace: &mut QueryTrace,
+    probe: &mut P,
+    mut visit: impl FnMut(&F),
+) -> Result<f64, SynopsisError> {
     let ranges = query.ranges();
     let total = factors.first().map_or(0.0, Factor::total);
     let mut mass = total;
@@ -756,9 +718,10 @@ pub fn execute_mass_probed<F: Factor, P: ExplainProbe>(
             probe.group(&group.attrs);
         }
         let loose = execute_marginal_probed(&group.plan, factors, trace, probe)?;
+        visit(&loose);
         let group_mass = loose.mass_in_box(ranges);
         if P::ACTIVE {
-            probe.group_mass(group_mass, false);
+            probe.group_mass(group_mass);
         }
         if total > 0.0 {
             mass *= group_mass / total;
@@ -777,98 +740,75 @@ struct PlanKey {
     loose: bool,
 }
 
+/// The one cache entry per query shape: a strict marginal plan, or a
+/// mass plan plus — once an execution has lowered every group
+/// bit-identically — its kernel.
 #[derive(Debug, Clone)]
-enum CachedPlan {
-    Strict(Arc<MarginalPlan>),
-    Mass(Arc<MassPlan>),
+enum Shape {
+    Strict(MarginalPlan),
+    Mass(MassPlan, OnceLock<Arc<MassKernel>>),
 }
 
-/// The per-synopsis workload cache: rooted views computed once, compiled
-/// plans memoized by query shape, optionally materialized marginals, and
+/// The per-synopsis workload cache: rooted views computed once, one
+/// entry per query shape (compiled plan plus lowered kernel), and
 /// cumulative [`QueryTrace`] counters.
 ///
-/// Interior-mutable behind **sharded** caches ([`ShardedLru`]) so
+/// Interior-mutable behind a **sharded** cache ([`ShardedLru`]) so
 /// estimation keeps its `&self` signature and many reader threads can
 /// query concurrently without serializing on one cache mutex; all
 /// methods are safe under concurrent use. Cached entries are pure
 /// memoization of values recomputed from the immutable factors, so
 /// concurrency changes hit rates, never estimates.
 #[derive(Debug)]
-pub struct QueryEngine<F: Factor> {
+pub struct QueryEngine {
     views: RootedViews,
-    plans: ShardedLru<PlanKey, CachedPlan>,
-    /// Materialized-marginal cache; capacity 0 = disabled (the default).
-    marginals: ShardedLru<PlanKey, F>,
-    /// Lowered [`MassKernel`]s keyed by loose query shape; populated on
-    /// the first execution of a shape whose factors all lower
-    /// ([`Factor::lower_index`]). Always enabled — a kernel is strictly
-    /// cheaper than the plan execution it replaces.
-    kernels: ShardedLru<PlanKey, Arc<MassKernel>>,
+    /// One entry per query shape, probed once per query: a kernel
+    /// answers it, else the cached plan executes, else a miss compiles.
+    shapes: ShardedLru<PlanKey, Arc<Shape>>,
     /// Pooled per-query walk scratch for kernel evaluations.
     scratch: ScratchPool,
     metrics: EngineMetrics,
 }
 
-impl<F: Factor> Clone for QueryEngine<F> {
+impl Clone for QueryEngine {
     fn clone(&self) -> Self {
+        let shapes = self.shapes.clone();
+        // Clones never share a kernel cell: each gets its own entries.
+        shapes.for_each_value(|shape| *shape = Arc::new(Shape::clone(shape)));
         Self {
             views: self.views.clone(),
-            plans: self.plans.clone(),
-            marginals: self.marginals.clone(),
-            kernels: self.kernels.clone(),
+            shapes,
             scratch: ScratchPool::default(),
             metrics: self.metrics.clone(),
         }
     }
 }
 
-impl<F: Factor> QueryEngine<F> {
-    /// Creates an engine for `tree` with the default plan-cache capacity
-    /// and the marginal cache disabled.
+impl QueryEngine {
+    /// Creates an engine for `tree` whose shape cache retains
+    /// [`PLAN_CACHE_CAPACITY`] query shapes.
     #[must_use]
     pub fn new(tree: &JunctionTree) -> Self {
-        Self::with_plan_capacity(tree, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// Creates an engine whose plan cache retains at most `capacity`
-    /// distinct query shapes (split across the cache's shards).
-    #[must_use]
-    pub fn with_plan_capacity(tree: &JunctionTree, capacity: usize) -> Self {
         Self {
             views: tree.rooted_views(),
-            plans: ShardedLru::new(capacity.max(1)),
-            marginals: ShardedLru::new(0),
-            kernels: ShardedLru::new(capacity.max(1)),
+            shapes: ShardedLru::new(PLAN_CACHE_CAPACITY),
             scratch: ScratchPool::default(),
             metrics: EngineMetrics::default(),
         }
     }
 
-    /// The cached rooted views (computed once per root, on demand).
-    #[must_use]
-    pub fn rooted_views(&self) -> &RootedViews {
-        &self.views
-    }
-
-    /// Enables the materialized-marginal LRU with the given capacity,
-    /// dropping any previously cached marginals.
-    pub fn enable_marginal_cache(&self, capacity: usize) {
-        self.marginals.set_capacity(capacity.max(1));
-        self.marginals.clear();
-    }
-
-    /// Disables (and drops) the materialized-marginal cache.
-    pub fn disable_marginal_cache(&self) {
-        self.marginals.set_capacity(0);
-    }
-
-    /// Drops cached materialized marginals **and lowered kernels** while
-    /// keeping the caches enabled. Call after mutating the underlying
-    /// factors (plans stay valid — they depend only on model structure;
-    /// marginals and kernels are derived from factor contents).
-    pub fn invalidate_marginals(&self) {
-        self.marginals.clear();
-        self.kernels.clear();
+    /// Drops every cached shape's lowered kernel and keeps its plan.
+    /// Call after mutating the underlying factors: plans depend only on
+    /// model structure, kernels on factor contents.
+    pub fn invalidate_kernels(&self) {
+        // Only entries holding a kernel are rebuilt, so a stream of
+        // updates between queries pays no per-entry plan copies.
+        self.shapes.for_each_value(|shape| match &**shape {
+            Shape::Mass(plan, slot) if slot.get().is_some() => {
+                *shape = Arc::new(Shape::Mass(plan.clone(), OnceLock::new()));
+            }
+            _ => {}
+        });
     }
 
     /// A snapshot of the cumulative operation counters.
@@ -890,33 +830,31 @@ impl<F: Factor> QueryEngine<F> {
         self.metrics.reset();
     }
 
-    /// Fetches (or compiles and caches) the plan for `target`.
-    fn plan_for(
+    /// Fetches the entry for `target` (one shard lock), compiling and
+    /// caching its plan on a miss. The flag is `true` on a hit.
+    fn shape_for(
         &self,
         tree: &JunctionTree,
         target: &AttrSet,
         loose: bool,
-        trace: &mut QueryTrace,
-    ) -> Result<CachedPlan, SynopsisError> {
+    ) -> Result<(Arc<Shape>, bool), SynopsisError> {
         let key = PlanKey { attrs: target.clone(), loose };
         {
             let _lookup = dbhist_telemetry::span!("dbhist_query_plan_cache_lookup_latency_ns");
-            if let Some(hit) = self.plans.get(&key) {
-                trace.plan_cache_hits += 1;
-                return Ok(hit);
+            if let Some(hit) = self.shapes.get(&key) {
+                return Ok((hit, true));
             }
         }
         // Compile outside any shard lock: compilation is read-only over
         // the tree, so a racing duplicate compile is benign.
         let _compile = dbhist_telemetry::span!("dbhist_query_plan_compile_latency_ns");
-        let compiled = if loose {
-            CachedPlan::Mass(Arc::new(MassPlan::compile(tree, &self.views, target)?))
+        let shape = Arc::new(if loose {
+            Shape::Mass(MassPlan::compile(tree, &self.views, target)?, OnceLock::new())
         } else {
-            CachedPlan::Strict(Arc::new(MarginalPlan::compile(tree, &self.views, target)?))
-        };
-        trace.plan_cache_misses += 1;
-        self.plans.insert(key, compiled.clone());
-        Ok(compiled)
+            Shape::Strict(MarginalPlan::compile(tree, &self.views, target)?)
+        });
+        self.shapes.insert(key, Arc::clone(&shape));
+        Ok((shape, false))
     }
 
     /// The clique indices the compiled (loose) estimation plan for
@@ -940,8 +878,8 @@ impl<F: Factor> QueryEngine<F> {
         tree: &JunctionTree,
         target: &AttrSet,
     ) -> Result<Vec<usize>, SynopsisError> {
-        let mut t = QueryTrace::default();
-        let CachedPlan::Mass(plan) = self.plan_for(tree, target, true, &mut t)? else {
+        let (shape, _) = self.shape_for(tree, target, true)?;
+        let Shape::Mass(plan, _) = &*shape else {
             return Err(malformed("loose key resolved to a strict plan"));
         };
         let mut cliques: Vec<usize> = plan
@@ -958,63 +896,53 @@ impl<F: Factor> QueryEngine<F> {
         Ok(cliques)
     }
 
-    /// Computes the marginal factor over `target` through the plan cache
-    /// (and the marginal cache, when enabled).
+    /// Computes the marginal factor over `target` through the shape
+    /// cache.
     ///
     /// # Errors
     ///
     /// Propagates factor-operation failures; rejects targets the model
     /// does not cover.
-    pub fn marginal(
+    pub fn marginal<F: Factor>(
         &self,
         tree: &JunctionTree,
         factors: &[F],
         target: &AttrSet,
     ) -> Result<F, SynopsisError> {
         let mut t = QueryTrace::default();
-        let key = PlanKey { attrs: target.clone(), loose: false };
-        if let Some(cached) = self.marginals.get(&key) {
-            t.marginal_cache_hits += 1;
-            self.metrics.absorb(&t);
-            return Ok(cached);
-        }
         let result = (|| {
-            let CachedPlan::Strict(plan) = self.plan_for(tree, target, false, &mut t)? else {
+            let (shape, hit) = self.shape_for(tree, target, false)?;
+            count_plan_probe(&mut t, hit);
+            let Shape::Strict(plan) = &*shape else {
                 return Err(malformed("strict key resolved to a mass plan"));
             };
-            let out = match execute_marginal(&plan, factors, &mut t)? {
+            Ok(match execute_marginal(plan, factors, &mut t)? {
                 Cow::Borrowed(f) => {
                     t.factor_clones += 1;
                     f.clone()
                 }
                 Cow::Owned(f) => f,
-            };
-            if self.marginals.enabled() {
-                t.marginal_cache_misses += 1;
-                t.factor_clones += 1;
-                self.marginals.insert(key, out.clone());
-            }
-            Ok(out)
+            })
         })();
         self.metrics.absorb(&t);
         result
     }
 
     /// Estimates the frequency mass of the marginal over `target` inside
-    /// the conjunctive `query`, through the lowered-kernel cache, the
-    /// plan cache, and the per-group marginal cache (when enabled).
+    /// the conjunctive `query`, through one shape-cache probe.
     ///
-    /// The kernel cache is consulted first: a hit answers the query from
-    /// flat arrays with pooled scratch and touches no plan, factor, or
-    /// tree. A kernel exists only after a prior execution of the same
-    /// shape lowered every group bit-identically, so the fast path cannot
+    /// An entry with a kernel answers the query from flat arrays with
+    /// pooled scratch and touches no plan, factor, or tree; an entry
+    /// without one executes its cached plan; a miss compiles and inserts.
+    /// A kernel exists only after a prior execution of the same shape
+    /// lowered every group bit-identically, so the fast path cannot
     /// change any estimate (pinned by `tests/plan_equivalence.rs`).
     ///
     /// # Errors
     ///
     /// Propagates factor-operation failures; rejects targets the model
     /// does not cover.
-    pub fn estimate_mass(
+    pub fn estimate_mass<F: Factor>(
         &self,
         tree: &JunctionTree,
         factors: &[F],
@@ -1036,7 +964,7 @@ impl<F: Factor> QueryEngine<F> {
     ///
     /// Propagates factor-operation failures; rejects targets the model
     /// does not cover.
-    pub fn estimate_mass_explained(
+    pub fn estimate_mass_explained<F: Factor>(
         &self,
         tree: &JunctionTree,
         factors: &[F],
@@ -1055,7 +983,7 @@ impl<F: Factor> QueryEngine<F> {
     /// (instantiated with a recorder). Probe sites are gated on
     /// `P::ACTIVE`, so the unprobed monomorphization is the pre-explain
     /// code.
-    fn estimate_mass_probed<P: ExplainProbe>(
+    fn estimate_mass_probed<F: Factor, P: ExplainProbe>(
         &self,
         tree: &JunctionTree,
         factors: &[F],
@@ -1070,106 +998,57 @@ impl<F: Factor> QueryEngine<F> {
         if dbhist_telemetry::enabled() {
             wellknown().query_estimates.increment();
         }
-        let ranges = query.ranges();
         let mut t = QueryTrace::default();
-        let kernel_key = PlanKey { attrs: target.clone(), loose: true };
-        if let Some(kernel) = self.kernels.get(&kernel_key) {
-            t.kernel_hits += 1;
-            if P::ACTIVE {
-                probe.resolved_path(QueryPath::KernelHit);
-                probe.kernel_lowered(true);
-                for group in kernel.groups() {
-                    probe.layout(group);
-                }
-            }
-            let mut scratch;
-            if P::ACTIVE {
-                let (tracked, reused) = self.scratch.acquire_tracked();
-                probe.scratch(reused);
-                scratch = tracked;
-            } else {
-                scratch = self.scratch.acquire();
-            }
-            let mass = kernel.evaluate_ranges_probed(ranges, &mut scratch, probe);
-            self.scratch.release(scratch);
-            self.metrics.absorb(&t);
-            return Ok(mass);
-        }
         let result = (|| {
-            let hits_before = t.plan_cache_hits;
-            let CachedPlan::Mass(plan) = self.plan_for(tree, target, true, &mut t)? else {
+            let (shape, hit) = self.shape_for(tree, target, true)?;
+            let Shape::Mass(plan, slot) = &*shape else {
                 return Err(malformed("loose key resolved to a strict plan"));
             };
-            if P::ACTIVE {
-                probe.resolved_path(if t.plan_cache_hits > hits_before {
-                    QueryPath::PlanCacheHit
+            if let Some(kernel) = slot.get() {
+                t.kernel_hits += 1;
+                if P::ACTIVE {
+                    probe.resolved_path(QueryPath::KernelHit);
+                    probe.kernel_lowered(true);
+                    for group in kernel.groups() {
+                        probe.layout(group);
+                    }
+                }
+                let mut scratch = if P::ACTIVE {
+                    let (tracked, reused) = self.scratch.acquire_tracked();
+                    probe.scratch(reused);
+                    tracked
                 } else {
-                    QueryPath::PlanCompiled
-                });
+                    self.scratch.acquire()
+                };
+                let mass = kernel.evaluate_ranges_probed(query.ranges(), &mut scratch, probe);
+                self.scratch.release(scratch);
+                return Ok(mass);
             }
-            let total = factors.first().map_or(0.0, Factor::total);
-            let mut mass = total;
+            let path = count_plan_probe(&mut t, hit);
+            if P::ACTIVE {
+                probe.resolved_path(path);
+            }
             // Lower each group's loose marginal as it is produced; a
             // kernel is cached only when *every* group lowers (otherwise
             // the representation has no bit-identical flat form and the
             // engine keeps executing this plan directly).
             let mut lowered: Vec<TreeIndex> = Vec::with_capacity(plan.groups().len());
             let mut lowerable = true;
-            for group in plan.groups() {
-                if P::ACTIVE {
-                    probe.group(&group.attrs);
-                }
-                let group_key = PlanKey { attrs: group.attrs.clone(), loose: true };
-                let mut from_cache = false;
-                let group_mass = if self.marginals.enabled() {
-                    if let Some(f) = self.marginals.get(&group_key) {
-                        t.marginal_cache_hits += 1;
-                        from_cache = true;
-                        if lowerable {
-                            match f.lower_index() {
-                                Some(ix) => lowered.push(ix),
-                                None => lowerable = false,
-                            }
-                        }
-                        f.mass_in_box(ranges)
-                    } else {
-                        t.marginal_cache_misses += 1;
-                        let cow = execute_marginal_probed(&group.plan, factors, &mut t, probe)?;
-                        let owned = match cow {
-                            Cow::Borrowed(f) => {
-                                t.factor_clones += 1;
-                                f.clone()
-                            }
-                            Cow::Owned(f) => f,
-                        };
-                        if lowerable {
-                            match owned.lower_index() {
-                                Some(ix) => lowered.push(ix),
-                                None => lowerable = false,
-                            }
-                        }
-                        let gm = owned.mass_in_box(ranges);
-                        self.marginals.insert(group_key, owned);
-                        gm
+            let mass = execute_groups(plan, factors, query, &mut t, probe, |loose| {
+                if lowerable {
+                    match loose.lower_index() {
+                        Some(ix) => lowered.push(ix),
+                        None => lowerable = false,
                     }
-                } else {
-                    let loose = execute_marginal_probed(&group.plan, factors, &mut t, probe)?;
-                    if lowerable {
-                        match loose.lower_index() {
-                            Some(ix) => lowered.push(ix),
-                            None => lowerable = false,
-                        }
-                    }
-                    loose.mass_in_box(ranges)
-                };
-                if P::ACTIVE {
-                    probe.group_mass(group_mass, from_cache);
                 }
-                if total > 0.0 {
-                    mass *= group_mass / total;
-                } else {
-                    return Ok(0.0);
-                }
+            })?;
+            // A non-positive total stops the fold after one group: not
+            // every group got the chance to lower, so neither cache nor
+            // count.
+            let total = factors.first().map_or(0.0, Factor::total);
+            let folded_every_group = total > 0.0 || plan.groups().is_empty();
+            if !folded_every_group {
+                return Ok(mass);
             }
             if lowerable {
                 for ix in &lowered {
@@ -1181,7 +1060,8 @@ impl<F: Factor> QueryEngine<F> {
                         probe.layout(ix);
                     }
                 }
-                self.kernels.insert(kernel_key, Arc::new(MassKernel::new(total, lowered)));
+                // A racing duplicate lowering computed the same bits.
+                let _ = slot.set(Arc::new(MassKernel::new(total, lowered)));
             } else {
                 t.kernel_fallbacks += 1;
             }
@@ -1201,6 +1081,8 @@ mod tests {
     use crate::factor::ExactFactor;
     use crate::marginal::{compute_marginal_interpreted, estimate_mass_interpreted};
     use dbhist_distribution::{Relation, Schema};
+    use dbhist_histogram::mhist::MhistBuilder;
+    use dbhist_histogram::{SplitCriterion, SplitTree};
     use dbhist_model::{DecomposableModel, MarkovGraph};
 
     /// 5 attributes with chain dependencies 0-1, 1-2, plus pair 3-4 (the
@@ -1233,6 +1115,12 @@ mod tests {
 
     fn exact_factors(rel: &Relation, m: &DecomposableModel) -> Vec<ExactFactor> {
         m.cliques().iter().map(|c| ExactFactor(rel.marginal(c).unwrap())).collect()
+    }
+
+    fn split_tree_factors(rel: &Relation, m: &DecomposableModel, buckets: usize) -> Vec<SplitTree> {
+        let build =
+            |c| MhistBuilder::build(&rel.marginal(c).unwrap(), buckets, SplitCriterion::MaxDiff);
+        m.cliques().iter().map(|c| build(c).unwrap()).collect()
     }
 
     fn targets() -> Vec<AttrSet> {
@@ -1327,48 +1215,58 @@ mod tests {
         assert!(MassPlan::compile(tree, &views, &bad).is_err());
     }
 
+    /// One cache entry per shape: every estimate probes it exactly once
+    /// (`kernel_hits + plan_cache_hits + plan_cache_misses` counts each
+    /// estimate once), hits are bit-identical to the cold answer, and
+    /// invalidation drops kernels, never plans.
     #[test]
-    fn engine_caches_plans_and_marginals_bit_identically() {
+    fn one_cache_entry_per_shape() {
         let rel = relation();
         let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
         let tree = m.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
         let target = AttrSet::from_ids([0, 2, 4]);
         let query = Query::range(0, 0, 2).and(2, 1, 3).and(4, 0, 1);
+        let probes = |t: &QueryTrace| t.kernel_hits + t.plan_cache_hits + t.plan_cache_misses;
+        let lowerings = |t: &QueryTrace| t.kernel_lowered_dense + t.kernel_lowered_sparse;
 
-        let cold = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
+        // Exact factors never lower: N repeats read one miss, N − 1 plan
+        // hits, and N fallbacks.
+        let exact = exact_factors(&rel, &m);
+        let engine = QueryEngine::new(tree);
+        let cold = engine.estimate_mass(tree, &exact, &target, &query).unwrap();
+        for _ in 1..6 {
+            let warm = engine.estimate_mass(tree, &exact, &target, &query).unwrap();
+            assert_eq!(warm.to_bits(), cold.to_bits(), "plan-cache hit must be bit-identical");
+        }
+        let t = engine.trace();
+        assert_eq!((t.plan_cache_misses, t.plan_cache_hits, t.kernel_fallbacks), (1, 5, 6));
+        assert_eq!((t.kernel_hits, probes(&t)), (0, 6), "{t:?}");
+        engine.invalidate_kernels();
+        engine.estimate_mass(tree, &exact, &target, &query).unwrap();
+        assert_eq!(engine.trace().plan_cache_misses, 1, "plans survive kernel invalidation");
+
+        // Split trees: after invalidation the next query executes the
+        // cached plan (a hit, not a miss) and lowers a fresh kernel.
+        let trees = split_tree_factors(&rel, &m, 32);
+        let engine = QueryEngine::new(tree);
+        let cold = engine.estimate_mass(tree, &trees, &target, &query).unwrap();
+        engine.estimate_mass(tree, &trees, &target, &query).unwrap();
         let t0 = engine.trace();
-        assert_eq!(t0.plan_cache_misses, 1);
-        assert_eq!(t0.plan_cache_hits, 0);
-
-        let warm = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
+        assert_eq!((t0.plan_cache_misses, t0.plan_cache_hits, t0.kernel_hits), (1, 0, 1));
+        engine.invalidate_kernels();
+        // A clone owns its entries: the kernel it lowers from other
+        // factors never answers the original.
+        let coarse = split_tree_factors(&rel, &m, 4);
+        let other = engine.clone().estimate_mass(tree, &coarse, &target, &query).unwrap();
+        assert_ne!(other.to_bits(), cold.to_bits());
+        for _ in 0..2 {
+            let again = engine.estimate_mass(tree, &trees, &target, &query).unwrap();
+            assert_eq!(again.to_bits(), cold.to_bits());
+        }
         let t1 = engine.trace();
-        assert_eq!(t1.plan_cache_hits, 1, "second identical query must hit the plan cache");
-        assert_eq!(cold.to_bits(), warm.to_bits(), "plan-cache hit must be bit-identical");
-
-        // Enable the marginal cache: first query materializes, second
-        // skips execution entirely.
-        engine.enable_marginal_cache(8);
-        let seeded = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
-        let t2 = engine.trace();
-        assert!(t2.marginal_cache_misses >= 1);
-        let cached = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
-        let t3 = engine.trace();
-        assert!(t3.marginal_cache_hits >= 1, "repeat must hit the marginal cache: {t3:?}");
-        assert_eq!(
-            t3.products, t2.products,
-            "marginal-cache hit must not execute any factor products"
-        );
-        assert_eq!(seeded.to_bits(), cold.to_bits());
-        assert_eq!(cached.to_bits(), cold.to_bits(), "marginal-cache hit must be bit-identical");
-
-        // Invalidation drops materialized marginals but keeps plans.
-        engine.invalidate_marginals();
-        let after = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
-        assert_eq!(after.to_bits(), cold.to_bits());
-        let t4 = engine.trace();
-        assert_eq!(t4.plan_cache_misses, 1, "plans survive marginal invalidation");
+        assert_eq!((t1.plan_cache_misses, t1.plan_cache_hits, t1.kernel_hits), (1, 1, 2));
+        assert_eq!(lowerings(&t1), 2 * lowerings(&t0), "a fresh kernel is lowered: {t1:?}");
+        assert_eq!((t1.kernel_fallbacks, probes(&t1)), (0, 4), "{t1:?}");
     }
 
     #[test]
@@ -1377,7 +1275,7 @@ mod tests {
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
         let tree = m.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
+        let engine = QueryEngine::new(tree);
         // Both targets live inside single cliques: execution is pure
         // borrowing — zero factor clones across the whole workload.
         let workload: Vec<Vec<(u16, u32, u32)>> = (0..32)
@@ -1409,13 +1307,12 @@ mod tests {
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
         let tree = m.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
-        engine.enable_marginal_cache(4);
+        let engine = QueryEngine::new(tree);
         let target = AttrSet::from_ids([0, 2]);
         let a = engine.marginal(tree, &factors, &target).unwrap();
         let b = engine.marginal(tree, &factors, &target).unwrap();
         let t = engine.trace();
-        assert_eq!(t.marginal_cache_hits, 1);
+        assert_eq!((t.plan_cache_misses, t.plan_cache_hits), (1, 1), "{t:?}");
         let (interp, _) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
         for (k, v) in interp.0.iter() {
             assert_eq!(a.0.frequency(k).to_bits(), v.to_bits());
@@ -1425,19 +1322,11 @@ mod tests {
 
     #[test]
     fn engine_kernel_path_is_bit_identical_and_skips_plan_execution() {
-        use dbhist_histogram::mhist::MhistBuilder;
-        use dbhist_histogram::{SplitCriterion, SplitTree};
         let rel = relation();
         let m = model(&rel);
         let tree = m.junction_tree();
-        let factors: Vec<SplitTree> = m
-            .cliques()
-            .iter()
-            .map(|c| {
-                MhistBuilder::build(&rel.marginal(c).unwrap(), 32, SplitCriterion::MaxDiff).unwrap()
-            })
-            .collect();
-        let engine: QueryEngine<SplitTree> = QueryEngine::new(tree);
+        let factors = split_tree_factors(&rel, &m, 32);
+        let engine = QueryEngine::new(tree);
         let target = AttrSet::from_ids([0, 2, 4]);
         let query = Query::range(0, 0, 2).and(2, 1, 3).and(4, 0, 1);
 
@@ -1464,7 +1353,7 @@ mod tests {
         assert_eq!(via_kernel.to_bits(), direct.to_bits());
 
         // Invalidation drops kernels; the next query re-lowers.
-        engine.invalidate_marginals();
+        engine.invalidate_kernels();
         let again = engine.estimate_mass(tree, &factors, &target, &query).unwrap();
         assert_eq!(again.to_bits(), cold.to_bits());
         let t2 = engine.trace();
@@ -1481,8 +1370,7 @@ mod tests {
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
         let tree = m.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
-        engine.enable_marginal_cache(16);
+        let engine = QueryEngine::new(tree);
         let queries: Vec<Vec<(u16, u32, u32)>> = vec![
             vec![(0, 0, 1)],
             vec![(0, 0, 2), (2, 1, 3)],

@@ -1,33 +1,24 @@
 //! Sharded, internally synchronized LRU caches for the shared-read query
 //! path.
 //!
-//! [`QueryEngine`](crate::plan::QueryEngine) memoizes compiled plans and
-//! (optionally) materialized marginals. Under the concurrent
+//! [`QueryEngine`](crate::plan::QueryEngine) memoizes one compiled entry
+//! per query shape. Under the concurrent
 //! [`EstimatorService`](crate::service::EstimatorService) many reader
-//! threads consult those caches on every query, so a single global mutex
+//! threads consult that cache on every query, so a single global mutex
 //! would serialize the whole read path. [`ShardedLru`] splits one logical
 //! LRU into [`DEFAULT_SHARD_COUNT`] independent shards, each behind its
 //! own mutex; a key's shard is chosen by hash, so concurrent lookups of
 //! different keys contend only when they land on the same shard.
 //!
-//! Correctness note: the caches are *memoization* — a cached value is
+//! Correctness note: the cache is *memoization* — a cached value is
 //! bit-identical to the value recomputed from the immutable factors, so
-//! shard-local eviction order, racing duplicate inserts, and
-//! enable/disable races can change hit rates but never change an
-//! estimate. That is what keeps concurrent estimates bit-identical to the
-//! serial engine (pinned by `tests/concurrent_equivalence.rs`).
-//!
-//! Memory-ordering justification (this module is on the `atomic-ordering`
-//! exemption list, `dbhist-analyze`): the only raw atomic here is the
-//! advisory `capacity` cell. `Relaxed` is correct for it because every
-//! read of cached *data* happens under a shard mutex, which already
-//! provides the happens-before edge; the capacity value only steers how
-//! many entries a shard retains, and a stale read merely delays an
-//! eviction or skips one insert — it can never expose unsynchronized
-//! data. Recency ticks live entirely inside the shard mutexes.
+//! shard-local eviction order and racing duplicate inserts can change
+//! hit rates but never change an estimate. That is what keeps concurrent
+//! estimates bit-identical to the serial engine (pinned by
+//! `tests/concurrent_equivalence.rs`). All state, recency ticks included,
+//! lives inside the shard mutexes.
 
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dbhist_distribution::fxhash::{FxBuildHasher, FxHashMap};
@@ -37,11 +28,10 @@ use dbhist_distribution::fxhash::{FxBuildHasher, FxHashMap};
 /// costing a few hundred bytes when idle.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// Minimum entries each shard retains while the cache is enabled. Small
-/// logical capacities would otherwise give every shard capacity 1 and
-/// thrash whenever two hot keys hash to the same shard; the floor trades
-/// a bounded retention overshoot (at most `shards × floor` entries) for
-/// stable hit rates.
+/// Minimum entries each shard retains. Small logical capacities would
+/// otherwise give every shard capacity 1 and thrash whenever two hot keys
+/// hash to the same shard; the floor trades a bounded retention overshoot
+/// (at most `shards × floor` entries) for stable hit rates.
 pub const MIN_SHARD_CAPACITY: usize = 4;
 
 /// Locks `m`, recovering from poisoning: cache state is only ever
@@ -92,42 +82,26 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         })
     }
 
-    /// Inserts `key → value`, evicting least-recently-used entries while
-    /// at or over capacity.
+    /// Inserts `key → value`, evicting the least-recently-used entry when
+    /// a new key arrives at capacity (the capacity is fixed, so one
+    /// eviction always makes room).
     pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
-        while self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(oldest) =
                 // lint:allow-next-line(hash-iter-order): stamps are unique, so the min is order-independent; eviction never reaches estimates
                 self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
             {
                 self.map.remove(&oldest);
-            } else {
-                break;
             }
         }
         self.map.insert(key, (self.tick, value));
     }
 
-    /// Retargets the capacity (minimum 1), evicting down immediately if
-    /// the cache is over the new bound.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.map.len() > self.capacity {
-            if let Some(oldest) =
-                // lint:allow-next-line(hash-iter-order): stamps are unique, so the min is order-independent; eviction never reaches estimates
-                self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drops every entry (capacity is retained).
-    pub fn clear(&mut self) {
-        self.map.clear();
+    /// Applies `f` to every cached value in place (recency unchanged).
+    pub fn for_each_value(&mut self, mut f: impl FnMut(&mut V)) {
+        // lint:allow-next-line(hash-iter-order): each value is rewritten independently, so visit order cannot matter
+        self.map.values_mut().for_each(|(_, v)| f(v));
     }
 }
 
@@ -138,35 +112,24 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
 /// [`MIN_SHARD_CAPACITY`], so the retained total can round up — an
 /// approximation standard for sharded LRUs, where the bound matters at
 /// large capacities and hit-rate stability at small ones).
-/// Capacity `0` disables the cache: `get` misses and
-/// `insert` is a no-op, which is how the engine's optional marginal
-/// cache is switched off without a type-level `Option`.
 #[derive(Debug)]
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<LruCache<K, V>>>,
-    /// Total advisory capacity across shards; 0 = disabled. See the
-    /// module docs for why `Relaxed` is sufficient here.
-    capacity: AtomicUsize,
     hasher: FxBuildHasher,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Creates a cache with `capacity` total entries across
-    /// [`DEFAULT_SHARD_COUNT`] shards. `capacity == 0` starts disabled.
+    /// [`DEFAULT_SHARD_COUNT`] shards.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let per_shard = Self::per_shard(capacity);
+        let per_shard = capacity.div_ceil(DEFAULT_SHARD_COUNT).max(MIN_SHARD_CAPACITY);
         Self {
             shards: (0..DEFAULT_SHARD_COUNT)
                 .map(|_| Mutex::new(LruCache::new(per_shard)))
                 .collect(),
-            capacity: AtomicUsize::new(capacity),
             hasher: FxBuildHasher::default(),
         }
-    }
-
-    fn per_shard(capacity: usize) -> usize {
-        capacity.div_ceil(DEFAULT_SHARD_COUNT).max(MIN_SHARD_CAPACITY)
     }
 
     fn shard(&self, key: &K) -> &Mutex<LruCache<K, V>> {
@@ -176,56 +139,23 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         &self.shards[h % self.shards.len()]
     }
 
-    /// `true` when the cache currently accepts and serves entries.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.capacity.load(Ordering::Relaxed) > 0
-    }
-
-    /// The current total advisory capacity (0 = disabled).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Retargets the total capacity. `0` disables the cache and drops
-    /// every entry; a positive value re-enables it (entries are dropped
-    /// on the disable edge, kept when resizing while enabled).
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        if capacity == 0 {
-            self.clear();
-        } else {
-            let per_shard = Self::per_shard(capacity);
-            for shard in &self.shards {
-                lock(shard).set_capacity(per_shard);
-            }
-        }
-    }
-
-    /// Fetches a clone of `key`'s value, refreshing its recency. Always
-    /// `None` while disabled.
+    /// Fetches a clone of `key`'s value, refreshing its recency.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
-        if !self.enabled() {
-            return None;
-        }
         lock(self.shard(key)).get(key).cloned()
     }
 
     /// Inserts `key → value` into its shard, evicting that shard's
-    /// least-recently-used entry at capacity. No-op while disabled.
+    /// least-recently-used entry at capacity.
     pub fn insert(&self, key: K, value: V) {
-        if !self.enabled() {
-            return;
-        }
         lock(self.shard(&key)).insert(key, value);
     }
 
-    /// Drops every entry in every shard (capacity is retained).
-    pub fn clear(&self) {
+    /// Applies `f` to every cached value in place, one shard lock at a
+    /// time (recency unchanged).
+    pub fn for_each_value(&self, mut f: impl FnMut(&mut V)) {
         for shard in &self.shards {
-            lock(shard).clear();
+            lock(shard).for_each_value(&mut f);
         }
     }
 
@@ -248,7 +178,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Clone for ShardedLru<K, V> {
     fn clone(&self) -> Self {
         Self {
             shards: self.shards.iter().map(|s| Mutex::new(lock(s).clone())).collect(),
-            capacity: AtomicUsize::new(self.capacity.load(Ordering::Relaxed)),
             hasher: FxBuildHasher::default(),
         }
     }
@@ -273,27 +202,11 @@ mod tests {
         cache.insert(1, 11);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1), Some(&11));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
-    fn lru_cache_shrink_evicts_down() {
-        let mut cache: LruCache<u32, u32> = LruCache::new(4);
-        for i in 0..4 {
-            cache.insert(i, i);
-        }
-        cache.set_capacity(2);
-        assert_eq!(cache.len(), 2);
-        // The two most recently inserted keys survive.
-        assert_eq!(cache.get(&3), Some(&3));
-        assert_eq!(cache.get(&2), Some(&2));
-    }
-
-    #[test]
-    fn sharded_round_trip_and_capacity_toggle() {
+    fn sharded_round_trip() {
         let cache: ShardedLru<u32, String> = ShardedLru::new(16);
-        assert!(cache.enabled());
         assert!(cache.is_empty());
         for i in 0..10u32 {
             cache.insert(i, format!("v{i}"));
@@ -301,18 +214,9 @@ mod tests {
         assert_eq!(cache.len(), 10);
         assert_eq!(cache.get(&3), Some("v3".to_string()));
         assert_eq!(cache.get(&99), None);
-
-        cache.set_capacity(0);
-        assert!(!cache.enabled());
-        assert!(cache.is_empty(), "disable drops entries");
-        assert_eq!(cache.get(&3), None);
-        cache.insert(3, "back".to_string());
-        assert_eq!(cache.len(), 0, "insert is a no-op while disabled");
-
-        cache.set_capacity(8);
-        assert!(cache.enabled());
-        cache.insert(3, "back".to_string());
-        assert_eq!(cache.get(&3), Some("back".to_string()));
+        cache.for_each_value(|v| v.push('!'));
+        assert_eq!(cache.get(&3), Some("v3!".to_string()));
+        assert_eq!(cache.len(), 10);
     }
 
     #[test]
@@ -349,12 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_carries_entries_and_capacity() {
+    fn clone_carries_entries() {
         let cache: ShardedLru<u32, u32> = ShardedLru::new(8);
         cache.insert(1, 10);
         let copy = cache.clone();
         assert_eq!(copy.get(&1), Some(10));
-        assert_eq!(copy.capacity(), 8);
         copy.insert(2, 20);
         assert_eq!(cache.get(&2), None, "clones are independent");
     }

@@ -14,11 +14,11 @@
 //! Estimation (paper §3.3) goes through a per-synopsis
 //! [`QueryEngine`]: the Fig. 3 recursion is compiled once per query
 //! *shape* into a [`crate::plan::MarginalPlan`]/[`crate::plan::MassPlan`]
-//! (memoized in a bounded LRU), then executed with zero-clone `Cow`
-//! operand passing. Repeated workloads pay compilation once; an optional
-//! marginal cache ([`DbHistogram::enable_marginal_cache`]) additionally
-//! memoizes materialized group marginals. [`DbHistogram::query_trace`]
-//! exposes the engine's cumulative operation counters.
+//! (memoized in a bounded LRU, one entry per shape), then executed with
+//! zero-clone `Cow` operand passing; split-tree factors lower the shape
+//! into a flat kernel that answers every later query of that shape.
+//! [`DbHistogram::query_trace`] exposes the engine's cumulative
+//! operation counters.
 
 use std::time::Duration;
 
@@ -103,7 +103,7 @@ pub struct DbHistogram<F: Factor> {
     factors: Vec<F>,
     bytes: usize,
     name: String,
-    engine: QueryEngine<F>,
+    engine: QueryEngine,
     trace: BuildTrace,
     drift: DriftMonitor,
 }
@@ -123,20 +123,18 @@ impl<F: Factor> DbHistogram<F> {
 
     /// Mutable access for incremental maintenance (crate-internal: bucket
     /// counts may move, but the factor set must stay aligned with the
-    /// model's cliques). Invalidates cached materialized marginals and
-    /// lowered kernels — compiled plans survive, they depend only on the
-    /// model structure.
+    /// model's cliques). Invalidates lowered kernels — compiled plans
+    /// survive, they depend only on the model structure.
     pub(crate) fn factors_mut(&mut self) -> &mut [F] {
-        self.engine.invalidate_marginals();
+        self.engine.invalidate_kernels();
         &mut self.factors
     }
 
     /// Replaces one clique's factor wholesale (a feedback-triggered
     /// re-split installing fresh bucket boundaries). Goes through
-    /// [`DbHistogram::factors_mut`], so cached materialized marginals
-    /// and lowered kernels are invalidated; compiled plans survive (the
-    /// model structure is unchanged). Returns `false` for an
-    /// out-of-range index, leaving the synopsis untouched.
+    /// [`DbHistogram::factors_mut`], so lowered kernels are invalidated;
+    /// compiled plans survive (the model structure is unchanged). Returns
+    /// `false` for an out-of-range index, leaving the synopsis untouched.
     pub(crate) fn replace_factor(&mut self, clique: usize, factor: F) -> bool {
         match self.factors_mut().get_mut(clique) {
             Some(slot) => {
@@ -145,20 +143,6 @@ impl<F: Factor> DbHistogram<F> {
             }
             None => false,
         }
-    }
-
-    /// The plan-based query engine answering this synopsis's queries.
-    #[must_use]
-    pub fn engine(&self) -> &QueryEngine<F> {
-        &self.engine
-    }
-
-    /// Enables the engine's materialized-marginal LRU: repeated query
-    /// shapes skip factor algebra entirely. Worth it for workloads that
-    /// hammer a few attribute subsets; off by default because cached
-    /// marginals cost memory beyond the synopsis budget.
-    pub fn enable_marginal_cache(&self, capacity: usize) {
-        self.engine.enable_marginal_cache(capacity);
     }
 
     /// Snapshot of the engine's cumulative operation and cache counters.
@@ -189,7 +173,7 @@ impl<F: Factor> DbHistogram<F> {
     }
 
     /// Estimates the marginal factor over an arbitrary attribute subset
-    /// (paper §3.3.1), through the plan cache.
+    /// (paper §3.3.1), through the engine's shape cache.
     ///
     /// # Errors
     ///
@@ -495,7 +479,7 @@ where
         }
     };
 
-    let (bytes, factors, engine): (usize, Vec<F>, QueryEngine<F>) = {
+    let (bytes, factors, engine): (usize, Vec<F>, QueryEngine) = {
         let _span = dbhist_telemetry::span!("dbhist_build_assembly_latency_us");
         let bytes = builders.iter().map(IncrementalBuilder::storage_bytes).sum();
         // Same work-size floor as construction: finishing a few small

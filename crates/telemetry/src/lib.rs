@@ -29,14 +29,16 @@
 //!   endpoint.
 //! * [`export`] — [`export::to_json`] and [`export::to_prometheus`]
 //!   render the same [`Snapshot`].
-//! * [`wellknown`] — pre-registered handles for every `dbhist_*` metric
-//!   the engine emits, so hot paths never hash a metric name.
+//! * [`wellknown`] — pre-registered handles for the `dbhist_*` metrics
+//!   the engine emits, so hot paths never hash a metric name. The
+//!   per-query operation counters are declared beside the query engine
+//!   instead (`dbhist_core::plan`), one table row each.
 //!
 //! # Naming convention
 //!
 //! Every metric is named `dbhist_<subsystem>_<name>_<unit>` (for example
 //! `dbhist_query_plan_cache_hits_total`,
-//! `dbhist_query_estimate_latency_ns`); `cargo run -p xtask -- lint`
+//! `dbhist_query_estimate_latency_ns`); `cargo run -p xtask -- analyze`
 //! enforces the convention on every literal in library code.
 //!
 //! # Example

@@ -1,9 +1,13 @@
-//! Pre-registered handles for every metric the dbhist engine emits.
+//! Pre-registered handles for the metrics the dbhist engine emits.
 //!
 //! Hot paths (plan execution, cache lookups) must never pay a name hash
 //! or registry lock per event; they go through these handles, resolved
 //! once per process. Names follow the repo convention
-//! `dbhist_<subsystem>_<name>_<unit>`, enforced by the xtask lint.
+//! `dbhist_<subsystem>_<name>_<unit>`, enforced by `xtask analyze`. The
+//! per-query operation counters (`dbhist_query_products_total`, the
+//! plan-cache and kernel counters, …) are not here: the query engine
+//! declares each once in its `query_counters!` table, which registers
+//! them.
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,24 +17,8 @@ use crate::registry::{self, Counter, Gauge, LatencyHistogram};
 #[derive(Debug)]
 #[allow(missing_docs)] // field names mirror the metric names below
 pub struct WellKnown {
-    // Query path (mirrored from per-engine `QueryTrace` accounting).
+    // Query path.
     pub query_estimates: Arc<Counter>,
-    pub query_products: Arc<Counter>,
-    pub query_projections: Arc<Counter>,
-    pub query_identity_projections: Arc<Counter>,
-    pub query_sheds: Arc<Counter>,
-    pub query_sheds_skipped: Arc<Counter>,
-    pub query_clique_loads: Arc<Counter>,
-    pub query_factor_clones: Arc<Counter>,
-    pub query_plans_compiled: Arc<Counter>,
-    pub query_plan_cache_hits: Arc<Counter>,
-    pub query_plan_cache_misses: Arc<Counter>,
-    pub query_marginal_cache_hits: Arc<Counter>,
-    pub query_marginal_cache_misses: Arc<Counter>,
-    pub query_kernel_hits: Arc<Counter>,
-    pub query_kernel_lowered_dense: Arc<Counter>,
-    pub query_kernel_lowered_sparse: Arc<Counter>,
-    pub query_kernel_fallbacks: Arc<Counter>,
     /// Wall-clock nanoseconds per `estimate_mass` / `marginal` call.
     pub query_latency: Arc<LatencyHistogram>,
 
@@ -92,22 +80,6 @@ pub fn wellknown() -> &'static WellKnown {
         let r = registry::global();
         WellKnown {
             query_estimates: r.counter("dbhist_query_estimates_total"),
-            query_products: r.counter("dbhist_query_products_total"),
-            query_projections: r.counter("dbhist_query_projections_total"),
-            query_identity_projections: r.counter("dbhist_query_identity_projections_total"),
-            query_sheds: r.counter("dbhist_query_sheds_total"),
-            query_sheds_skipped: r.counter("dbhist_query_sheds_skipped_total"),
-            query_clique_loads: r.counter("dbhist_query_clique_loads_total"),
-            query_factor_clones: r.counter("dbhist_query_factor_clones_total"),
-            query_plans_compiled: r.counter("dbhist_query_plans_compiled_total"),
-            query_plan_cache_hits: r.counter("dbhist_query_plan_cache_hits_total"),
-            query_plan_cache_misses: r.counter("dbhist_query_plan_cache_misses_total"),
-            query_marginal_cache_hits: r.counter("dbhist_query_marginal_cache_hits_total"),
-            query_marginal_cache_misses: r.counter("dbhist_query_marginal_cache_misses_total"),
-            query_kernel_hits: r.counter("dbhist_query_kernel_hits_total"),
-            query_kernel_lowered_dense: r.counter("dbhist_query_kernel_lowered_dense_total"),
-            query_kernel_lowered_sparse: r.counter("dbhist_query_kernel_lowered_sparse_total"),
-            query_kernel_fallbacks: r.counter("dbhist_query_kernel_fallbacks_total"),
             query_latency: r.histogram("dbhist_query_estimate_latency_ns"),
             build_selection_rounds: r.counter("dbhist_build_selection_rounds_total"),
             build_splits_funded: r.counter("dbhist_build_splits_funded_total"),
@@ -156,11 +128,6 @@ mod tests {
         let snap = registry::snapshot();
         for name in [
             "dbhist_query_estimates_total",
-            "dbhist_query_plan_cache_hits_total",
-            "dbhist_query_kernel_hits_total",
-            "dbhist_query_kernel_lowered_dense_total",
-            "dbhist_query_kernel_lowered_sparse_total",
-            "dbhist_query_kernel_fallbacks_total",
             "dbhist_query_estimate_latency_ns",
             "dbhist_build_selection_rounds_total",
             "dbhist_build_splits_funded_total",

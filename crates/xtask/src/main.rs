@@ -5,7 +5,6 @@
 //! ```text
 //! cargo run -p xtask -- analyze         # scope-aware static analysis
 //! cargo run -p xtask -- analyze --json  # machine-readable findings
-//! cargo run -p xtask -- lint            # thin alias for `analyze`
 //! cargo run -p xtask -- selftest        # prove the rules catch seeded bugs
 //! cargo run -p xtask -- bench-diff <baseline.json> <fresh.json> <path>...
 //!                                       # fail if a headline metric regressed >20%
@@ -15,9 +14,7 @@
 //! [`dbhist_analyze`] rule engine (lexer → scopes → rules →
 //! diagnostics), prints one human-readable line per finding to stderr
 //! and a JSON summary to stdout, and exits nonzero if any finding — or
-//! any unused `lint:allow` marker — survives. `lint` is the legacy
-//! spelling, kept as an alias so muscle memory and older scripts keep
-//! working.
+//! any unused `lint:allow` marker — survives.
 
 mod bench_diff;
 
@@ -27,11 +24,11 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze" | "lint") => run_analyze(args.iter().any(|a| a == "--json")),
+        Some("analyze") => run_analyze(args.iter().any(|a| a == "--json")),
         Some("selftest") => run_selftest(),
         Some("bench-diff") => bench_diff::run(&args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <analyze [--json]|lint|selftest|bench-diff>");
+            eprintln!("usage: cargo run -p xtask -- <analyze [--json]|selftest|bench-diff>");
             ExitCode::from(2)
         }
     }

@@ -6,7 +6,7 @@
 //! with the generation that answered it; its estimates must match, bit
 //! for bit, what that generation's synopsis answers serially. This pins
 //! the two concurrency claims of the serving layer: the sharded
-//! plan/marginal caches are pure memoization (reader count can change
+//! shape cache is pure memoization (reader count can change
 //! hit rates, never estimates), and `swap()` is atomic from a client's
 //! point of view (a batch is answered wholly by one generation, and no
 //! query is dropped while generations change underneath).

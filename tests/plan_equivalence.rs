@@ -6,8 +6,8 @@
 //! the *same* order on the *same* operands — so results must match
 //! bit-for-bit (not just within tolerance), for exact factors and for
 //! approximate MHIST split trees alike, over randomized junction trees,
-//! factors, and query sets. Cached replays (plan cache and materialized
-//! marginal cache) must also be bit-identical to their cold runs.
+//! factors, and query sets. Cached replays (the engine's shape cache)
+//! must also be bit-identical to their cold runs.
 //!
 //! The dense kernel backend rides the same contract: lowered tree
 //! indices (dense or sparse layout), the engine's pooled scratch reuse
@@ -279,8 +279,8 @@ proptest! {
         }
     }
 
-    /// Cache replays are bit-identical to cold runs: the plan cache and
-    /// the materialized-marginal cache must never change an answer.
+    /// Cache replays are bit-identical to cold runs: the shape cache must
+    /// never change an answer.
     #[test]
     fn engine_cache_replays_bit_identical(
         arity in 3usize..=6,
@@ -290,7 +290,7 @@ proptest! {
     ) {
         let (_, model, factors, mut state) = build_setup(arity, domain, rows, seed);
         let tree = model.junction_tree();
-        let engine: QueryEngine<ExactFactor> = QueryEngine::new(tree);
+        let engine = QueryEngine::new(tree);
         let queries: Vec<BoxQuery> = random_targets(arity, &mut state, 5)
                 .into_iter()
                 .map(|t| {
@@ -307,25 +307,11 @@ proptest! {
             .iter()
             .map(|(t, r)| engine.estimate_mass(tree, &factors, t, r).unwrap())
             .collect();
-        // Third pass with the materialized-marginal cache enabled (first
-        // repetition seeds it, the fourth pass replays from it).
-        engine.enable_marginal_cache(32);
-        let seeded: Vec<f64> = queries
-            .iter()
-            .map(|(t, r)| engine.estimate_mass(tree, &factors, t, r).unwrap())
-            .collect();
-        let cached: Vec<f64> = queries
-            .iter()
-            .map(|(t, r)| engine.estimate_mass(tree, &factors, t, r).unwrap())
-            .collect();
         for (i, c) in cold.iter().enumerate() {
             prop_assert_eq!(c.to_bits(), warm[i].to_bits(), "warm replay differs at {}", i);
-            prop_assert_eq!(c.to_bits(), seeded[i].to_bits(), "seed pass differs at {}", i);
-            prop_assert_eq!(c.to_bits(), cached[i].to_bits(), "cached replay differs at {}", i);
         }
         let trace = engine.trace();
         prop_assert!(trace.plan_cache_hits >= queries.len(), "{:?}", trace);
-        prop_assert!(trace.marginal_cache_hits >= 1, "{:?}", trace);
         // The engine's marginal entry point matches the free function.
         let (t0, _) = &queries[0];
         let via_engine = engine.marginal(tree, &factors, t0).unwrap();
@@ -485,7 +471,7 @@ proptest! {
             .collect();
 
         // Split-tree factors lower; the warm rounds ride the kernels.
-        let engine: QueryEngine<SplitTree> = QueryEngine::new(tree);
+        let engine = QueryEngine::new(tree);
         let mut rounds: Vec<Vec<u64>> = Vec::new();
         for _ in 0..3 {
             rounds.push(
@@ -517,7 +503,7 @@ proptest! {
 
         // Exact factors cannot lower: same workload, pure fallback, still
         // bit-identical to the interpreter.
-        let exact_engine: QueryEngine<_> = QueryEngine::new(tree);
+        let exact_engine = QueryEngine::new(tree);
         for _ in 0..2 {
             for (t, q) in &queries {
                 let via_engine = exact_engine.estimate_mass(tree, &factors, t, q).unwrap();
@@ -585,8 +571,8 @@ proptest! {
     ) {
         let (_rel, model, factors, mut state) = build_setup(arity, domain, rows, seed);
         let tree = model.junction_tree();
-        let plain: QueryEngine<ExactFactor> = QueryEngine::new(tree);
-        let explained: QueryEngine<ExactFactor> = QueryEngine::new(tree);
+        let plain = QueryEngine::new(tree);
+        let explained = QueryEngine::new(tree);
         let workload: Vec<BoxQuery> = random_targets(arity, &mut state, 6)
             .into_iter()
             .map(|target| {
@@ -611,7 +597,7 @@ proptest! {
         }
         // Mixed order on one engine: an explained call warming the cache
         // for a plain call (and vice versa) must not perturb answers.
-        let shared: QueryEngine<ExactFactor> = QueryEngine::new(tree);
+        let shared = QueryEngine::new(tree);
         for (target, query) in &workload {
             let (first, _) =
                 shared.estimate_mass_explained(tree, &factors, target, query).unwrap();
