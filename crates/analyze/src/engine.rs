@@ -43,7 +43,6 @@ pub fn analyze_file(rel_path: &str, source: &str, class: FileClass, report: &mut
 
     if class.library {
         rules::hash_iter::check(&ctx, &mut raw);
-        rules::par_float::check(&ctx, &mut raw);
         rules::atomics::check(&ctx, &mut raw);
         rules::panic_surface::check(&ctx, &mut raw);
     }

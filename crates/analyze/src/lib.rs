@@ -17,9 +17,9 @@
 //! * [`scope`] walks braces to attribute every line to its
 //!   `fn`/`impl`/`mod`/closure context and to the legacy-compatible
 //!   `#[cfg(test)]` regions.
-//! * [`rules`] hosts four scope-aware rules guarding the bit-identity
-//!   and upcoming-concurrency invariants (`hash-iter-order`,
-//!   `par-float-reduction`, `atomic-ordering`, `panic-surface`) plus
+//! * [`rules`] hosts three scope-aware rules guarding the bit-identity
+//!   and concurrency invariants (`hash-iter-order`, `atomic-ordering`,
+//!   `panic-surface`) plus
 //!   the five ported legacy line rules (`float-cmp`, `as-narrowing`,
 //!   `deprecated-shim`, `metric-name`, `snapshot-io`).
 //! * [`diag`] renders structured findings (file:line:col, excerpt, rule

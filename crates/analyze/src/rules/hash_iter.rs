@@ -18,7 +18,7 @@
 //!    fields and fn params alike) are collected file-wide.
 //! 2. **Flag** — order-producing calls on a bound name
 //!    (`.iter()`, `.keys()`, `.values()`, `.drain()`, `.into_iter()`,
-//!    `.par_iter()`, …) and direct `for … in [&mut] name` loops. A
+//!    …) and direct `for … in [&mut] name` loops. A
 //!    statement window that also mentions a `sort*` call or a `BTree*`
 //!    type is skipped — collect-then-sort is the sanctioned idiom.
 
@@ -30,7 +30,7 @@ use crate::lexer::{Token, TokenKind};
 const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 
 /// Methods whose result order is the container's iteration order.
-const ITER_METHODS: [&str; 11] = [
+const ITER_METHODS: [&str; 9] = [
     "iter",
     "iter_mut",
     "keys",
@@ -40,8 +40,6 @@ const ITER_METHODS: [&str; 11] = [
     "into_iter",
     "into_keys",
     "into_values",
-    "par_iter",
-    "into_par_iter",
 ];
 
 /// Collects every name bound to a hash-typed value anywhere in the file.
@@ -270,7 +268,7 @@ mod tests {
 
     #[test]
     fn keys_values_drain_all_flagged() {
-        for m in ["keys", "values", "drain", "into_iter", "par_iter"] {
+        for m in ["keys", "values", "drain", "into_iter"] {
             let src =
                 format!("fn f(mut agg: FxHashMap<u32, f64>) {{\n    consume(agg.{m}());\n}}\n");
             let v = run(&src);

@@ -4,7 +4,6 @@ pub mod atomics;
 pub mod hash_iter;
 pub mod legacy;
 pub mod panic_surface;
-pub mod par_float;
 pub mod wal_order;
 
 use crate::diag::Finding;
@@ -13,9 +12,8 @@ use crate::scope::{self, Scopes};
 
 /// Every rule id, in reporting order. `lint:allow` markers must name one
 /// of these (the audit flags unknown names).
-pub const RULES: [&str; 11] = [
+pub const RULES: [&str; 10] = [
     "hash-iter-order",
-    "par-float-reduction",
     "atomic-ordering",
     "panic-surface",
     "float-cmp",
@@ -34,10 +32,6 @@ pub fn hint_for(rule: &str) -> &'static str {
         "hash-iter-order" => {
             "hash iteration order can reach estimates/buckets/output; use BTreeMap/BTreeSet, \
              sort before use, or add a justified lint:allow"
-        }
-        "par-float-reduction" => {
-            "f64 addition is not associative; a parallel sum/fold/reduce breaks serial/parallel \
-             bit-identity — reduce serially after collecting, or chunk deterministically"
         }
         "atomic-ordering" => {
             "raw Relaxed/SeqCst orderings and .lock().unwrap() belong in the vetted telemetry \

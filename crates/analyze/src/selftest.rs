@@ -17,18 +17,12 @@ struct Fixture {
     clean: &'static str,
 }
 
-const FIXTURES: [Fixture; 11] = [
+const FIXTURES: [Fixture; 10] = [
     Fixture {
         rule: "hash-iter-order",
         path: "crates/distribution/src/distribution.rs",
         violating: "fn total(cells: &FxHashMap<u32, f64>) -> f64 {\n    cells.iter().map(|(_, w)| w).sum()\n}\n",
         clean: "fn total(cells: &BTreeMap<u32, f64>) -> f64 {\n    cells.iter().map(|(_, w)| w).sum()\n}\n",
-    },
-    Fixture {
-        rule: "par-float-reduction",
-        path: "crates/core/src/marginal.rs",
-        violating: "fn mass(w: &[f64]) -> f64 {\n    w.par_iter().map(|x| x * 0.5).sum::<f64>()\n}\n",
-        clean: "fn mass(w: &[f64]) -> f64 {\n    w.iter().map(|x| x * 0.5).sum::<f64>()\n}\n",
     },
     Fixture {
         rule: "atomic-ordering",

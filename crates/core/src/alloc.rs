@@ -13,22 +13,11 @@
 //!   and its cost is the funded splits themselves.
 //! * [`optimal_dp`] — the pseudo-polynomial dynamic program over the
 //!   precomputed error curves, `O(|C| · B²)` in budget units; exact
-//!   regardless of curve shape. Curve measurement and the final apply
-//!   fan out across builders ([`error_curves_parallel`],
-//!   [`apply_allocation_parallel`]).
-
-use rayon::prelude::*;
+//!   regardless of curve shape. [`error_curve`] measures each curve and
+//!   [`apply_allocation`] replays the chosen splits.
 
 use crate::build::IncrementalBuilder;
 use crate::error::SynopsisError;
-
-/// Runs `op` under a worker pool of `threads` threads.
-pub(crate) fn with_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-        Ok(pool) => pool.install(op),
-        Err(_) => op(),
-    }
-}
 
 /// The outcome of an allocation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,24 +149,6 @@ pub fn error_curve<B: IncrementalBuilder>(builder: &mut B, budget_bytes: usize) 
     curve
 }
 
-/// Precomputes every clique's error curve, fanning the independent
-/// builder runs across `threads` workers (each curve is a pure function
-/// of its own builder, so the result is bit-identical to the serial
-/// loop). `threads <= 1` runs serially.
-pub fn error_curves_parallel<B>(
-    builders: &mut [B],
-    budget_bytes: usize,
-    threads: usize,
-) -> Vec<Vec<CurvePoint>>
-where
-    B: IncrementalBuilder + Send,
-{
-    if threads <= 1 {
-        return builders.iter_mut().map(|b| error_curve(b, budget_bytes)).collect();
-    }
-    with_pool(threads, || builders.par_iter_mut().map(|b| error_curve(b, budget_bytes)).collect())
-}
-
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
@@ -299,28 +270,6 @@ pub fn apply_allocation<B: IncrementalBuilder>(builders: &mut [B], picks: &[Curv
             }
         }
     }
-}
-
-/// [`apply_allocation`] with the per-builder split replay fanned across
-/// `threads` workers. `threads <= 1` runs serially.
-pub fn apply_allocation_parallel<B>(builders: &mut [B], picks: &[CurvePoint], threads: usize)
-where
-    B: IncrementalBuilder + Send,
-{
-    if threads <= 1 {
-        return apply_allocation(builders, picks);
-    }
-    with_pool(threads, || {
-        builders.iter_mut().zip(picks).collect::<Vec<_>>().into_par_iter().for_each(
-            |(builder, pick)| {
-                while builder.bucket_count() < pick.buckets {
-                    if !builder.split_once() {
-                        break;
-                    }
-                }
-            },
-        );
-    });
 }
 
 #[cfg(test)]
@@ -469,32 +418,6 @@ mod tests {
         };
         let picks = optimal_dp(&curves, 300).unwrap();
         apply_allocation(&mut builders, &picks);
-        for (b, p) in builders.iter().zip(&picks) {
-            assert_eq!(b.bucket_count(), p.buckets);
-        }
-    }
-
-    #[test]
-    fn parallel_curves_match_serial() {
-        let rel = relation();
-        let mut serial = mhist_builders(&rel);
-        let expected: Vec<Vec<CurvePoint>> =
-            serial.iter_mut().map(|b| error_curve(b, 600)).collect();
-        let mut parallel = mhist_builders(&rel);
-        let got = error_curves_parallel(&mut parallel, 600, 4);
-        assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn parallel_apply_reaches_targets() {
-        let rel = relation();
-        let curves = {
-            let mut clones = mhist_builders(&rel);
-            error_curves_parallel(&mut clones, 300, 2)
-        };
-        let picks = optimal_dp(&curves, 300).unwrap();
-        let mut builders = mhist_builders(&rel);
-        apply_allocation_parallel(&mut builders, &picks, 4);
         for (b, p) in builders.iter().zip(&picks) {
             assert_eq!(b.bucket_count(), p.buckets);
         }

@@ -4,10 +4,10 @@
 //! histogram synopses (the older `DbHistogram::build_mhist` /
 //! `build_wavelet` / `build_grid` triple has been removed). It folds
 //! every construction knob — byte budget, clique-factor family, selection
-//! heuristic/algorithm, `k_max`, `θ`, split criterion, allocation
-//! strategy, and worker threads — into fluent methods, validates the
-//! whole configuration once at [`SynopsisBuilder::build`], and reports
-//! per-phase instrumentation through [`BuildTrace`].
+//! heuristic/algorithm, `k_max`, `θ`, split criterion, and allocation
+//! strategy — into fluent methods, validates the whole configuration once
+//! at [`SynopsisBuilder::build`], and reports per-phase instrumentation
+//! through [`BuildTrace`].
 //!
 //! ```
 //! use dbhist_core::builder::{FactorKind, SynopsisBuilder};
@@ -21,29 +21,17 @@
 //! let synopsis = SynopsisBuilder::new(&rel)
 //!     .budget(256)
 //!     .factor(FactorKind::Mhist)
-//!     .threads(1)
 //!     .build()
 //!     .unwrap();
 //! assert!(synopsis.storage_bytes() <= 256);
 //! let trace = synopsis.build_trace();
-//! assert_eq!(trace.threads, 1);
 //! assert!(trace.cliques >= 1);
 //! ```
 //!
-//! # Parallelism and determinism
-//!
-//! [`SynopsisBuilder::threads`] controls candidate-edge scoring during
-//! forward selection, per-clique histogram construction and assembly,
-//! and the per-clique error curves of the optimal-DP allocation. The
-//! `IncrementalGains` allocation is one serial greedy at every setting:
-//! each builder caches its next split, so a round costs one split and
-//! there is nothing left to fan out. `1` runs the exact serial code path;
-//! larger counts fan independent work across scoped worker threads while
-//! keeping the result **bit-identical** (entropies are pure functions of
-//! the relation, per-clique builder runs are independent, and every
-//! ranking/reduction stays serial with the same deterministic
-//! tie-breaks). `0` (the default) resolves to the machine's available
-//! parallelism.
+//! Construction runs on the calling thread. Its cost is the selection's
+//! entropy calculations plus the funded splits, a few tens of
+//! milliseconds at paper scale; DESIGN.md ("Construction is serial")
+//! records why no phase fans out across threads.
 
 use std::time::Duration;
 
@@ -78,8 +66,6 @@ pub enum FactorKind {
 /// sibling of [`QueryTrace`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BuildTrace {
-    /// Worker threads the build ran with (`1` = exact serial path).
-    pub threads: usize,
     /// Wall time of forward model selection.
     pub selection: Duration,
     /// Wall time of per-clique marginal computation + builder start.
@@ -90,7 +76,7 @@ pub struct BuildTrace {
     pub assembly: Duration,
     /// End-to-end wall time (selection through assembly).
     pub total: Duration,
-    /// Parallel tasks in the construction phase (one per model clique).
+    /// Clique histograms built (one per model clique).
     pub cliques: usize,
     /// Accepted forward-selection steps (edges added).
     pub selection_steps: usize,
@@ -100,17 +86,6 @@ pub struct BuildTrace {
     pub entropy_computations: usize,
     /// Allocation decisions funded beyond the one-bucket baseline.
     pub splits_funded: usize,
-}
-
-/// Resolves a user-facing thread knob: `0` means "use the machine's
-/// available parallelism", anything else is taken literally.
-#[must_use]
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        requested
-    }
 }
 
 /// A built synopsis, tagged by its clique-factor family.
@@ -306,11 +281,9 @@ pub struct SynopsisBuilder<'a> {
     relation: &'a Relation,
     budget_bytes: Option<usize>,
     factor: FactorKind,
-    threads: usize,
     selection: SelectionConfig,
     criterion: SplitCriterion,
     allocation: AllocationStrategy,
-    clique_floor: usize,
 }
 
 impl<'a> SynopsisBuilder<'a> {
@@ -321,11 +294,9 @@ impl<'a> SynopsisBuilder<'a> {
             relation,
             budget_bytes: None,
             factor: FactorKind::default(),
-            threads: 0,
             selection: SelectionConfig::default(),
             criterion: SplitCriterion::default(),
             allocation: AllocationStrategy::default(),
-            clique_floor: crate::synopsis::MIN_PARALLEL_CLIQUES,
         }
     }
 
@@ -341,36 +312,6 @@ impl<'a> SynopsisBuilder<'a> {
     #[must_use]
     pub fn factor(mut self, kind: FactorKind) -> Self {
         self.factor = kind;
-        self
-    }
-
-    /// Worker threads for model selection, clique construction and
-    /// assembly, and the optimal-DP allocation's curve measurement and
-    /// apply. `IncrementalGains` allocation always runs serially. `0`
-    /// (default) resolves to the machine's available parallelism; `1`
-    /// forces the exact serial path. Any setting produces bit-identical
-    /// synopses.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Work-size floors for the parallel phases: rounds with fewer than
-    /// `candidates` addable edges score serially, and builds with fewer
-    /// than `cliques` clique histograms construct/assemble serially,
-    /// even when `threads > 1`. Defaults are
-    /// [`dbhist_model::selection::MIN_PARALLEL_CANDIDATES`] and
-    /// [`crate::synopsis::MIN_PARALLEL_CLIQUES`], below which pool
-    /// spin-up costs more than the parallelism returns
-    /// (`BENCH_build.json` records the measurements). Path choice never
-    /// affects results — serial and parallel are bit-identical. Mostly a
-    /// testing hook: equivalence suites lower the floors to force the
-    /// parallel paths on small fixtures.
-    #[must_use]
-    pub fn parallel_floors(mut self, candidates: usize, cliques: usize) -> Self {
-        self.selection.parallel_candidate_floor = candidates;
-        self.clique_floor = cliques;
         self
     }
 
@@ -456,17 +397,14 @@ impl<'a> SynopsisBuilder<'a> {
                 reason: format!("theta must lie in [0, 1), got {}", self.selection.theta),
             });
         }
-        let selection =
-            SelectionConfig { threads: resolve_threads(self.threads), ..self.selection };
         // Re-run the model layer's own validation so the two can never
         // drift apart silently.
-        selection.validate()?;
+        self.selection.validate()?;
         Ok(DbConfig {
             budget_bytes,
-            selection,
+            selection: self.selection,
             criterion: self.criterion,
             allocation: self.allocation,
-            parallel_clique_floor: self.clique_floor,
         })
     }
 
@@ -542,13 +480,11 @@ mod tests {
     fn builds_each_factor_kind() {
         let rel = relation();
         for kind in [FactorKind::Mhist, FactorKind::Grid, FactorKind::Wavelet] {
-            let synopsis =
-                SynopsisBuilder::new(&rel).budget(400).factor(kind).threads(1).build().unwrap();
+            let synopsis = SynopsisBuilder::new(&rel).budget(400).factor(kind).build().unwrap();
             assert_eq!(synopsis.factor_kind(), kind);
             assert!(synopsis.storage_bytes() <= 400);
             assert!(synopsis.model().graph().has_edge(0, 1));
             let trace = synopsis.build_trace();
-            assert_eq!(trace.threads, 1);
             assert_eq!(trace.cliques, synopsis.model().cliques().len());
             assert!(trace.total >= trace.selection);
             assert!(trace.selection_steps >= 1);
@@ -560,11 +496,11 @@ mod tests {
     #[test]
     fn typed_builds_return_concrete_histograms() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_mhist().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_mhist().unwrap();
         assert_eq!(db.name(), "DB2");
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_grid().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_grid().unwrap();
         assert_eq!(db.name(), "DB-grid");
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_wavelet().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_wavelet().unwrap();
         assert_eq!(db.name(), "DB-wavelet");
     }
 
@@ -584,36 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(7), 7);
-        let rel = relation();
-        let synopsis = SynopsisBuilder::new(&rel).budget(300).build().unwrap();
-        assert!(synopsis.build_trace().threads >= 1);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_build() {
-        let rel = relation();
-        let serial = SynopsisBuilder::new(&rel).budget(400).threads(1).build_mhist().unwrap();
-        let parallel = SynopsisBuilder::new(&rel).budget(400).threads(4).build_mhist().unwrap();
-        assert_eq!(serial.model().graph(), parallel.model().graph());
-        assert_eq!(
-            SelectivityEstimator::storage_bytes(&serial),
-            SelectivityEstimator::storage_bytes(&parallel)
-        );
-        assert_eq!(format!("{:?}", serial.factors()), format!("{:?}", parallel.factors()));
-        assert_eq!(serial.build_trace().splits_funded, parallel.build_trace().splits_funded);
-        assert_eq!(
-            serial.build_trace().entropy_computations,
-            parallel.build_trace().entropy_computations
-        );
-    }
-
-    #[test]
     fn synopsis_enum_accessors() {
         let rel = relation();
-        let synopsis = SynopsisBuilder::new(&rel).budget(300).threads(1).build().unwrap();
+        let synopsis = SynopsisBuilder::new(&rel).budget(300).build().unwrap();
         assert!(synopsis.as_mhist().is_some());
         assert!(synopsis.as_grid().is_none());
         assert!(synopsis.as_wavelet().is_none());

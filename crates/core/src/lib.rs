@@ -23,11 +23,10 @@
 //!   pseudo-polynomial dynamic program and the `IncrementalGains` greedy
 //!   (Fig. 2).
 //! * [`builder::SynopsisBuilder`] — the unified construction API:
-//!   `SynopsisBuilder::new(&rel).budget(b).factor(kind).threads(n).build()`
-//!   runs the full pipeline (`model selection → clique-histogram building
-//!   under a byte budget`), optionally fanning selection and per-clique
-//!   work across worker threads with bit-identical results, and records a
-//!   [`builder::BuildTrace`] of per-phase wall times.
+//!   `SynopsisBuilder::new(&rel).budget(b).factor(kind).build()` runs the
+//!   full pipeline (`model selection → clique-histogram building under a
+//!   byte budget`) and records a [`builder::BuildTrace`] of per-phase wall
+//!   times.
 //! * [`synopsis::DbHistogram`] — the built synopsis and its
 //!   range-selectivity estimation.
 //! * [`baselines`] — the estimators the paper compares against: `IND`

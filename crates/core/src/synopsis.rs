@@ -28,11 +28,8 @@ use dbhist_model::selection::{ForwardSelector, SelectionConfig, SelectionResult}
 use dbhist_model::DecomposableModel;
 use dbhist_telemetry::span::SpanRecord;
 use dbhist_telemetry::{DriftMonitor, SpanCollector};
-use rayon::prelude::*;
 
-use crate::alloc::{
-    apply_allocation_parallel, error_curves_parallel, incremental_gains, optimal_dp, with_pool,
-};
+use crate::alloc::{apply_allocation, error_curve, incremental_gains, optimal_dp};
 use crate::build::{GridCliqueBuilder, IncrementalBuilder, MhistCliqueBuilder};
 use crate::builder::BuildTrace;
 use crate::error::SynopsisError;
@@ -53,12 +50,6 @@ pub enum AllocationStrategy {
     OptimalDp,
 }
 
-/// Default work-size floor for parallel clique-histogram construction
-/// and assembly (see [`DbConfig::parallel_clique_floor`]): builds with
-/// fewer cliques run those phases serially regardless of the configured
-/// thread count.
-pub const MIN_PARALLEL_CLIQUES: usize = 8;
-
 /// Configuration for building a [`DbHistogram`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbConfig {
@@ -70,12 +61,6 @@ pub struct DbConfig {
     pub criterion: SplitCriterion,
     /// Budget distribution strategy.
     pub allocation: AllocationStrategy,
-    /// Work-size floor for parallel clique-histogram construction and
-    /// assembly: builds with fewer cliques than this run those phases
-    /// serially even when `selection.threads > 1` (see
-    /// [`MIN_PARALLEL_CLIQUES`]). Serial and parallel are bit-identical;
-    /// the floor only avoids paying thread fan-out for tiny builds.
-    pub parallel_clique_floor: usize,
 }
 
 impl DbConfig {
@@ -88,7 +73,6 @@ impl DbConfig {
             selection: SelectionConfig::default(),
             criterion: SplitCriterion::default(),
             allocation: AllocationStrategy::default(),
-            parallel_clique_floor: MIN_PARALLEL_CLIQUES,
         }
     }
 }
@@ -359,59 +343,27 @@ impl<F: Factor> SelectivityEstimator for DbHistogram<F> {
     }
 }
 
-/// Starts one incremental builder per model clique, computing the clique
-/// marginals concurrently when `threads > 1` and the model has at least
-/// `clique_floor` cliques (each marginal is a pure projection of the
-/// relation, so results are identical to the serial loop; errors surface
-/// in clique order either way). Below the floor the serial loop wins:
-/// projecting a handful of small marginals is microseconds of work,
-/// while spinning a pool and distributing chunks is not
-/// (`BENCH_build.json` measured 0.91x at 4 threads on a 5-clique build
-/// before the floor existed).
+/// Starts one incremental builder per model clique, in clique order.
 fn start_builders<B>(
     relation: &Relation,
     model: &DecomposableModel,
-    threads: usize,
-    clique_floor: usize,
-    start: &(impl Fn(&Distribution) -> Result<B, SynopsisError> + Sync),
-) -> Result<Vec<B>, SynopsisError>
-where
-    B: Send,
-{
-    let cliques = model.cliques();
-    if threads <= 1 || cliques.len() < clique_floor.max(2) {
-        return cliques
-            .iter()
-            .map(|c| {
-                let marginal = relation.marginal(c)?;
-                start(&marginal)
-            })
-            .collect();
-    }
-    let started: Vec<Result<B, SynopsisError>> = with_pool(threads, || {
-        cliques
-            .par_iter()
-            .map(|c| relation.marginal(c).map_err(SynopsisError::from).and_then(|m| start(&m)))
-            .collect()
-    });
-    started.into_iter().collect()
+    start: &impl Fn(&Distribution) -> Result<B, SynopsisError>,
+) -> Result<Vec<B>, SynopsisError> {
+    model.cliques().iter().map(|c| start(&relation.marginal(c)?)).collect()
 }
 
 /// Shared construction pipeline: select a model, then build the clique
 /// histograms within the budget using `start` to create each builder and
-/// `finish` to materialize it. The worker-thread count comes from
-/// `config.selection.threads` and governs every phase except the serial
-/// `IncrementalGains` greedy; the result is bit-identical across thread
-/// counts. Phase wall times and task counts are recorded on the returned
-/// synopsis's [`BuildTrace`].
+/// `finish` to materialize it. Phase wall times and task counts are
+/// recorded on the returned synopsis's [`BuildTrace`].
 fn build_generic<B, F>(
     relation: &Relation,
     config: &DbConfig,
-    start: impl Fn(&Distribution) -> Result<B, SynopsisError> + Sync,
+    start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
 ) -> Result<(DbHistogram<F>, SelectionResult), SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F> + Send + Sync,
-    F: Factor + Send,
+    B: IncrementalBuilder<Histogram = F>,
+    F: Factor,
 {
     config.selection.validate()?;
     // Phase wall times are derived from the span stream rather than
@@ -445,19 +397,17 @@ fn build_for_model<B, F>(
     relation: &Relation,
     model: DecomposableModel,
     config: &DbConfig,
-    start: impl Fn(&Distribution) -> Result<B, SynopsisError> + Sync,
+    start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
 ) -> Result<DbHistogram<F>, SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F> + Send + Sync,
-    F: Factor + Send,
+    B: IncrementalBuilder<Histogram = F>,
+    F: Factor,
 {
-    let threads = config.selection.threads.max(1);
-    let clique_floor = config.parallel_clique_floor;
     let collector = SpanCollector::install();
 
     let mut builders: Vec<B> = {
         let _span = dbhist_telemetry::span!("dbhist_build_construction_latency_us");
-        start_builders(relation, &model, threads, clique_floor, &start)?
+        start_builders(relation, &model, &start)?
     };
 
     let splits_funded = {
@@ -470,10 +420,11 @@ where
                 // Measuring the error curves drives the builders to
                 // saturation; fresh builders are created below for the
                 // actual allocation.
-                let curves = error_curves_parallel(&mut builders, config.budget_bytes, threads);
-                builders = start_builders(relation, &model, threads, clique_floor, &start)?;
+                let curves: Vec<_> =
+                    builders.iter_mut().map(|b| error_curve(b, config.budget_bytes)).collect();
+                builders = start_builders(relation, &model, &start)?;
                 let picks = optimal_dp(&curves, config.budget_bytes)?;
-                apply_allocation_parallel(&mut builders, &picks, threads);
+                apply_allocation(&mut builders, &picks);
                 picks.iter().map(|p| p.buckets.saturating_sub(1)).sum()
             }
         }
@@ -482,13 +433,7 @@ where
     let (bytes, factors, engine): (usize, Vec<F>, QueryEngine) = {
         let _span = dbhist_telemetry::span!("dbhist_build_assembly_latency_us");
         let bytes = builders.iter().map(IncrementalBuilder::storage_bytes).sum();
-        // Same work-size floor as construction: finishing a few small
-        // builders serially beats paying pool fan-out for them.
-        let factors: Vec<F> = if threads <= 1 || builders.len() < clique_floor.max(2) {
-            builders.iter().map(IncrementalBuilder::finish).collect()
-        } else {
-            with_pool(threads, || builders.par_iter().map(IncrementalBuilder::finish).collect())
-        };
+        let factors: Vec<F> = builders.iter().map(IncrementalBuilder::finish).collect();
         let engine = QueryEngine::new(model.junction_tree());
         (bytes, factors, engine)
     };
@@ -505,7 +450,6 @@ where
     }
 
     let trace = BuildTrace {
-        threads,
         construction,
         allocation,
         assembly,
@@ -626,7 +570,7 @@ mod tests {
     #[test]
     fn build_discovers_model_and_respects_budget() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(300).threads(1).build_mhist().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(300).build_mhist().unwrap();
         assert!(db.storage_bytes() <= 300);
         assert!(db.model().graph().has_edge(0, 1));
         assert_eq!(db.model().edge_count(), 1);
@@ -637,7 +581,7 @@ mod tests {
     #[test]
     fn estimates_correlated_pair_well() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_mhist().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_mhist().unwrap();
         // The model captures a == b. Point queries on a perfectly uniform
         // diagonal are MHIST's worst case (intra-bucket uniformity spreads
         // mass over the box), so — like the paper — we evaluate range
@@ -657,7 +601,7 @@ mod tests {
     #[test]
     fn empty_predicate_estimates_table_size() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(300).threads(1).build_mhist().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(300).build_mhist().unwrap();
         assert!((db.estimate(&Query::all()) - 4096.0).abs() < 1e-6);
         // Unknown attributes are ignored, falling back to N.
         assert!((db.estimate(&Query::range(99, 0, 1)) - 4096.0).abs() < 1e-6);
@@ -668,7 +612,6 @@ mod tests {
         let rel = relation();
         let db = SynopsisBuilder::new(&rel)
             .budget(300)
-            .threads(1)
             .heuristic(EdgeHeuristic::Db1)
             .allocation(AllocationStrategy::OptimalDp)
             .build_mhist()
@@ -681,7 +624,7 @@ mod tests {
     #[test]
     fn grid_variant_builds_and_estimates() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(300).threads(1).build_grid().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(300).build_grid().unwrap();
         assert!(db.storage_bytes() <= 300);
         let est = db.estimate(&Query::range(2, 0, 1));
         let exact = rel.count_range(&[(2, 0, 1)]) as f64;
@@ -712,7 +655,7 @@ mod tests {
     #[test]
     fn wavelet_variant_builds_and_estimates() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_wavelet().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_wavelet().unwrap();
         assert!(db.storage_bytes() <= 400);
         assert_eq!(db.name(), "DB-wavelet");
         assert!(db.model().graph().has_edge(0, 1));
@@ -725,7 +668,7 @@ mod tests {
     #[test]
     fn repeated_workload_rides_the_kernel_without_clones() {
         let rel = relation();
-        let db = SynopsisBuilder::new(&rel).budget(400).threads(1).build_mhist().unwrap();
+        let db = SynopsisBuilder::new(&rel).budget(400).build_mhist().unwrap();
         db.reset_query_trace();
         // Eight queries, one attribute-set shape {a, b} — a single clique
         // of the discovered model. The first compiles a plan and lowers a
@@ -762,7 +705,7 @@ mod tests {
             (0..16).map(|i| vec![(0u16, i % 8, i % 8), (2, i % 4, i % 4)]).collect();
         let mut errors = Vec::new();
         for budget in [200usize, 800] {
-            let db = SynopsisBuilder::new(&rel).budget(budget).threads(1).build_mhist().unwrap();
+            let db = SynopsisBuilder::new(&rel).budget(budget).build_mhist().unwrap();
             let mean: f64 = queries
                 .iter()
                 .map(|q| {

@@ -19,10 +19,17 @@
 //! sorted codes are compacted to the distinct cells before a caller builds
 //! anything per cell.
 //!
+//! A row-major scan brings every row into cache whatever the attribute
+//! set. [`Columns`] is a column-major byte copy for a caller that counts
+//! many small marginals of one relation (forward selection's entropies):
+//! it counts one- and two-attribute sets from just their columns, into
+//! the same dense code layout.
+//!
 //! [`Distribution`]: crate::Distribution
 //! [`Distribution::from_relation`]: crate::Distribution::from_relation
 
 use crate::attr::AttrSet;
+use crate::distribution::entropy;
 use crate::error::DistributionError;
 use crate::relation::Relation;
 
@@ -152,6 +159,71 @@ impl<'a> CellCounts<'a> {
             }
         }
         key.into_boxed_slice()
+    }
+}
+
+/// A column-major copy of a relation whose every attribute domain fits a
+/// byte, one byte per value.
+#[derive(Debug)]
+pub(crate) struct Columns<'a> {
+    rel: &'a Relation,
+    columns: Vec<Vec<u8>>,
+}
+
+impl<'a> Columns<'a> {
+    /// Transposes `rel`, or returns `None` if an attribute's domain has
+    /// more than 256 values.
+    pub(crate) fn new(rel: &'a Relation) -> Option<Self> {
+        let schema = rel.schema();
+        if schema.iter().any(|(_, attr)| attr.domain_size > 256) {
+            return None;
+        }
+        let mut columns: Vec<Vec<u8>> =
+            (0..schema.arity()).map(|_| Vec::with_capacity(rel.row_count())).collect();
+        for row in rel.rows() {
+            for (column, &v) in columns.iter_mut().zip(row) {
+                // A value is below its domain size, at most 256.
+                column.push(v as u8);
+            }
+        }
+        Some(Self { rel, columns })
+    }
+
+    /// Entropy of the projection onto `attrs`, bit-identical to
+    /// [`Relation::marginal_entropy`]. A one- or two-attribute set is
+    /// counted here from its columns into the dense code layout
+    /// [`CellCounts`] uses for it (its code space is at most `2^16`
+    /// cells), so the same counts are summed in the same ascending key
+    /// order; any other set is counted from the rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistributionError::UnknownAttr`] if `attrs` references an
+    /// attribute outside the relation's schema.
+    pub(crate) fn marginal_entropy(&self, attrs: &AttrSet) -> Result<f64, DistributionError> {
+        let schema = self.rel.schema();
+        let domain = |a| schema.attr(a).map(|attr| attr.domain_size as usize);
+        let column = |a: u16| &self.columns[usize::from(a)];
+        let counts = match *attrs.as_slice() {
+            [a] => {
+                let mut counts = vec![0u32; domain(a)?];
+                for &x in column(a) {
+                    counts[usize::from(x)] += 1;
+                }
+                counts
+            }
+            [a, b] => {
+                let radix = domain(b)?;
+                let mut counts = vec![0u32; domain(a)? * radix];
+                for (&x, &y) in column(a).iter().zip(column(b)) {
+                    counts[usize::from(x) * radix + usize::from(y)] += 1;
+                }
+                counts
+            }
+            _ => return self.rel.marginal_entropy(attrs),
+        };
+        let cells = counts.into_iter().filter(|&count| count > 0);
+        Ok(entropy(self.rel.row_count() as f64, cells.map(f64::from)))
     }
 }
 

@@ -62,7 +62,7 @@ pub mod measures;
 pub mod relation;
 
 pub use attr::{Attr, AttrId, AttrSet, Schema};
-pub use cache::{EntropyCache, SyncEntropyCache};
+pub use cache::EntropyCache;
 pub use distribution::Distribution;
 pub use error::DistributionError;
 pub use relation::Relation;

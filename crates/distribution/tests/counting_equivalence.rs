@@ -4,7 +4,8 @@
 //! The reference below is the counter the packed-code kernel replaced: it
 //! projects each row onto the attribute set and bumps a `BTreeMap` entry.
 //! `Distribution::from_relation` must reproduce its cells, counts, total
-//! and entropy bits, and `Relation::marginal_entropy` its entropy bits, on
+//! and entropy bits, and `Relation::marginal_entropy` and `EntropyCache`
+//! (which counts small sets from a column-major copy) its entropy bits, on
 //! random schemas chosen to reach every path of the kernel: dense and
 //! sorted counting on both sides of the boundary, rank compression of code
 //! spaces above 2^64, domain-size-1 attributes, zero rows and single
@@ -14,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use dbhist_distribution::{AttrId, AttrSet, Distribution, Relation, Schema};
+use dbhist_distribution::{AttrId, AttrSet, Distribution, EntropyCache, Relation, Schema};
 use proptest::prelude::*;
 
 /// Per-row `BTreeMap` counts of `rel` projected onto `attrs`.
@@ -62,6 +63,11 @@ fn check_subset(rel: &Relation, attrs: &AttrSet) -> Result<(), String> {
     let direct = rel.marginal_entropy(attrs).map_err(|e| e.to_string())?;
     if direct.to_bits() != h.to_bits() {
         return Err(format!("Relation::marginal_entropy {direct} != {h} over {attrs:?}"));
+    }
+    // The cache defines the empty set's entropy as exactly 0.
+    let cached = EntropyCache::new(rel).entropy(attrs);
+    if !attrs.is_empty() && cached.to_bits() != h.to_bits() {
+        return Err(format!("EntropyCache::entropy {cached} != {h} over {attrs:?}"));
     }
     Ok(())
 }
@@ -161,6 +167,22 @@ fn dense_and_sorted_counting_agree_across_the_boundary() {
             for attrs in [AttrSet::singleton(0), AttrSet::from_ids([0, 1])] {
                 check_subset(&rel, &attrs).unwrap();
             }
+        }
+    }
+}
+
+/// `EntropyCache` counts small sets from a byte-per-value copy when every
+/// domain has at most 256 values, and from the rows otherwise.
+#[test]
+fn byte_columns_cover_domains_up_to_256() {
+    for wide in [256u32, 257] {
+        let schema = Schema::new(vec![("x", wide), ("y", 3), ("z", 256)]).unwrap();
+        let data: Vec<Vec<u32>> =
+            (0..5_000u32).map(|i| vec![(i * 7919) % wide, i % 3, 255 - (i * 31) % 256]).collect();
+        let rel = Relation::from_rows(schema, data).unwrap();
+        for mask in 1u32..8 {
+            let attrs = AttrSet::from_ids((0..3).filter(|&a| mask & (1 << a) != 0));
+            check_subset(&rel, &attrs).unwrap();
         }
     }
 }

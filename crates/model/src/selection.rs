@@ -25,9 +25,7 @@
 //!   minimal separator `S`, requiring just four (memoized) marginal
 //!   entropies per candidate instead of a full model evaluation.
 
-use dbhist_distribution::fxhash::FxHashSet;
-use dbhist_distribution::{measures, AttrId, AttrSet, Relation, SyncEntropyCache};
-use rayon::prelude::*;
+use dbhist_distribution::{measures, AttrId, AttrSet, EntropyCache, Relation};
 
 use crate::chordal::addable_edge_separator;
 use crate::decomposable::DecomposableModel;
@@ -64,11 +62,6 @@ pub enum SelectionAlgorithm {
     Efficient,
 }
 
-/// Default work-size floor for parallel candidate scoring (see
-/// [`SelectionConfig::parallel_candidate_floor`]): rounds with fewer
-/// addable edges run serially regardless of the configured thread count.
-pub const MIN_PARALLEL_CANDIDATES: usize = 32;
-
 /// Configuration for forward selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionConfig {
@@ -85,21 +78,6 @@ pub struct SelectionConfig {
     /// Optional hard cap on the number of edges added (used by the Fig. 6
     /// model-complexity sweep).
     pub max_edges: Option<usize>,
-    /// Worker threads for per-round candidate scoring. `1` (the default)
-    /// runs the exact serial path; any larger count scores candidates
-    /// concurrently with bit-identical results (scores are independent
-    /// given the current model, entropies are pure functions of the
-    /// relation, and the greedy reduction stays serial with the
-    /// deterministic edge-id tie-break).
-    pub threads: usize,
-    /// Work-size floor for parallel candidate scoring: rounds with fewer
-    /// addable edges than this take the serial path even when
-    /// `threads > 1`. Scoring one candidate costs a few entropy lookups,
-    /// so small rounds lose more to pool spin-up and work distribution
-    /// than they gain (`BENCH_build.json` measured 0.85x at 4 threads on
-    /// a 15-candidate workload before this floor existed). The path
-    /// choice never affects results — both are bit-identical.
-    pub parallel_candidate_floor: usize,
 }
 
 impl Default for SelectionConfig {
@@ -110,8 +88,6 @@ impl Default for SelectionConfig {
             heuristic: EdgeHeuristic::default(),
             algorithm: SelectionAlgorithm::default(),
             max_edges: None,
-            threads: 1,
-            parallel_candidate_floor: MIN_PARALLEL_CANDIDATES,
         }
     }
 }
@@ -121,8 +97,8 @@ impl SelectionConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] for `k_max < 2`, `theta`
-    /// outside `[0, 1)`, or `threads == 0`.
+    /// Returns [`ModelError::InvalidConfig`] for `k_max < 2` or `theta`
+    /// outside `[0, 1)`.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.k_max < 2 {
             return Err(ModelError::InvalidConfig {
@@ -132,11 +108,6 @@ impl SelectionConfig {
         if !(0.0..1.0).contains(&self.theta) {
             return Err(ModelError::InvalidConfig {
                 reason: format!("theta must lie in [0, 1), got {}", self.theta),
-            });
-        }
-        if self.threads == 0 {
-            return Err(ModelError::InvalidConfig {
-                reason: "threads must be at least 1 (1 = serial path)".to_string(),
             });
         }
         Ok(())
@@ -219,7 +190,7 @@ pub struct SelectionResult {
 /// Greedy forward selector over decomposable models.
 #[derive(Debug)]
 pub struct ForwardSelector<'a> {
-    cache: SyncEntropyCache<'a>,
+    cache: EntropyCache<'a>,
     config: SelectionConfig,
     graph: MarkovGraph,
     divergence: f64,
@@ -238,24 +209,16 @@ impl<'a> ForwardSelector<'a> {
         #[allow(clippy::expect_used)]
         config.validate().expect("invalid selection config"); // lint:allow(panic-surface): documented panic contract on invalid config
         let n = relation.schema().arity();
-        let cache = SyncEntropyCache::new(relation);
+        let mut cache = EntropyCache::new(relation);
         let graph = MarkovGraph::empty(n);
-        let divergence = Self::graph_divergence(&graph, relation, &cache);
+        let divergence = Self::graph_divergence(&graph, relation, &mut cache);
         Self { cache, config, graph, divergence, peak_candidates: 0 }
-    }
-
-    /// Runs `op` under a worker pool sized to the configured thread count.
-    fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        match rayon::ThreadPoolBuilder::new().num_threads(self.config.threads).build() {
-            Ok(pool) => pool.install(op),
-            Err(_) => op(),
-        }
     }
 
     fn graph_divergence(
         graph: &MarkovGraph,
         relation: &Relation,
-        cache: &SyncEntropyCache<'_>,
+        cache: &mut EntropyCache<'_>,
     ) -> f64 {
         // Selection only proposes chordality-preserving edges; a build
         // failure means the graph is unusable, so poison the score with an
@@ -282,9 +245,8 @@ impl<'a> ForwardSelector<'a> {
     }
 
     /// Scores an addable candidate whose minimal separator is already
-    /// known. Takes `&self` so that rounds can fan candidates out across
-    /// worker threads, all reading the shared entropy cache.
-    fn score_with_separator(&self, u: AttrId, v: AttrId, separator: AttrSet) -> EdgeCandidate {
+    /// known.
+    fn score_with_separator(&mut self, u: AttrId, v: AttrId, separator: AttrSet) -> EdgeCandidate {
         let relation = self.cache.relation();
         let schema = relation.schema();
         let n = relation.row_count() as f64;
@@ -304,7 +266,7 @@ impl<'a> ForwardSelector<'a> {
                 // is never picked.
                 let mut augmented = self.graph.clone();
                 if augmented.add_edge(u, v).is_ok() {
-                    let new_d = Self::graph_divergence(&augmented, relation, &self.cache);
+                    let new_d = Self::graph_divergence(&augmented, relation, &mut self.cache);
                     self.divergence - new_d
                 } else {
                     0.0
@@ -345,16 +307,9 @@ impl<'a> ForwardSelector<'a> {
         !(0..n).any(|w| !set.contains(w) && set.iter().all(|m| self.graph.has_edge(w, m)))
     }
 
-    /// Scores every addable candidate edge under the current model.
-    ///
-    /// With `config.threads > 1` the candidates are scored concurrently:
-    /// the entropies each score reads are pre-computed in parallel over
-    /// the deterministically deduplicated subset list (so the cache-miss
-    /// count matches the serial path exactly), then the scores — pure
-    /// functions of cached entropies — are evaluated in parallel and
-    /// returned in enumeration order. The output is bit-identical to the
-    /// serial path.
-    pub fn candidates(&self) -> Vec<EdgeCandidate> {
+    /// Scores every addable candidate edge under the current model, in
+    /// enumeration order.
+    pub fn candidates(&mut self) -> Vec<EdgeCandidate> {
         let addable: Vec<(AttrId, AttrId, AttrSet)> = self
             .graph
             .non_edges()
@@ -363,76 +318,7 @@ impl<'a> ForwardSelector<'a> {
                 (sep.len() + 2 <= self.config.k_max).then_some((u, v, sep))
             })
             .collect();
-        if self.config.threads > 1 && addable.len() >= self.config.parallel_candidate_floor.max(2) {
-            self.prewarm(&addable);
-            self.install(|| {
-                addable
-                    .into_par_iter()
-                    .map(|(u, v, sep)| self.score_with_separator(u, v, sep))
-                    .collect()
-            })
-        } else {
-            addable.into_iter().map(|(u, v, sep)| self.score_with_separator(u, v, sep)).collect()
-        }
-    }
-
-    /// Every entropy subset this round's scoring will read, in candidate
-    /// order (with duplicates).
-    fn round_subsets(&self, addable: &[(AttrId, AttrId, AttrSet)]) -> Vec<AttrSet> {
-        match self.config.algorithm {
-            SelectionAlgorithm::Efficient => addable
-                .iter()
-                .flat_map(|(u, v, sep)| {
-                    [sep.with(*u), sep.with(*v), sep.clone(), sep.with(*u).with(*v)]
-                })
-                .collect(),
-            SelectionAlgorithm::Naive => {
-                // Each candidate's score reads the cliques and separators
-                // of its augmented junction tree (plus the joint entropy,
-                // cached since construction).
-                let per_candidate: Vec<Vec<AttrSet>> = self.install(|| {
-                    addable
-                        .par_iter()
-                        .map(|(u, v, _sep)| {
-                            let mut augmented = self.graph.clone();
-                            if augmented.add_edge(*u, *v).is_err() {
-                                return Vec::new();
-                            }
-                            match JunctionTree::build(&augmented) {
-                                Ok(jt) => jt
-                                    .cliques()
-                                    .iter()
-                                    .cloned()
-                                    .chain(jt.separators().cloned())
-                                    .collect(),
-                                Err(_) => Vec::new(),
-                            }
-                        })
-                        .collect()
-                });
-                per_candidate.into_iter().flatten().collect()
-            }
-        }
-    }
-
-    /// Computes (in parallel) and caches every entropy the round is
-    /// missing. Deduplication keeps each subset computed exactly once, so
-    /// [`SelectionResult::entropy_computations`] matches the serial path.
-    fn prewarm(&self, addable: &[(AttrId, AttrId, AttrSet)]) {
-        let mut seen = FxHashSet::default();
-        let missing: Vec<AttrSet> = self
-            .round_subsets(addable)
-            .into_iter()
-            .filter(|s| seen.insert(s.clone()) && !self.cache.contains(s))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let computed: Vec<f64> =
-            self.install(|| missing.par_iter().map(|s| self.cache.compute(s)).collect());
-        for (subset, entropy) in missing.into_iter().zip(computed) {
-            self.cache.insert(subset, entropy);
-        }
+        addable.into_iter().map(|(u, v, sep)| self.score_with_separator(u, v, sep)).collect()
     }
 
     /// Performs one greedy step: scores all candidates, accepts the best
@@ -457,7 +343,7 @@ impl<'a> ForwardSelector<'a> {
         // stop selecting rather than abort.
         self.graph.add_edge(best.u, best.v).ok()?;
         let relation = self.cache.relation();
-        self.divergence = Self::graph_divergence(&self.graph, relation, &self.cache);
+        self.divergence = Self::graph_divergence(&self.graph, relation, &mut self.cache);
         let model = DecomposableModel::new(relation.schema().clone(), self.graph.clone()).ok()?;
         Some(SelectionStep { candidate: best, divergence_after: self.divergence, model })
     }
@@ -637,43 +523,7 @@ mod tests {
         assert!(SelectionConfig { k_max: 1, ..Default::default() }.validate().is_err());
         assert!(SelectionConfig { theta: 1.0, ..Default::default() }.validate().is_err());
         assert!(SelectionConfig { theta: -0.1, ..Default::default() }.validate().is_err());
-        assert!(SelectionConfig { threads: 0, ..Default::default() }.validate().is_err());
         assert!(SelectionConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn parallel_rounds_are_bit_identical_to_serial() {
-        let rel = two_pair_relation();
-        for algorithm in [SelectionAlgorithm::Naive, SelectionAlgorithm::Efficient] {
-            for heuristic in [EdgeHeuristic::Db1, EdgeHeuristic::Db2] {
-                let base =
-                    SelectionConfig { algorithm, heuristic, theta: 0.0, ..Default::default() };
-                let serial = ForwardSelector::new(&rel, base).run();
-                // Floor lowered to 2 so this small fixture actually
-                // exercises the parallel scoring path.
-                let parallel = ForwardSelector::new(
-                    &rel,
-                    SelectionConfig { threads: 4, parallel_candidate_floor: 2, ..base },
-                )
-                .run();
-                assert_eq!(serial.model.graph(), parallel.model.graph());
-                assert_eq!(serial.steps.len(), parallel.steps.len());
-                for (a, b) in serial.steps.iter().zip(&parallel.steps) {
-                    assert_eq!((a.candidate.u, a.candidate.v), (b.candidate.u, b.candidate.v));
-                    assert_eq!(
-                        a.candidate.improvement.to_bits(),
-                        b.candidate.improvement.to_bits(),
-                        "{algorithm:?}/{heuristic:?}: improvement differs"
-                    );
-                    assert_eq!(a.divergence_after.to_bits(), b.divergence_after.to_bits());
-                }
-                assert_eq!(
-                    serial.entropy_computations, parallel.entropy_computations,
-                    "{algorithm:?}/{heuristic:?}: prewarm must not duplicate entropy work"
-                );
-                assert_eq!(serial.peak_candidates, parallel.peak_candidates);
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Golden pin for whole synopsis builds on fixed Census samples.
 //!
 //! Each case builds a synopsis with the default configuration (model
-//! selection plus `IncrementalGains` allocation) at one and two worker
-//! threads and compares the number of funded splits, the bucket count of
-//! every clique factor, the storage bytes, a CRC-32 of the saved snapshot
-//! bytes, and the bit patterns of the estimates on a fixed query set.
+//! selection plus `IncrementalGains` allocation) and compares the number
+//! of funded splits, the bucket count of every clique factor, the storage
+//! bytes, a CRC-32 of the saved snapshot bytes, and the bit patterns of
+//! the estimates on a fixed query set.
 //! Any change to split selection, the error bookkeeping that ranks splits,
 //! the allocator's tie-breaking or the factor encodings shows up here.
 
@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dbhist::core::builder::{FactorKind, SynopsisBuilder};
 use dbhist::core::{Query, SelectivityEstimator, Synopsis};
 use dbhist::data::census;
-use dbhist::distribution::Relation;
+use dbhist::data::workload::{Workload, WorkloadConfig};
+use dbhist::distribution::{Relation, Schema};
 use dbhist::persist::crc32;
 
 /// What one build is pinned to.
@@ -50,16 +51,8 @@ fn queries(rel: &Relation) -> Vec<Query> {
     out
 }
 
-fn pin(rel: &Relation, kind: FactorKind, budget: usize, threads: usize) -> Pin {
-    let synopsis = SynopsisBuilder::new(rel)
-        .budget(budget)
-        .factor(kind)
-        .threads(threads)
-        // Lowered floors make the two-thread build take the parallel
-        // selection, construction and assembly paths on these models.
-        .parallel_floors(2, 2)
-        .build()
-        .unwrap();
+fn pin(rel: &Relation, kind: FactorKind, budget: usize) -> Pin {
+    let synopsis = SynopsisBuilder::new(rel).budget(budget).factor(kind).build().unwrap();
     let buckets = match &synopsis {
         Synopsis::Mhist(db) => db.factors().iter().map(|f| f.bucket_count()).collect(),
         Synopsis::Grid(db) => db.factors().iter().map(|f| f.bucket_count()).collect(),
@@ -79,10 +72,7 @@ fn pin(rel: &Relation, kind: FactorKind, budget: usize, threads: usize) -> Pin {
 }
 
 fn assert_pinned(rel: &Relation, kind: FactorKind, budget: usize, expected: &Pin) {
-    for threads in [1usize, 2] {
-        let got = pin(rel, kind, budget, threads);
-        assert_eq!(&got, expected, "{kind:?} at {budget} bytes, {threads} threads");
-    }
+    assert_eq!(&pin(rel, kind, budget), expected, "{kind:?} at {budget} bytes");
 }
 
 #[test]
@@ -185,4 +175,60 @@ fn census_2_mhist_20kb_is_pinned() {
             ],
         },
     );
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// A deterministic 40,000-row table over six domain-64 attributes: two
+/// strongly correlated pairs `(a0, a1)` and `(a2, a3)` plus two
+/// independent attributes. The wide domains give the clique marginals
+/// thousands of cells, so a 64 KB budget funds thousands of splits.
+fn correlated_pairs() -> Relation {
+    const DOMAIN: u32 = 64;
+    let mut state = 0xB11D_5EEDu64;
+    let schema = Schema::new((0..6).map(|i| (format!("a{i}"), DOMAIN))).unwrap();
+    let rows: Vec<Vec<u32>> = (0..40_000)
+        .map(|_| {
+            let base_a = (xorshift(&mut state) % u64::from(DOMAIN)) as u32;
+            let base_b = (xorshift(&mut state) % u64::from(DOMAIN)) as u32;
+            let noise = |state: &mut u64, v: u32| {
+                if xorshift(state).is_multiple_of(4) {
+                    (v + (xorshift(state) % 3) as u32) % DOMAIN
+                } else {
+                    v
+                }
+            };
+            vec![
+                base_a,
+                noise(&mut state, base_a),
+                base_b,
+                noise(&mut state, base_b),
+                (xorshift(&mut state) % u64::from(DOMAIN)) as u32,
+                (xorshift(&mut state) % u64::from(DOMAIN)) as u32,
+            ]
+        })
+        .collect();
+    Relation::from_rows(schema, rows).unwrap()
+}
+
+/// An allocation-heavy MHIST build: 64 KB over the correlated-pairs
+/// table funds 7276 splits, and the summed estimates of a fixed
+/// 16-query, 3-attribute workload print as 47638.857355.
+#[test]
+fn correlated_pairs_mhist_64kb_is_pinned() {
+    let rel = correlated_pairs();
+    let workload = Workload::generate(
+        &rel,
+        WorkloadConfig { dimensionality: 3, queries: 16, min_count: 50, seed: 0xB11D },
+    );
+    let synopsis = SynopsisBuilder::new(&rel).budget(64 * 1024).build().unwrap();
+    let checksum: f64 =
+        workload.queries.iter().map(|q| synopsis.estimate(&Query::from(q.ranges.as_slice()))).sum();
+    assert_eq!(synopsis.build_trace().splits_funded, 7276);
+    assert_eq!(checksum.to_bits(), 0x40e7_42db_6f73_3ed4, "checksum {checksum:.6}");
 }

@@ -37,7 +37,6 @@ fn run_pipeline(
         build.selection_steps,
         build.peak_candidates,
         build.entropy_computations,
-        build.threads,
     ];
     (bits, digest, db.query_trace(), build_counts, db.drift_monitor().max_drift())
 }
