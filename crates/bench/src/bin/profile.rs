@@ -12,11 +12,7 @@ fn main() {
     let db = SynopsisBuilder::new(&rel).budget(3072).build_mhist().unwrap();
     println!("model {}", db.model().notation());
     for f in db.factors() {
-        println!(
-            "  clique {} leaves {}",
-            f.attrs(),
-            dbhist_histogram::MultiHistogram::bucket_count(f)
-        );
+        println!("  clique {} leaves {}", f.attrs(), f.bucket_count());
     }
     println!(
         "jt edges: {:?}",

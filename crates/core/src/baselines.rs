@@ -13,8 +13,9 @@
 //!   implementation reproduces that failure mode.
 
 use dbhist_distribution::{AttrId, Relation};
+use dbhist_histogram::codec::split_tree_bytes;
 use dbhist_histogram::mhist::MhistBuilder;
-use dbhist_histogram::{MultiHistogram, OneDimHistogram, SplitCriterion, SplitTree};
+use dbhist_histogram::{OneDimHistogram, SplitCriterion, SplitTree};
 
 use crate::alloc::incremental_gains;
 use crate::build::{IncrementalBuilder, OneDimCliqueBuilder, MHIST_BYTES_PER_BUCKET};
@@ -140,7 +141,7 @@ impl SelectivityEstimator for MhistEstimator {
     }
 
     fn storage_bytes(&self) -> usize {
-        MultiHistogram::storage_bytes(&self.tree)
+        split_tree_bytes(self.tree.bucket_count())
     }
 
     fn name(&self) -> &str {

@@ -39,9 +39,6 @@ pub enum QueryPath {
     PlanCacheHit,
     /// The query shape was new: a plan was compiled, then executed.
     PlanCompiled,
-    /// Answered by the recursive Fig. 3 interpreter (baselines and
-    /// equivalence tests; the engine itself never takes this path).
-    Interpreter,
     /// No constrained attribute: the estimate is the table total and no
     /// engine machinery runs.
     TableTotal,
@@ -56,7 +53,6 @@ impl QueryPath {
             QueryPath::KernelHit => "kernel_hit",
             QueryPath::PlanCacheHit => "plan_cache_hit",
             QueryPath::PlanCompiled => "plan_compiled",
-            QueryPath::Interpreter => "interpreter",
             QueryPath::TableTotal => "table_total",
         }
     }
@@ -398,8 +394,8 @@ impl ExplainProbe for ExplainRecorder {
         if let Some(g) = self.report.groups.last_mut() {
             g.steps.push(record);
         } else {
-            // A bare `execute_marginal_probed` call outside any group
-            // (e.g. the strict-marginal path) lands in an implicit group.
+            // A direct `execute_marginal_probed` call outside any group
+            // lands in an implicit group.
             self.report.groups.push(GroupReport {
                 attrs: self.report.target.clone(),
                 steps: vec![record],
@@ -446,7 +442,6 @@ mod tests {
             QueryPath::KernelHit,
             QueryPath::PlanCacheHit,
             QueryPath::PlanCompiled,
-            QueryPath::Interpreter,
             QueryPath::TableTotal,
         ] {
             let tag = path.as_str();

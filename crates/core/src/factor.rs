@@ -10,7 +10,7 @@
 //! [`Distribution`] to it.
 
 use dbhist_distribution::{AttrId, AttrSet, Distribution};
-use dbhist_histogram::{GridHistogram, HistogramError, MultiHistogram, SplitTree, TreeIndex};
+use dbhist_histogram::{GridHistogram, HistogramError, SplitTree, TreeIndex};
 
 use crate::error::SynopsisError;
 
@@ -46,25 +46,6 @@ pub trait Factor: Sized + Clone {
     /// Rejects operands with incompatible shared domains.
     fn product(&self, other: &Self) -> Result<Self, SynopsisError>;
 
-    /// Borrow-friendly projection: identity projections return
-    /// `Cow::Borrowed(self)` (no clone); proper projections materialize.
-    /// The plan executor (see [`crate::plan`]) is built on this
-    /// discipline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Factor::project`].
-    fn project_cow<'a>(
-        &'a self,
-        attrs: &AttrSet,
-    ) -> Result<std::borrow::Cow<'a, Self>, SynopsisError> {
-        if self.attrs() == attrs {
-            Ok(std::borrow::Cow::Borrowed(self))
-        } else {
-            Ok(std::borrow::Cow::Owned(self.project(attrs)?))
-        }
-    }
-
     /// Lowers the factor into a flattened [`TreeIndex`] for the dense
     /// kernel path (see [`crate::kernel`]), or `None` when no bit-identical
     /// lowering exists for this representation. The engine falls back to
@@ -76,27 +57,27 @@ pub trait Factor: Sized + Clone {
 
 impl Factor for SplitTree {
     fn attrs(&self) -> &AttrSet {
-        MultiHistogram::attrs(self)
+        SplitTree::attrs(self)
     }
 
     fn total(&self) -> f64 {
-        MultiHistogram::total(self)
+        SplitTree::total(self)
     }
 
     fn len_hint(&self) -> usize {
-        MultiHistogram::bucket_count(self)
+        SplitTree::bucket_count(self)
     }
 
     fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
-        MultiHistogram::mass_in_box(self, ranges)
+        SplitTree::mass_in_box(self, ranges)
     }
 
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {
-        Ok(MultiHistogram::project(self, attrs)?)
+        Ok(SplitTree::project(self, attrs)?)
     }
 
     fn product(&self, other: &Self) -> Result<Self, SynopsisError> {
-        Ok(MultiHistogram::product(self, other)?)
+        Ok(SplitTree::product(self, other)?)
     }
 
     fn lower_index(&self) -> Option<TreeIndex> {
@@ -106,27 +87,27 @@ impl Factor for SplitTree {
 
 impl Factor for GridHistogram {
     fn attrs(&self) -> &AttrSet {
-        MultiHistogram::attrs(self)
+        GridHistogram::attrs(self)
     }
 
     fn total(&self) -> f64 {
-        MultiHistogram::total(self)
+        GridHistogram::total(self)
     }
 
     fn len_hint(&self) -> usize {
-        MultiHistogram::bucket_count(self)
+        GridHistogram::bucket_count(self)
     }
 
     fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
-        MultiHistogram::mass_in_box(self, ranges)
+        GridHistogram::mass_in_box(self, ranges)
     }
 
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {
-        Ok(MultiHistogram::project(self, attrs)?)
+        Ok(GridHistogram::project(self, attrs)?)
     }
 
     fn product(&self, other: &Self) -> Result<Self, SynopsisError> {
-        Ok(MultiHistogram::product(self, other)?)
+        Ok(GridHistogram::product(self, other)?)
     }
 }
 
@@ -305,12 +286,7 @@ mod tests {
         assert!(joint.project(&AttrSet::empty()).is_err());
         let mass = joint.mass_in_box(&[(0, 0, 1)]);
         assert_eq!(mass, rel.count_range(&[(0, 0, 1)]) as f64);
-        // Borrow-friendly projection: identity borrows, proper owns.
-        let same = joint.project_cow(joint.attrs()).unwrap();
-        assert!(matches!(same, std::borrow::Cow::Borrowed(_)));
-        let sub = joint.project_cow(&AttrSet::from_ids([0, 1])).unwrap();
-        assert!(matches!(sub, std::borrow::Cow::Owned(_)));
-        assert!((sub.total() - joint.total()).abs() < 1e-9);
+        assert!((ab.total() - joint.total()).abs() < 1e-9);
     }
 
     #[test]

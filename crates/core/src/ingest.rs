@@ -203,6 +203,15 @@ fn batches_to_skip(
     }
 }
 
+/// Each op's row with its count delta: `+1.0` per insert, `-1.0` per
+/// delete.
+fn signed_rows(ops: &[WalOp]) -> impl Iterator<Item = (&[u32], f64)> {
+    ops.iter().map(|op| match op {
+        WalOp::Insert(row) => (row.as_slice(), 1.0),
+        WalOp::Delete(row) => (row.as_slice(), -1.0),
+    })
+}
+
 /// A streaming ingest session over a maintained synopsis. See the
 /// module docs for the durability and tuning contracts.
 #[derive(Debug)]
@@ -328,13 +337,10 @@ impl IngestSession {
             let skip = batches_to_skip(snap_pos, &recovery)?;
             report.batches_skipped = skip;
             for batch in recovery.batches.iter().skip(usize::try_from(skip).unwrap_or(usize::MAX)) {
-                for op in &batch.ops {
-                    match op {
-                        WalOp::Insert(row) => maintained.insert(row),
-                        WalOp::Delete(row) => maintained.delete(row),
-                    }
-                    report.ops_replayed += 1;
-                }
+                // Decoded rows carry exactly the header arity, checked
+                // against the schema above.
+                maintained.apply(signed_rows(&batch.ops));
+                report.ops_replayed += batch.ops.len() as u64;
                 report.batches_replayed += 1;
             }
             report.tail_discarded = recovery.tail_error;
@@ -404,18 +410,10 @@ impl IngestSession {
                 wellknown().ingest_wal_bytes.set(wal.appended_bytes() as f64);
             }
         }
-        let cliques = self.maintained.synopsis().model().cliques().to_vec();
-        for op in ops {
-            let (row, delta) = match op {
-                WalOp::Insert(row) => (row, 1.0),
-                WalOp::Delete(row) => (row, -1.0),
-            };
-            if delta > 0.0 {
-                self.maintained.insert(row);
-            } else {
-                self.maintained.delete(row);
-            }
-            if let Some(marginals) = &mut self.marginals {
+        self.maintained.apply(signed_rows(ops));
+        if let Some(marginals) = &mut self.marginals {
+            let cliques = self.maintained.synopsis().model().cliques();
+            for (row, delta) in signed_rows(ops) {
                 for (clique, marginal) in cliques.iter().zip(marginals.iter_mut()) {
                     let key: Vec<u32> = clique.iter().map(|a| row[usize::from(a)]).collect();
                     marginal.add(&key, delta);

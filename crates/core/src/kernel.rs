@@ -15,8 +15,8 @@
 //! group `storage_bytes()` as the memory its query shape holds.
 //!
 //! A [`MassKernel`] bundles the lowered group indices with the synopsis
-//! total and replays the exact arithmetic of
-//! [`execute_mass`](crate::plan::execute_mass):
+//! total and replays the exact arithmetic of the engine's group fold
+//! (`execute_groups` in [`crate::plan`]):
 //! `mass = N · Π (group_mass / N)`, groups in plan order, left to right.
 //! Because each index walk is bit-identical to
 //! `SplitTree::mass_in_box` on the marginal it was lowered from (see the
@@ -24,12 +24,13 @@
 //! bit-identical to executing the plan — the invariant every prior PR
 //! pinned, extended to the kernels by `tests/plan_equivalence.rs`.
 //!
-//! Dense vs sparse lowering is chosen per clique-group by leaf occupancy
-//! (see [`IndexLayout`](dbhist_histogram::IndexLayout)); both layouts
-//! share the walk and the bit-identity contract. Factors without a
-//! lowering (exact distributions, grids, wavelets) simply return `None`
-//! from [`Factor::lower_index`](crate::factor::Factor::lower_index) and
-//! the engine keeps executing their plans directly.
+//! Lowering collapses every zero-total subtree into one zero leaf;
+//! [`IndexLayout`](dbhist_histogram::IndexLayout) records whether any
+//! did, and the walk and the bit-identity contract are the same either
+//! way. Factors without a lowering (exact distributions, grids,
+//! wavelets) simply return `None` from
+//! [`Factor::lower_index`](crate::factor::Factor::lower_index) and the
+//! engine keeps executing their plans directly.
 //!
 //! **Summation-order contract:** a lowered kernel never re-associates a
 //! sum. Subtree totals are precomputed with the same tree-shaped
@@ -101,7 +102,7 @@ impl MassKernel {
         scratch: &mut PlanScratch,
         probe: &mut P,
     ) -> f64 {
-        // Verbatim arithmetic from `execute_mass`: start from the total,
+        // Verbatim arithmetic from `execute_groups`: start from the total,
         // multiply each group's mass ratio in plan order.
         let total = self.total;
         let mut mass = total;

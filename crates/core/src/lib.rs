@@ -6,19 +6,22 @@
 //! the pieces built by `dbhist-model` and `dbhist-histogram` into the full
 //! synopsis, and implements everything around it:
 //!
-//! * [`factor::Factor`] — the abstraction `ComputeMarginal` runs over:
-//!   anything supporting `project`, `product` (separation formula), and
-//!   box-mass estimation. Implemented by MHIST split trees, grid
-//!   histograms, and exact sparse distributions (the paper's "clique
-//!   histograms with an unlimited number of buckets" used in Fig. 6).
-//! * [`marginal::compute_marginal`] — the paper's `ComputeMarginal`
-//!   algorithm (Fig. 3) over the junction tree, minimizing histogram
-//!   multiplications/projections.
+//! * [`factor::Factor`] — the one factor trait `ComputeMarginal` runs
+//!   over: `project`, `product` (separation formula), and box-mass
+//!   estimation. Implemented by MHIST split trees and grid histograms
+//!   (calling their inherent operations), and by exact sparse
+//!   distributions (the paper's "clique histograms with an unlimited
+//!   number of buckets" used in Fig. 6).
+//! * [`marginal::compute_marginal_with_stats`] — the paper's
+//!   `ComputeMarginal` algorithm (Fig. 3) over the junction tree,
+//!   minimizing histogram multiplications/projections; the recursive
+//!   interpreters beside it are the test oracle.
 //! * [`plan`] — the plan-based query engine: compiles the Fig. 3
-//!   recursion into cached [`plan::MarginalPlan`]s executed with
-//!   zero-clone (`Cow`) operand passing, plus the per-synopsis
-//!   [`plan::QueryEngine`] workload cache and [`plan::QueryTrace`]
-//!   operation counters.
+//!   recursion into [`plan::MarginalPlan`]s executed with zero-clone
+//!   (`Cow`) operand passing. [`plan::QueryEngine::estimate_mass`] is
+//!   the one cached way in: one entry per query shape holds its
+//!   [`plan::MassPlan`] and lowered kernel, and [`plan::QueryTrace`]
+//!   counts every operation.
 //! * [`alloc`] — storage allocation across clique histograms: the optimal
 //!   pseudo-polynomial dynamic program and the `IncrementalGains` greedy
 //!   (Fig. 2).

@@ -165,15 +165,36 @@ impl MaintainedDbHistogram {
         self.churn
     }
 
-    /// Applies one row update to every clique histogram.
-    fn apply(&mut self, row: &[u32], delta: f64) {
-        let model = self.synopsis.model().clone();
-        for (clique, factor) in model.cliques().iter().zip(self.synopsis.factors_mut()) {
-            let key: Vec<u32> = clique.iter().map(|a| row[usize::from(a)]).collect();
-            factor.update(&key, delta);
+    /// Applies row updates in order — `+1.0` inserts, `-1.0` deletes of
+    /// rows already checked against the schema arity — to every clique
+    /// histogram, under one borrow of the model and one kernel
+    /// invalidation. Each insert then enters the reservoir.
+    pub(crate) fn apply<'r>(&mut self, rows: impl IntoIterator<Item = (&'r [u32], f64)>) {
+        let (model, factors) = self.synopsis.factors_mut();
+        for (row, delta) in rows {
+            for (clique, factor) in model.cliques().iter().zip(factors.iter_mut()) {
+                let key: Vec<u32> = clique.iter().map(|a| row[usize::from(a)]).collect();
+                factor.update(&key, delta);
+            }
+            self.row_count = (self.row_count + delta).max(0.0);
+            self.churn += 1;
+            if delta > 0.0 {
+                // Reservoir sampling of inserts (deterministic
+                // Fibonacci-hash position so maintenance stays
+                // reproducible).
+                self.reservoir_seen += 1;
+                if self.reservoir.len() < RESERVOIR {
+                    self.reservoir.push(row.to_vec());
+                } else {
+                    let slot = (self.reservoir_seen as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        as usize
+                        % self.reservoir_seen;
+                    if slot < RESERVOIR {
+                        self.reservoir[slot] = row.to_vec();
+                    }
+                }
+            }
         }
-        self.row_count = (self.row_count + delta).max(0.0);
-        self.churn += 1;
     }
 
     /// Registers an inserted tuple.
@@ -183,19 +204,7 @@ impl MaintainedDbHistogram {
     /// Panics if the row does not match the schema.
     pub fn insert(&mut self, row: &[u32]) {
         assert_eq!(row.len(), self.synopsis.model().schema().arity(), "row arity mismatch");
-        self.apply(row, 1.0);
-        // Reservoir sampling of inserts (deterministic Fibonacci-hash
-        // position so maintenance stays reproducible).
-        self.reservoir_seen += 1;
-        if self.reservoir.len() < RESERVOIR {
-            self.reservoir.push(row.to_vec());
-        } else {
-            let slot = (self.reservoir_seen as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize
-                % self.reservoir_seen;
-            if slot < RESERVOIR {
-                self.reservoir[slot] = row.to_vec();
-            }
-        }
+        self.apply([(row, 1.0)]);
     }
 
     /// Registers a deleted tuple.
@@ -205,7 +214,7 @@ impl MaintainedDbHistogram {
     /// Panics if the row does not match the schema.
     pub fn delete(&mut self, row: &[u32]) {
         assert_eq!(row.len(), self.synopsis.model().schema().arity(), "row arity mismatch");
-        self.apply(row, -1.0);
+        self.apply([(row, -1.0)]);
     }
 
     /// Fraction of the table churned since the last build.

@@ -15,15 +15,15 @@
 //! * The root is chosen as the clique sharing the most attributes with
 //!   `S_Q` (the paper roots arbitrarily); this only reduces work.
 //!
-//! Since the plan-based query engine landed (see [`crate::plan`]), the
-//! public entry points here — [`compute_marginal`],
-//! [`compute_marginal_with_stats`], [`estimate_mass`] — compile the
-//! recursion into a [`crate::plan::MarginalPlan`] / [`crate::plan::MassPlan`]
-//! and execute it. The direct recursion is retained as
-//! [`compute_marginal_interpreted`] / [`estimate_mass_interpreted`]: it is
-//! the executable specification the planner is property-tested against
-//! (`tests/plan_equivalence.rs`) and the baseline the benches compare
-//! planned execution to.
+//! [`compute_marginal_with_stats`] compiles the recursion into a
+//! [`crate::plan::MarginalPlan`] and executes it once, uncached.
+//! Selectivity estimation has one way in,
+//! [`crate::plan::QueryEngine::estimate_mass`], which caches each query
+//! shape's [`crate::plan::MassPlan`] and kernel. The direct recursion is
+//! retained as [`compute_marginal_interpreted`] /
+//! [`estimate_mass_interpreted`]: it is the executable specification the
+//! planner is property-tested against (`tests/plan_equivalence.rs`) and
+//! the baseline the benches compare planned execution to.
 //!
 //! [`compute_marginal_naive`] implements the baseline the paper argues
 //! against — build the estimate over *all* attributes, then project — and
@@ -34,7 +34,7 @@ use dbhist_model::JunctionTree;
 
 use crate::error::SynopsisError;
 use crate::factor::Factor;
-use crate::plan::{execute_marginal, execute_mass, MarginalPlan, MassPlan, QueryTrace, SHED_LIMIT};
+use crate::plan::{execute_marginal, MarginalPlan, QueryTrace, SHED_LIMIT};
 use crate::query::Query;
 
 /// Operation counts of a marginal computation.
@@ -223,43 +223,19 @@ impl<'a, F: Factor> Ctx<'a, F> {
 }
 
 /// Estimates the frequency mass of the model's marginal over `target`
-/// inside the conjunctive `query` — the selectivity-estimation fast path.
+/// inside the conjunctive `query` via the direct recursive interpreter —
+/// the executable specification [`crate::plan::QueryEngine::estimate_mass`]
+/// is verified against.
 ///
 /// Computes the same model estimate as
-/// `compute_marginal(tree, factors, target)?.mass_in_box(query.ranges())` while
-/// (1) factorizing over independent model components (exact under the
-/// model; avoids cross-component products entirely) and (2) skipping the
-/// final projected-histogram materialization, whose overlay construction
-/// dominates query time on multi-clique targets. For exact factors the
-/// two paths agree to rounding; for histogram factors this path is both
-/// faster and — by skipping needless approximate operations — at least
-/// as accurate.
-///
-/// One-shot wrapper over the plan engine: compiles a
-/// [`crate::plan::MassPlan`] and executes it once. Workloads that repeat
-/// query shapes should go through a [`crate::plan::QueryEngine`] (as
-/// [`crate::synopsis::DbHistogram`] does) to amortize compilation.
-///
-/// # Errors
-///
-/// Propagates factor operation failures; rejects targets with attributes
-/// the model does not cover.
-pub fn estimate_mass<F: Factor>(
-    tree: &JunctionTree,
-    factors: &[F],
-    target: &AttrSet,
-    query: &Query,
-) -> Result<f64, SynopsisError> {
-    assert_eq!(tree.len(), factors.len(), "one factor per clique");
-    assert!(!target.is_empty(), "target attribute set must be non-empty");
-    let views = tree.rooted_views();
-    let plan = MassPlan::compile(tree, &views, target)?;
-    let mut trace = QueryTrace::default();
-    execute_mass(&plan, factors, query, &mut trace)
-}
-
-/// [`estimate_mass`] via the direct recursive interpreter — the executable
-/// specification the plan path is verified against.
+/// `compute_marginal_with_stats(tree, factors, target)?.0.mass_in_box(query.ranges())`
+/// while (1) factorizing over independent model components (exact under
+/// the model; avoids cross-component products entirely) and (2) skipping
+/// the final projected-histogram materialization, whose overlay
+/// construction dominates query time on multi-clique targets. For exact
+/// factors the two paths agree to rounding; for histogram factors this
+/// path is both faster and — by skipping needless approximate operations
+/// — at least as accurate.
 ///
 /// # Errors
 ///
@@ -352,22 +328,21 @@ pub fn estimate_mass_interpreted<F: Factor>(
 /// Computes the marginal factor over `target` from a junction tree and its
 /// clique factors, returning the factor and operation counts.
 ///
-/// One-shot wrapper over the plan engine: compiles a
-/// [`crate::plan::MarginalPlan`] and executes it once (identical results
-/// and operation counts to the interpreter, see
-/// [`compute_marginal_interpreted`]).
+/// Compiles a [`crate::plan::MarginalPlan`] and executes it once,
+/// uncached (identical results and operation counts to the interpreter,
+/// see [`compute_marginal_interpreted`]).
 ///
 /// # Errors
 ///
-/// Propagates factor operation failures; returns a budget-style error if
-/// `target` mentions attributes not covered by any clique.
+/// Propagates factor operation failures (an empty `target` fails the
+/// projection onto it); returns a budget-style error if `target` mentions
+/// attributes not covered by any clique.
 pub fn compute_marginal_with_stats<F: Factor>(
     tree: &JunctionTree,
     factors: &[F],
     target: &AttrSet,
 ) -> Result<(F, MarginalStats), SynopsisError> {
     assert_eq!(tree.len(), factors.len(), "one factor per clique");
-    assert!(!target.is_empty(), "target attribute set must be non-empty");
     let views = tree.rooted_views();
     let plan = MarginalPlan::compile(tree, &views, target)?;
     let mut trace = QueryTrace::default();
@@ -410,20 +385,6 @@ pub fn compute_marginal_interpreted<F: Factor>(
     };
     let f = ctx.go(root, target)?;
     Ok((f, ctx.stats))
-}
-
-/// Computes the marginal factor over `target` (see
-/// [`compute_marginal_with_stats`]).
-///
-/// # Errors
-///
-/// Propagates factor operation failures.
-pub fn compute_marginal<F: Factor>(
-    tree: &JunctionTree,
-    factors: &[F],
-    target: &AttrSet,
-) -> Result<F, SynopsisError> {
-    compute_marginal_with_stats(tree, factors, target).map(|(f, _)| f)
 }
 
 /// Exact selectivity evaluation for **exact** clique factors via
@@ -730,8 +691,8 @@ mod tests {
 
     #[test]
     fn planned_entry_point_matches_interpreter() {
-        // The public entry points run the plan path; the interpreter is
-        // the specification. Results and operation counts must coincide.
+        // The planned entry point and the interpreter (the specification)
+        // must coincide in results and operation counts.
         let rel = relation();
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
@@ -791,7 +752,9 @@ mod tests {
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
         let bad = AttrSet::from_ids([0, 9]);
-        assert!(compute_marginal(m.junction_tree(), &factors, &bad).is_err());
+        assert!(compute_marginal_with_stats(m.junction_tree(), &factors, &bad).is_err());
+        let empty = AttrSet::empty();
+        assert!(compute_marginal_with_stats(m.junction_tree(), &factors, &empty).is_err());
         assert!(compute_marginal_interpreted(m.junction_tree(), &factors, &bad).is_err());
     }
 

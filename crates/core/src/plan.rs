@@ -19,13 +19,16 @@
 //! 2. **Executor** — [`execute_marginal`] runs a plan over any
 //!    [`Factor`] slice with [`Cow`]-based operands: clique loads and
 //!    identity projections *borrow* the stored factors (zero clones);
-//!    only genuine products and projections materialize new factors.
+//!    only genuine products and projections materialize new factors. A
+//!    mass plan executes through one group fold inside the engine;
+//!    [`QueryEngine::estimate_mass`] is the only way to run one.
 //! 3. **Workload cache** — [`QueryEngine`] keeps one bounded
-//!    [`ShardedLru`] entry per query shape (canonical [`AttrSet`] plus
-//!    plan variant), holding the compiled plan and, once lowered, its
-//!    kernel. Each query probes it once. Every operation is counted in a
-//!    [`QueryTrace`] for tests, benches, and production introspection;
-//!    each counter is declared once, in the `query_counters!` table.
+//!    [`ShardedLru`] entry per query shape, keyed by the canonical
+//!    [`AttrSet`] and holding the compiled [`MassPlan`] and, once
+//!    lowered, its kernel. Each query probes it once. Every operation is
+//!    counted in a [`QueryTrace`] for tests, benches, and production
+//!    introspection; each counter is declared once, in the
+//!    `query_counters!` table.
 //! 4. **Lowered kernels** — for factor representations with a
 //!    bit-identical lowering ([`Factor::lower_index`]), the first
 //!    execution of a mass-plan shape lowers each group's loose marginal
@@ -172,8 +175,8 @@ query_counters! {
     sheds_skipped => "dbhist_query_sheds_skipped_total";
     /// Clique factors loaded by borrow (never cloned).
     clique_loads => "dbhist_query_clique_loads_total";
-    /// Whole-factor clones performed (materializing a borrowed strict
-    /// marginal). Pure estimation never clones.
+    /// Whole-factor clones performed. Estimation never clones a factor,
+    /// so the engine always reports zero.
     factor_clones => "dbhist_query_factor_clones_total";
     /// Queries that found their shape cached without a kernel and
     /// executed the cached plan.
@@ -447,18 +450,6 @@ impl Planner<'_> {
     }
 }
 
-/// Counts a kernel-less shape probe as a plan-cache hit or miss and
-/// returns the path the query resolved through.
-fn count_plan_probe(t: &mut QueryTrace, hit: bool) -> QueryPath {
-    if hit {
-        t.plan_cache_hits += 1;
-        QueryPath::PlanCacheHit
-    } else {
-        t.plan_cache_misses += 1;
-        QueryPath::PlanCompiled
-    }
-}
-
 fn malformed(reason: &str) -> SynopsisError {
     SynopsisError::Budget { reason: format!("malformed marginal plan: {reason}") }
 }
@@ -667,41 +658,12 @@ impl MassPlan {
     }
 }
 
-/// Executes a [`MassPlan`] for one concrete [`Query`].
-///
-/// # Errors
-///
-/// Propagates factor-operation failures.
-pub fn execute_mass<F: Factor>(
-    plan: &MassPlan,
-    factors: &[F],
-    query: &Query,
-    trace: &mut QueryTrace,
-) -> Result<f64, SynopsisError> {
-    execute_mass_probed(plan, factors, query, trace, &mut NoProbe)
-}
-
-/// [`execute_mass`] with an [`ExplainProbe`] observing per-group
-/// execution (see [`execute_marginal_probed`] for the zero-cost
-/// contract).
-///
-/// # Errors
-///
-/// Propagates factor-operation failures.
-pub fn execute_mass_probed<F: Factor, P: ExplainProbe>(
-    plan: &MassPlan,
-    factors: &[F],
-    query: &Query,
-    trace: &mut QueryTrace,
-    probe: &mut P,
-) -> Result<f64, SynopsisError> {
-    execute_groups(plan, factors, query, trace, probe, |_| {})
-}
-
-/// The group fold behind [`execute_mass_probed`] and the engine's
-/// uncached path: executes each group's loose plan, hands the resulting
-/// marginal to `visit`, and folds its box mass into `N · Π (mass / N)`.
-/// A non-positive total answers `0.0` right after the first group.
+/// The one group fold of a [`MassPlan`], run by the engine whenever a
+/// shape has no kernel: executes each group's loose plan (probed, see
+/// [`execute_marginal_probed`] for the zero-cost contract), hands the
+/// resulting marginal to `visit`, and folds its box mass into
+/// `N · Π (mass / N)`. A non-positive total answers `0.0` right after
+/// the first group.
 fn execute_groups<F: Factor, P: ExplainProbe>(
     plan: &MassPlan,
     factors: &[F],
@@ -732,21 +694,14 @@ fn execute_groups<F: Factor, P: ExplainProbe>(
     Ok(mass)
 }
 
-/// Cache key: the canonical (sorted, deduplicated) query attribute set
-/// plus the plan variant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    attrs: AttrSet,
-    loose: bool,
-}
-
-/// The one cache entry per query shape: a strict marginal plan, or a
-/// mass plan plus — once an execution has lowered every group
-/// bit-identically — its kernel.
+/// The one cache entry per query shape, keyed by the canonical (sorted,
+/// deduplicated) query attribute set: the compiled mass plan plus —
+/// once an execution has lowered every group bit-identically — its
+/// kernel.
 #[derive(Debug, Clone)]
-enum Shape {
-    Strict(MarginalPlan),
-    Mass(MassPlan, OnceLock<Arc<MassKernel>>),
+struct Shape {
+    plan: MassPlan,
+    kernel: OnceLock<Arc<MassKernel>>,
 }
 
 /// The per-synopsis workload cache: rooted views computed once, one
@@ -764,7 +719,7 @@ pub struct QueryEngine {
     views: RootedViews,
     /// One entry per query shape, probed once per query: a kernel
     /// answers it, else the cached plan executes, else a miss compiles.
-    shapes: ShardedLru<PlanKey, Arc<Shape>>,
+    shapes: ShardedLru<AttrSet, Arc<Shape>>,
     /// Pooled per-query walk scratch for kernel evaluations.
     scratch: ScratchPool,
     metrics: EngineMetrics,
@@ -803,11 +758,10 @@ impl QueryEngine {
     pub fn invalidate_kernels(&self) {
         // Only entries holding a kernel are rebuilt, so a stream of
         // updates between queries pays no per-entry plan copies.
-        self.shapes.for_each_value(|shape| match &**shape {
-            Shape::Mass(plan, slot) if slot.get().is_some() => {
-                *shape = Arc::new(Shape::Mass(plan.clone(), OnceLock::new()));
+        self.shapes.for_each_value(|shape| {
+            if shape.kernel.get().is_some() {
+                *shape = Arc::new(Shape { plan: shape.plan.clone(), kernel: OnceLock::new() });
             }
-            _ => {}
         });
     }
 
@@ -836,24 +790,19 @@ impl QueryEngine {
         &self,
         tree: &JunctionTree,
         target: &AttrSet,
-        loose: bool,
     ) -> Result<(Arc<Shape>, bool), SynopsisError> {
-        let key = PlanKey { attrs: target.clone(), loose };
         {
             let _lookup = dbhist_telemetry::span!("dbhist_query_plan_cache_lookup_latency_ns");
-            if let Some(hit) = self.shapes.get(&key) {
+            if let Some(hit) = self.shapes.get(target) {
                 return Ok((hit, true));
             }
         }
         // Compile outside any shard lock: compilation is read-only over
         // the tree, so a racing duplicate compile is benign.
         let _compile = dbhist_telemetry::span!("dbhist_query_plan_compile_latency_ns");
-        let shape = Arc::new(if loose {
-            Shape::Mass(MassPlan::compile(tree, &self.views, target)?, OnceLock::new())
-        } else {
-            Shape::Strict(MarginalPlan::compile(tree, &self.views, target)?)
-        });
-        self.shapes.insert(key, Arc::clone(&shape));
+        let plan = MassPlan::compile(tree, &self.views, target)?;
+        let shape = Arc::new(Shape { plan, kernel: OnceLock::new() });
+        self.shapes.insert(target.clone(), Arc::clone(&shape));
         Ok((shape, false))
     }
 
@@ -878,11 +827,9 @@ impl QueryEngine {
         tree: &JunctionTree,
         target: &AttrSet,
     ) -> Result<Vec<usize>, SynopsisError> {
-        let (shape, _) = self.shape_for(tree, target, true)?;
-        let Shape::Mass(plan, _) = &*shape else {
-            return Err(malformed("loose key resolved to a strict plan"));
-        };
-        let mut cliques: Vec<usize> = plan
+        let (shape, _) = self.shape_for(tree, target)?;
+        let mut cliques: Vec<usize> = shape
+            .plan
             .groups()
             .iter()
             .flat_map(|g| g.plan.steps().iter())
@@ -894,38 +841,6 @@ impl QueryEngine {
         cliques.sort_unstable();
         cliques.dedup();
         Ok(cliques)
-    }
-
-    /// Computes the marginal factor over `target` through the shape
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factor-operation failures; rejects targets the model
-    /// does not cover.
-    pub fn marginal<F: Factor>(
-        &self,
-        tree: &JunctionTree,
-        factors: &[F],
-        target: &AttrSet,
-    ) -> Result<F, SynopsisError> {
-        let mut t = QueryTrace::default();
-        let result = (|| {
-            let (shape, hit) = self.shape_for(tree, target, false)?;
-            count_plan_probe(&mut t, hit);
-            let Shape::Strict(plan) = &*shape else {
-                return Err(malformed("strict key resolved to a mass plan"));
-            };
-            Ok(match execute_marginal(plan, factors, &mut t)? {
-                Cow::Borrowed(f) => {
-                    t.factor_clones += 1;
-                    f.clone()
-                }
-                Cow::Owned(f) => f,
-            })
-        })();
-        self.metrics.absorb(&t);
-        result
     }
 
     /// Estimates the frequency mass of the marginal over `target` inside
@@ -1000,10 +915,8 @@ impl QueryEngine {
         }
         let mut t = QueryTrace::default();
         let result = (|| {
-            let (shape, hit) = self.shape_for(tree, target, true)?;
-            let Shape::Mass(plan, slot) = &*shape else {
-                return Err(malformed("loose key resolved to a strict plan"));
-            };
+            let (shape, hit) = self.shape_for(tree, target)?;
+            let Shape { plan, kernel: slot } = &*shape;
             if let Some(kernel) = slot.get() {
                 t.kernel_hits += 1;
                 if P::ACTIVE {
@@ -1024,7 +937,13 @@ impl QueryEngine {
                 self.scratch.release(scratch);
                 return Ok(mass);
             }
-            let path = count_plan_probe(&mut t, hit);
+            let path = if hit {
+                t.plan_cache_hits += 1;
+                QueryPath::PlanCacheHit
+            } else {
+                t.plan_cache_misses += 1;
+                QueryPath::PlanCompiled
+            };
             if P::ACTIVE {
                 probe.resolved_path(path);
             }
@@ -1164,7 +1083,6 @@ mod tests {
         let m = model(&rel);
         let factors = exact_factors(&rel, &m);
         let tree = m.junction_tree();
-        let views = tree.rooted_views();
         let queries: Vec<Vec<(u16, u32, u32)>> = vec![
             vec![(0, 0, 1)],
             vec![(0, 0, 2), (2, 1, 3)],
@@ -1175,9 +1093,8 @@ mod tests {
         for ranges in queries {
             let target = AttrSet::from_ids(ranges.iter().map(|r| r.0));
             let query = Query::from(ranges);
-            let plan = MassPlan::compile(tree, &views, &target).unwrap();
-            let mut trace = QueryTrace::default();
-            let planned = execute_mass(&plan, &factors, &query, &mut trace).unwrap();
+            let cold = QueryEngine::new(tree);
+            let planned = cold.estimate_mass(tree, &factors, &target, &query).unwrap();
             let interp = estimate_mass_interpreted(tree, &factors, &target, &query).unwrap();
             assert_eq!(planned.to_bits(), interp.to_bits(), "{query:?}: {planned} vs {interp}");
         }
@@ -1302,25 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_marginal_matches_free_function_and_caches() {
-        let rel = relation();
-        let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
-        let tree = m.junction_tree();
-        let engine = QueryEngine::new(tree);
-        let target = AttrSet::from_ids([0, 2]);
-        let a = engine.marginal(tree, &factors, &target).unwrap();
-        let b = engine.marginal(tree, &factors, &target).unwrap();
-        let t = engine.trace();
-        assert_eq!((t.plan_cache_misses, t.plan_cache_hits), (1, 1), "{t:?}");
-        let (interp, _) = compute_marginal_interpreted(tree, &factors, &target).unwrap();
-        for (k, v) in interp.0.iter() {
-            assert_eq!(a.0.frequency(k).to_bits(), v.to_bits());
-            assert_eq!(b.0.frequency(k).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
     fn engine_kernel_path_is_bit_identical_and_skips_plan_execution() {
         let rel = relation();
         let m = model(&rel);
@@ -1343,13 +1241,11 @@ mod tests {
         assert_eq!(warm.to_bits(), cold.to_bits(), "kernel hit must be bit-identical");
 
         // A *different* query over the same shape rides the kernel and
-        // still matches direct plan execution bit-for-bit.
+        // still matches plan execution on a cold engine bit-for-bit.
         let query2 = Query::range(0, 1, 3).and(2, 0, 2).and(4, 1, 2);
         let via_kernel = engine.estimate_mass(tree, &factors, &target, &query2).unwrap();
-        let views = tree.rooted_views();
-        let plan = MassPlan::compile(tree, &views, &target).unwrap();
-        let mut trace = QueryTrace::default();
-        let direct = execute_mass(&plan, &factors, &query2, &mut trace).unwrap();
+        let direct =
+            QueryEngine::new(tree).estimate_mass(tree, &factors, &target, &query2).unwrap();
         assert_eq!(via_kernel.to_bits(), direct.to_bits());
 
         // Invalidation drops kernels; the next query re-lowers.

@@ -650,16 +650,9 @@ mod tests {
         let reports = service.recent_explains();
         assert_eq!(reports.len(), queries().len(), "sample=1 explains every query");
         for r in &reports {
-            assert!(
-                matches!(
-                    r.path,
-                    QueryPath::KernelHit
-                        | QueryPath::PlanCacheHit
-                        | QueryPath::PlanCompiled
-                        | QueryPath::TableTotal
-                ),
-                "report must carry the resolved path"
-            );
+            // Every query constrains an attribute, so the engine reports
+            // the path it resolved through.
+            assert_ne!(r.path, QueryPath::TableTotal, "report must carry the resolved path");
         }
         let stats = service.stats();
         assert_eq!(stats.per_generation, vec![(1, queries().len() as u64)]);

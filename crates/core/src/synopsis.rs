@@ -36,6 +36,7 @@ use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
 use crate::explain::{ExplainRecorder, ExplainReport};
 use crate::factor::{ExactFactor, Factor};
+use crate::marginal::compute_marginal_with_stats;
 use crate::plan::{QueryEngine, QueryTrace};
 use crate::query::Query;
 
@@ -105,13 +106,14 @@ impl<F: Factor> DbHistogram<F> {
         &self.factors
     }
 
-    /// Mutable access for incremental maintenance (crate-internal: bucket
-    /// counts may move, but the factor set must stay aligned with the
-    /// model's cliques). Invalidates lowered kernels — compiled plans
-    /// survive, they depend only on the model structure.
-    pub(crate) fn factors_mut(&mut self) -> &mut [F] {
+    /// Mutable access for incremental maintenance, beside the model it
+    /// stays aligned with (crate-internal: bucket counts may move, but
+    /// the factor set must stay aligned with the model's cliques).
+    /// Invalidates lowered kernels — compiled plans survive, they depend
+    /// only on the model structure.
+    pub(crate) fn factors_mut(&mut self) -> (&DecomposableModel, &mut [F]) {
         self.engine.invalidate_kernels();
-        &mut self.factors
+        (&self.model, &mut self.factors)
     }
 
     /// Replaces one clique's factor wholesale (a feedback-triggered
@@ -120,7 +122,7 @@ impl<F: Factor> DbHistogram<F> {
     /// compiled plans survive (the model structure is unchanged). Returns
     /// `false` for an out-of-range index, leaving the synopsis untouched.
     pub(crate) fn replace_factor(&mut self, clique: usize, factor: F) -> bool {
-        match self.factors_mut().get_mut(clique) {
+        match self.factors_mut().1.get_mut(clique) {
             Some(slot) => {
                 *slot = factor;
                 true
@@ -157,14 +159,15 @@ impl<F: Factor> DbHistogram<F> {
     }
 
     /// Estimates the marginal factor over an arbitrary attribute subset
-    /// (paper §3.3.1), through the engine's shape cache.
+    /// (paper §3.3.1) by compiling and executing its plan once, uncached.
     ///
     /// # Errors
     ///
-    /// Propagates factor-operation failures and rejects attributes the
-    /// model does not cover.
+    /// Propagates factor-operation failures and rejects an empty subset
+    /// or attributes the model does not cover.
     pub fn marginal(&self, attrs: &AttrSet) -> Result<F, SynopsisError> {
-        self.engine.marginal(self.model.junction_tree(), &self.factors, attrs)
+        compute_marginal_with_stats(self.model.junction_tree(), &self.factors, attrs)
+            .map(|(f, _)| f)
     }
 
     /// Estimates the selectivity of a conjunctive range predicate,

@@ -16,11 +16,13 @@
 //!   included (as in the paper) as a simple alternative clique-histogram
 //!   type.
 //!
-//! All multi-dimensional histograms implement [`traits::MultiHistogram`],
-//! whose workhorse is `mass_in_box`: the estimated frequency mass inside a
-//! conjunctive range box under the intra-bucket uniformity assumption.
-//! Range-selectivity estimation, projection weights, and product weights
-//! all reduce to this primitive.
+//! Both multi-dimensional families provide the same inherent operations
+//! — `project`, `product`, and `mass_in_box` — which `dbhist-core`'s
+//! `Factor` trait, the one factor interface of the query engine, calls
+//! directly. The workhorse is `mass_in_box`: the estimated frequency mass
+//! inside a conjunctive range box under the intra-bucket uniformity
+//! assumption. Range-selectivity estimation, projection weights, and
+//! product weights all reduce to this primitive.
 //!
 //! [`codec`] provides exact byte accounting (and a binary wire format)
 //! matching the paper's storage model: `9b` bytes for a `b`-bucket MHIST
@@ -37,7 +39,6 @@ pub mod error;
 pub mod grid;
 pub mod mhist;
 pub mod one_dim;
-pub mod traits;
 pub mod wavelet;
 
 pub use bbox::BoundingBox;
@@ -46,7 +47,6 @@ pub use error::HistogramError;
 pub use grid::GridHistogram;
 pub use mhist::{IndexLayout, SplitTree, TreeIndex};
 pub use one_dim::OneDimHistogram;
-pub use traits::MultiHistogram;
 
 /// Shared fixtures for the builders' cache-consistency tests.
 #[cfg(test)]

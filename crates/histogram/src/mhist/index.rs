@@ -22,24 +22,19 @@
 //! The left child is the next node (two slots on), so a root-to-leaf
 //! descent is a forward scan of one array, and the walk never re-derives
 //! `attrs.position(attr)` per node. A binary tree has one more leaf than
-//! internal nodes, so `b` buckets take `3b − 2` slots — the paper's
-//! split-tree count of stored numbers, about 12 bytes per node. A tree
-//! whose right-child offsets exceed 24 bits does not lower (the caller
-//! keeps the tree walk).
-//!
-//! Two lowered layouts exist:
-//!
-//! * [`IndexLayout::Dense`] — every arena node is materialized.
-//! * [`IndexLayout::Sparse`] — subtrees whose total mass is exactly zero
-//!   are collapsed into a single zero leaf (the self-tuning-histogram
-//!   trick of keeping storage proportional to *occupied* buckets). Chosen
-//!   automatically when leaf occupancy falls below
-//!   [`SPARSE_OCCUPANCY_THRESHOLD`].
+//! internal nodes, so `b` buckets take at most `3b − 2` slots — the
+//! paper's split-tree count of stored numbers, about 12 bytes per node.
+//! A tree whose right-child offsets exceed 24 bits does not lower (the
+//! caller keeps the tree walk).
 //!
 //! Lowering is one preorder pass: each node's slots are reserved, its
-//! children emitted, and its total (`left + right`) written back; under
-//! the sparse layout a node whose total comes out `0.0` truncates the
-//! array back to one zero leaf.
+//! children emitted, and its total (`left + right`) written back. An
+//! internal node whose total comes out exactly `0.0` truncates the array
+//! back to one zero leaf, so storage stays proportional to *occupied*
+//! buckets (the self-tuning-histogram trick). The walk's zero-subtree
+//! prune (below) answers `+0.0` at such a node whether or not it was
+//! collapsed, so the collapse only removes slots. [`IndexLayout`]
+//! records whether any subtree collapsed.
 //!
 //! # Bit-identity contract
 //!
@@ -69,10 +64,6 @@ use dbhist_distribution::{AttrId, AttrSet};
 
 use super::{Node, SplitTree};
 
-/// Leaf occupancy (non-zero leaves / total leaves) below which
-/// [`TreeIndex::lower`] picks the zero-collapsing sparse layout.
-pub const SPARSE_OCCUPANCY_THRESHOLD: f64 = 0.25;
-
 /// Packed-word field: split attribute position (6 bits, < 64 attributes).
 const POS_SHIFT: u32 = 32;
 const POS_MASK: u64 = 0x3f;
@@ -84,12 +75,12 @@ const RIGHT_SHIFT: u32 = 40;
 /// Largest right-child offset the packed word holds.
 const MAX_RIGHT_OFFSET: usize = (1 << (64 - RIGHT_SHIFT)) - 1;
 
-/// Which lowering a [`TreeIndex`] was built with.
+/// What lowering a [`TreeIndex`] did to its source tree's zero subtrees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexLayout {
-    /// Every arena node materialized.
+    /// No subtree had a zero total: every arena node is materialized.
     Dense,
-    /// All-zero subtrees collapsed into single zero leaves.
+    /// At least one all-zero subtree collapsed into a single zero leaf.
     Sparse,
 }
 
@@ -114,17 +105,11 @@ pub struct TreeIndex {
     /// Preorder slots: one per leaf, two per internal node.
     slots: Vec<u64>,
     layout: IndexLayout,
-    /// Leaves in the source tree (before any sparse collapsing).
-    source_leaves: usize,
-    /// Leaves with non-zero frequency in the source tree.
-    occupied_leaves: usize,
 }
 
 impl TreeIndex {
-    /// Lowers `tree` into a flattened index, choosing
-    /// [`IndexLayout::Sparse`] when leaf occupancy is below
-    /// [`SPARSE_OCCUPANCY_THRESHOLD`] and [`IndexLayout::Dense`]
-    /// otherwise.
+    /// Lowers `tree` into a flattened index, collapsing every zero-total
+    /// subtree into one zero leaf.
     ///
     /// Returns `None` when the tree cannot be indexed: more than 64
     /// attributes (the containment bitmask is a `u64`), a right-child
@@ -144,40 +129,24 @@ impl TreeIndex {
             return None;
         }
         let arena = tree.nodes();
-        let source_leaves = arena.iter().filter(|n| matches!(n, Node::Leaf { .. })).count();
-        let occupied_leaves = arena
-            .iter()
-            // lint:allow-next-line(float-cmp): occupancy counts exact-zero buckets
-            .filter(|n| matches!(n, Node::Leaf { freq } if *freq != 0.0))
-            .count();
-        #[allow(clippy::cast_precision_loss)]
-        let occupancy =
-            if source_leaves == 0 { 1.0 } else { occupied_leaves as f64 / source_leaves as f64 };
-        let layout = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
-            IndexLayout::Sparse
-        } else {
-            IndexLayout::Dense
-        };
-        // A dense lowering of a fully reachable arena fills exactly one
-        // slot per leaf and two per split; a sparse one grows as it goes.
-        // Either way the index keeps no spare capacity.
-        let mut slots = match layout {
-            IndexLayout::Dense => Vec::with_capacity(2 * arena.len() - source_leaves),
-            IndexLayout::Sparse => Vec::new(),
-        };
-        emit(tree, &mut slots, layout == IndexLayout::Sparse, max_right, 0)?;
+        let leaves = arena.iter().filter(|n| matches!(n, Node::Leaf { .. })).count();
+        // A fully reachable arena with no zero subtree fills exactly one
+        // slot per leaf and two per split; a collapse only shortens that,
+        // and the index keeps no spare capacity.
+        let mut slots = Vec::with_capacity(2 * arena.len() - leaves);
+        let mut collapsed = false;
+        emit(tree, &mut slots, &mut collapsed, max_right, 0)?;
         slots.shrink_to_fit();
+        let layout = if collapsed { IndexLayout::Sparse } else { IndexLayout::Dense };
         Some(Self {
             attrs: tree.attrs().clone(),
             domain: tree.domain().ranges().to_vec(),
             slots,
             layout,
-            source_leaves,
-            occupied_leaves,
         })
     }
 
-    /// The layout the lowering selected.
+    /// Whether lowering collapsed any zero subtree.
     #[must_use]
     pub fn layout(&self) -> IndexLayout {
         self.layout
@@ -189,20 +158,8 @@ impl TreeIndex {
         &self.attrs
     }
 
-    /// Source-tree leaves with non-zero frequency over all source leaves,
-    /// the sparse-selection criterion.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        if self.source_leaves == 0 {
-            1.0
-        } else {
-            self.occupied_leaves as f64 / self.source_leaves as f64
-        }
-    }
-
-    /// Materialized nodes (post-collapse) — the sparse layout's storage
-    /// win shows up here. With `i` internal nodes there are `i + 1`
+    /// Materialized nodes (post-collapse) — the collapse's storage win
+    /// shows up here. With `i` internal nodes there are `i + 1`
     /// leaves and `3i + 1` slots.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -335,14 +292,14 @@ impl TreeIndex {
 /// its total and whether it was emitted as a leaf. Leaf totals are
 /// zero-normalized (`-0.0` → `+0.0`) so the slot doubles as the walk's
 /// zero short-circuit; for non-zero leaves it *is* the frequency bit
-/// pattern. Under `sparse`, a subtree whose total is `0.0` is truncated
-/// back to one zero leaf. Returns `None` on a corrupt arena (a child not
-/// after its parent, an uncovered split attribute) or a right-child
-/// offset above `max_right`.
+/// pattern. An internal node whose total is `0.0` is truncated back to
+/// one zero leaf, setting `collapsed`. Returns `None` on a corrupt arena
+/// (a child not after its parent, an uncovered split attribute) or a
+/// right-child offset above `max_right`.
 fn emit(
     tree: &SplitTree,
     slots: &mut Vec<u64>,
-    sparse: bool,
+    collapsed: &mut bool,
     max_right: usize,
     src: u32,
 ) -> Option<(f64, bool)> {
@@ -361,14 +318,15 @@ fn emit(
             }
             let here = slots.len();
             slots.extend([0, 0]);
-            let (l, left_leaf) = emit(tree, slots, sparse, max_right, *left)?;
+            let (l, left_leaf) = emit(tree, slots, collapsed, max_right, *left)?;
             let offset = slots.len() - here;
-            let (r, right_leaf) = emit(tree, slots, sparse, max_right, *right)?;
+            let (r, right_leaf) = emit(tree, slots, collapsed, max_right, *right)?;
             let total = l + r;
             // lint:allow-next-line(float-cmp): zero subtrees prune identically whatever their shape
-            if sparse && total == 0.0 {
+            if total == 0.0 {
                 slots.truncate(here);
                 slots.push(0.0f64.to_bits());
+                *collapsed = true;
                 return Some((0.0, true));
             }
             let pos = tree.attrs().position(*attr)?;
@@ -485,10 +443,7 @@ mod tests {
     fn sparse_index_collapses_and_stays_bit_identical() {
         let tree = skewed_tree(8); // only x ∈ {0, 8} occupied
         let index = TreeIndex::lower(&tree).unwrap();
-        assert!(index.occupancy() <= 1.0);
-        if index.layout() == IndexLayout::Sparse {
-            assert!(index.node_count() <= tree.nodes().len());
-        }
+        assert_eq!(index.layout() == IndexLayout::Sparse, index.node_count() < tree.nodes().len());
         for q in boxes() {
             assert_eq!(
                 tree.mass_in_box(&q).to_bits(),
@@ -509,6 +464,32 @@ mod tests {
             let reused = index.mass_in_box_with(&q, &mut bounds, &mut constraint);
             assert_eq!(fresh.to_bits(), reused.to_bits());
             assert_eq!(tree.mass_in_box(&q).to_bits(), reused.to_bits());
+        }
+    }
+
+    /// Half the leaves carry mass, yet the all-zero left subtree still
+    /// collapses: `b = 4` buckets lower to fewer than `3b − 2` slots.
+    #[test]
+    fn zero_subtree_collapses_at_any_occupancy() {
+        let attrs = AttrSet::from_ids([0, 1]);
+        let domain = BoundingBox::new(attrs.clone(), vec![(0, 7), (0, 7)]);
+        let nodes = vec![
+            Node::Internal { attr: 0, split: 4, left: 1, right: 4 },
+            Node::Internal { attr: 1, split: 4, left: 2, right: 3 },
+            Node::Leaf { freq: 0.0 },
+            Node::Leaf { freq: 0.0 },
+            Node::Internal { attr: 1, split: 4, left: 5, right: 6 },
+            Node::Leaf { freq: 3.0 },
+            Node::Leaf { freq: 0.1 + 0.2 },
+        ];
+        let tree = SplitTree::from_parts(attrs, domain, nodes);
+        let index = TreeIndex::lower(&tree).unwrap();
+        assert_eq!(index.layout(), IndexLayout::Sparse);
+        assert_eq!(tree.stored_numbers(), 10);
+        assert_eq!(index.storage_bytes(), 8 * 7, "root, right split, three leaves");
+        assert_eq!(shape(&index), (3, 2, 3));
+        for q in boxes() {
+            assert_eq!(tree.mass_in_box(&q).to_bits(), index.mass_in_box(&q).to_bits(), "{q:?}");
         }
     }
 

@@ -19,7 +19,7 @@ use crate::registry::{self, Counter, Gauge, LatencyHistogram};
 pub struct WellKnown {
     // Query path.
     pub query_estimates: Arc<Counter>,
-    /// Wall-clock nanoseconds per `estimate_mass` / `marginal` call.
+    /// Wall-clock nanoseconds per `estimate_mass` call.
     pub query_latency: Arc<LatencyHistogram>,
 
     // Build path.

@@ -147,5 +147,8 @@ proptest! {
         prop_assert_eq!(stats.batches, total_batches);
         prop_assert_eq!(stats.requests, total_batches * queries.len() as u64);
         prop_assert_eq!(stats.dropped_replies, 0, "swap must never drop a query");
+        let served: u64 = stats.per_generation.iter().map(|&(_, n)| n).sum();
+        prop_assert_eq!(served, stats.requests, "per-generation counts partition the requests");
+        prop_assert_eq!(stats.swap_latency.count, stats.swaps, "every swap is timed");
     }
 }

@@ -123,7 +123,7 @@ proptest! {
     }
 
     /// `estimate()` (the loose fast path) agrees with materializing the
-    /// marginal via `compute_marginal` and querying it, on exact factors.
+    /// marginal via `DbHistogram::marginal` and querying it, on exact factors.
     #[test]
     fn estimate_mass_matches_materialized_marginal(seed in any::<u64>()) {
         let schema = Schema::new(vec![("a", 6), ("b", 6), ("c", 4), ("d", 4)]).unwrap();

@@ -18,13 +18,12 @@
 
 use dbhist::core::factor::{ExactFactor, Factor};
 use dbhist::core::marginal::{
-    compute_marginal_interpreted, compute_marginal_with_stats, estimate_mass,
-    estimate_mass_interpreted,
+    compute_marginal_interpreted, compute_marginal_with_stats, estimate_mass_interpreted,
 };
 use dbhist::core::plan::QueryEngine;
 use dbhist::core::Query;
 use dbhist::distribution::{AttrId, AttrSet, Relation, Schema};
-use dbhist::histogram::mhist::{MhistBuilder, SPARSE_OCCUPANCY_THRESHOLD};
+use dbhist::histogram::mhist::MhistBuilder;
 use dbhist::histogram::{IndexLayout, OneDimHistogram, SplitCriterion, SplitTree, TreeIndex};
 use dbhist::model::chordal::addable_edge_separator;
 use dbhist::model::{DecomposableModel, MarkovGraph};
@@ -115,11 +114,11 @@ fn random_ranges(target: &AttrSet, domain: u32, state: &mut u64) -> Vec<(AttrId,
         .collect()
 }
 
-/// Lowers `tree` and checks the index against it: the layout follows
-/// the occupancy threshold (recomputed from the source leaves), the
-/// stored total is the full walk's mass, the slots hold no more than the
-/// split tree's `3b − 2` numbers, and random boxes over `attrs`
-/// answer bit-identically — through the caller's shared scratch pair.
+/// Lowers `tree` and checks the index against it: the layout is sparse
+/// exactly when a zero subtree collapsed (fewer slots than the split
+/// tree's `3b − 2` numbers, never more), the stored total is the full
+/// walk's mass, and random boxes over `attrs` answer bit-identically —
+/// through the caller's shared scratch pair.
 fn check_lowered(
     tree: &SplitTree,
     attrs: &AttrSet,
@@ -129,22 +128,16 @@ fn check_lowered(
     constraint: &mut Vec<(u32, u32)>,
 ) -> Result<(), String> {
     let index = TreeIndex::lower(tree).ok_or("tree did not lower")?;
-    let leaves = tree.leaves();
-    #[allow(clippy::cast_precision_loss)]
-    let occupancy = leaves.iter().filter(|&&(_, f)| f != 0.0).count() as f64 / leaves.len() as f64;
-    let expected = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
-        IndexLayout::Sparse
-    } else {
-        IndexLayout::Dense
-    };
-    prop_assert_eq!(index.layout(), expected, "occupancy {}", occupancy);
-    prop_assert_eq!(index.total().to_bits(), tree.mass_in_box(&[]).to_bits());
     // The paper's `3b − 2` numbers at 8 bytes each; fewer once collapsed.
     let dense_bytes = 8 * tree.stored_numbers();
-    match index.layout() {
-        IndexLayout::Dense => prop_assert_eq!(index.storage_bytes(), dense_bytes),
-        IndexLayout::Sparse => prop_assert!(index.storage_bytes() <= dense_bytes),
+    prop_assert!(index.storage_bytes() <= dense_bytes);
+    let expected =
+        if index.storage_bytes() < dense_bytes { IndexLayout::Sparse } else { IndexLayout::Dense };
+    prop_assert_eq!(index.layout(), expected, "{} of {} bytes", index.storage_bytes(), dense_bytes);
+    if tree.leaves().iter().all(|&(_, f)| f != 0.0) {
+        prop_assert_eq!(index.layout(), IndexLayout::Dense, "no zero leaf, nothing to collapse");
     }
+    prop_assert_eq!(index.total().to_bits(), tree.mass_in_box(&[]).to_bits());
     for _ in 0..12 {
         let ranges = random_ranges(attrs, domain, state);
         let walked = tree.mass_in_box(&ranges);
@@ -264,13 +257,15 @@ proptest! {
         for target in random_targets(arity, &mut state, 6) {
             let ranges = random_ranges(&target, domain, &mut state);
             let query = Query::from(ranges.as_slice());
-            let planned = estimate_mass(tree, &factors, &target, &query).unwrap();
+            let planned =
+                QueryEngine::new(tree).estimate_mass(tree, &factors, &target, &query).unwrap();
             let interp = estimate_mass_interpreted(tree, &factors, &target, &query).unwrap();
             prop_assert_eq!(
                 planned.to_bits(), interp.to_bits(),
                 "exact: target {} ranges {:?}: {} vs {}", &target, &ranges, planned, interp
             );
-            let planned_h = estimate_mass(tree, &hists, &target, &query).unwrap();
+            let planned_h =
+                QueryEngine::new(tree).estimate_mass(tree, &hists, &target, &query).unwrap();
             let interp_h = estimate_mass_interpreted(tree, &hists, &target, &query).unwrap();
             prop_assert_eq!(
                 planned_h.to_bits(), interp_h.to_bits(),
@@ -312,18 +307,11 @@ proptest! {
         }
         let trace = engine.trace();
         prop_assert!(trace.plan_cache_hits >= queries.len(), "{:?}", trace);
-        // The engine's marginal entry point matches the free function.
-        let (t0, _) = &queries[0];
-        let via_engine = engine.marginal(tree, &factors, t0).unwrap();
-        let (direct, _) = compute_marginal_interpreted(tree, &factors, t0).unwrap();
-        for (k, v) in direct.0.iter() {
-            prop_assert_eq!(via_engine.0.frequency(k).to_bits(), v.to_bits());
-        }
     }
 
-    /// Lowered tree indices: the dense/sparse layout choice follows the
-    /// occupancy threshold (computed here independently from the source
-    /// tree's leaves), and both layouts answer `mass_in_box` bit-identical
+    /// Lowered tree indices: the layout is sparse exactly when a zero
+    /// subtree collapsed (checked against the source tree's `3b − 2`
+    /// stored numbers), and both layouts answer `mass_in_box` bit-identical
     /// to the recursive `SplitTree` walk — including when one scratch
     /// buffer pair is reused across interleaved trees and queries, and
     /// for the products and projections the engine lowers as group
@@ -361,18 +349,15 @@ proptest! {
             &rel.marginal(&all).unwrap(), buckets, SplitCriterion::MaxDiff).unwrap();
         let index = TreeIndex::lower(&tree).unwrap();
 
-        // Layout selection: recompute occupancy from the source tree.
-        let leaves = tree.leaves();
-        #[allow(clippy::cast_precision_loss)]
-        let occupancy =
-            leaves.iter().filter(|&&(_, f)| f != 0.0).count() as f64 / leaves.len() as f64;
-        let expected = if occupancy < SPARSE_OCCUPANCY_THRESHOLD {
+        // Layout: sparse exactly when the lowering dropped slots.
+        let dense_bytes = 8 * tree.stored_numbers();
+        prop_assert!(index.storage_bytes() <= dense_bytes);
+        let expected = if index.storage_bytes() < dense_bytes {
             IndexLayout::Sparse
         } else {
             IndexLayout::Dense
         };
-        prop_assert_eq!(index.layout(), expected, "occupancy {}", occupancy);
-        prop_assert!((index.occupancy() - occupancy).abs() < 1e-12);
+        prop_assert_eq!(index.layout(), expected, "{} of {} bytes", index.storage_bytes(), dense_bytes);
         prop_assert_eq!(index.total().to_bits(), tree.total().to_bits());
 
         // One scratch pair, reused across every query (and in the 2-attr
