@@ -116,8 +116,8 @@ fn bench_plan_vs_interpreter(c: &mut Criterion) {
     group.finish();
     let trace = engine.trace();
     eprintln!(
-        "plan path: {} plan-cache hits / {} misses, {} factor clones",
-        trace.plan_cache_hits, trace.plan_cache_misses, trace.factor_clones
+        "plan path: {} plan-cache hits / {} misses",
+        trace.plan_cache_hits, trace.plan_cache_misses
     );
 }
 

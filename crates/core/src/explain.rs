@@ -102,6 +102,9 @@ pub enum StepKind {
     Shed,
     /// A shed projection was skipped at runtime.
     ShedSkipped(ShedSkip),
+    /// The group was answered by walking a lowering another cached shape
+    /// holds for the same expression; no factor operation ran.
+    KernelWalk,
 }
 
 impl StepKind {
@@ -113,6 +116,7 @@ impl StepKind {
             StepKind::Product => "product",
             StepKind::Shed => "shed",
             StepKind::ShedSkipped(_) => "shed_skipped",
+            StepKind::KernelWalk => "kernel_walk",
         }
     }
 }
@@ -171,7 +175,7 @@ impl ExplainProbe for NoProbe {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// Operation tag (`load`, `project`, `identity_project`, `product`,
-    /// `shed`, `shed_skipped`).
+    /// `shed`, `shed_skipped`, `kernel_walk`).
     pub op: &'static str,
     /// Loaded clique index, for `load` steps.
     pub clique: Option<usize>,
@@ -189,7 +193,7 @@ pub struct GroupReport {
     /// The group's target attribute set, rendered.
     pub attrs: String,
     /// Executed steps, in order (one `kernel_walk` step for kernel-path
-    /// groups).
+    /// groups and for groups answered by another shape's lowering).
     pub steps: Vec<StepReport>,
     /// The group's box mass, when observed.
     pub mass: Option<f64>,
@@ -394,8 +398,8 @@ impl ExplainProbe for ExplainRecorder {
         if let Some(g) = self.report.groups.last_mut() {
             g.steps.push(record);
         } else {
-            // A direct `execute_marginal_probed` call outside any group
-            // lands in an implicit group.
+            // A step recorded outside any group lands in an implicit
+            // group.
             self.report.groups.push(GroupReport {
                 attrs: self.report.target.clone(),
                 steps: vec![record],
@@ -408,7 +412,7 @@ impl ExplainProbe for ExplainRecorder {
         self.report.groups.push(GroupReport {
             attrs: format!("kernel_group_{index}"),
             steps: vec![StepReport {
-                op: "kernel_walk",
+                op: StepKind::KernelWalk.op(),
                 clique: None,
                 skip: None,
                 ns,

@@ -413,9 +413,11 @@ impl IngestSession {
         self.maintained.apply(signed_rows(ops));
         if let Some(marginals) = &mut self.marginals {
             let cliques = self.maintained.synopsis().model().cliques();
+            let mut key: Vec<u32> = Vec::new();
             for (row, delta) in signed_rows(ops) {
                 for (clique, marginal) in cliques.iter().zip(marginals.iter_mut()) {
-                    let key: Vec<u32> = clique.iter().map(|a| row[usize::from(a)]).collect();
+                    key.clear();
+                    key.extend(clique.iter().map(|a| row[usize::from(a)]));
                     marginal.add(&key, delta);
                 }
             }

@@ -12,12 +12,27 @@
 //! per leaf, 16 per split) that answers `mass_in_box` with a pruned
 //! O(log b)-per-boundary walk instead of re-running products, projections,
 //! and full-tree scans per query. EXPLAIN reports the sum of a kernel's
-//! group `storage_bytes()` as the memory its query shape holds.
+//! group `storage_bytes()` as the memory its query shape holds; a group
+//! shared with other shapes counts in each of them.
 //!
 //! A [`MassKernel`] bundles the lowered group indices with the synopsis
 //! total and replays the exact arithmetic of the engine's group fold
-//! (`execute_groups` in [`crate::plan`]):
+//! (in [`QueryEngine::estimate_mass`](crate::plan::QueryEngine::estimate_mass)):
 //! `mass = N · Π (group_mass / N)`, groups in plan order, left to right.
+//!
+//! **Shared groups.** Many query shapes execute the same group: the
+//! Fig. 3 recursion for different targets often runs the same product
+//! chain. The engine names each group execution by its **expression
+//! key** — the hash-consed operations that actually ran (`Load`,
+//! proper `Project`, `Product`, and a fired shed as the projection it
+//! runs) — and keeps one table from key to `Weak<TreeIndex>`, so a
+//! kernel's groups are `Arc`s shared with every cached shape whose group
+//! executed the same expression, and a lowering lives exactly as long as
+//! some cached shape holds it. On a miss the engine resolves each
+//! group's key symbolically (attribute sets and shed decisions replayed
+//! from what earlier executions observed) and walks a live shared
+//! lowering instead of running products. Equal keys mean bit-identical
+//! marginals, so sharing changes no estimate.
 //! Because each index walk is bit-identical to
 //! `SplitTree::mass_in_box` on the marginal it was lowered from (see the
 //! proof in `dbhist_histogram::mhist::index`), a kernel evaluation is
@@ -39,6 +54,7 @@
 //! product loop keeps plan order. Any future kernel optimization must
 //! preserve this or demote itself behind a new equivalence proof.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use dbhist_distribution::AttrId;
@@ -51,27 +67,29 @@ use crate::scratch::PlanScratch;
 /// A fully lowered [`MassPlan`](crate::plan::MassPlan): the synopsis
 /// total plus one flattened [`TreeIndex`] per independent component, in
 /// plan order. Built by the engine on the first execution of a plan
-/// shape; evaluated on every subsequent query with that shape.
+/// shape; evaluated on every subsequent query with that shape. A group
+/// is shared (one `Arc`) with every other cached shape whose group
+/// executed the same expression.
 #[derive(Debug, Clone)]
 pub struct MassKernel {
     /// The synopsis total `N` at lowering time (factors are immutable
     /// between invalidations, which drop lowered kernels).
     total: f64,
     /// Lowered loose group marginals, in [`MassPlan`] group order.
-    groups: Vec<TreeIndex>,
+    groups: Vec<Arc<TreeIndex>>,
 }
 
 impl MassKernel {
     /// Assembles a kernel from the synopsis total and the lowered group
     /// indices (one per plan group, same order).
     #[must_use]
-    pub(crate) fn new(total: f64, groups: Vec<TreeIndex>) -> Self {
+    pub(crate) fn new(total: f64, groups: Vec<Arc<TreeIndex>>) -> Self {
         Self { total, groups }
     }
 
     /// The lowered per-group indices, in plan order.
     #[must_use]
-    pub fn groups(&self) -> &[TreeIndex] {
+    pub fn groups(&self) -> &[Arc<TreeIndex>] {
         &self.groups
     }
 
@@ -102,8 +120,8 @@ impl MassKernel {
         scratch: &mut PlanScratch,
         probe: &mut P,
     ) -> f64 {
-        // Verbatim arithmetic from `execute_groups`: start from the total,
-        // multiply each group's mass ratio in plan order.
+        // Verbatim arithmetic of the engine's group fold: start from the
+        // total, multiply each group's mass ratio in plan order.
         let total = self.total;
         let mut mass = total;
         for (index, group) in self.groups.iter().enumerate() {

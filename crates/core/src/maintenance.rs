@@ -171,9 +171,11 @@ impl MaintainedDbHistogram {
     /// invalidation. Each insert then enters the reservoir.
     pub(crate) fn apply<'r>(&mut self, rows: impl IntoIterator<Item = (&'r [u32], f64)>) {
         let (model, factors) = self.synopsis.factors_mut();
+        let mut key: Vec<u32> = Vec::new();
         for (row, delta) in rows {
             for (clique, factor) in model.cliques().iter().zip(factors.iter_mut()) {
-                let key: Vec<u32> = clique.iter().map(|a| row[usize::from(a)]).collect();
+                key.clear();
+                key.extend(clique.iter().map(|a| row[usize::from(a)]));
                 factor.update(&key, delta);
             }
             self.row_count = (self.row_count + delta).max(0.0);
@@ -481,7 +483,7 @@ impl SelectivityEstimator for MaintainedDbHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbhist_distribution::Schema;
+    use dbhist_distribution::{AttrSet, Schema};
 
     /// a == b (8 values), c independent.
     fn relation(rows: u32) -> Relation {
@@ -587,6 +589,34 @@ mod tests {
         }
         let after = m.estimate(&Query::range(0, 3, 3));
         assert!(after > before + 400.0, "stale kernel served after update: {after}");
+    }
+
+    /// Updates go through `factors_mut()`, which clears the engine's
+    /// expression table with its kernels: a copy taken before the update
+    /// keeps the old lowering of `{a}` alive, yet after it every shape
+    /// whose group executes that expression answers exactly as a fresh
+    /// engine over the updated factors does.
+    #[test]
+    fn updates_share_no_stale_group() {
+        let rel = relation(4096);
+        let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(400)).unwrap();
+        m.estimate(&Query::range(0, 3, 3));
+        let before = m.synopsis().clone();
+        for _ in 0..500 {
+            m.insert(&[3, 3, 0]);
+        }
+        let db = m.synopsis();
+        let tree = db.model().junction_tree();
+        for q in [Query::range(0, 3, 3).and(2, 0, 1), Query::range(0, 3, 3), Query::range(2, 0, 0)]
+        {
+            let target = AttrSet::from_ids(q.ranges().iter().map(|r| r.0));
+            let fresh = crate::plan::QueryEngine::new(tree)
+                .estimate_mass(tree, db.factors(), &target, &q)
+                .unwrap();
+            assert_eq!(m.estimate(&q).to_bits(), fresh.to_bits(), "{q:?}");
+        }
+        assert!(db.query_trace().kernel_groups_shared >= 1, "{:?}", db.query_trace());
+        drop(before);
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!    identity projections *borrow* the stored factors (zero clones);
 //!    only genuine products and projections materialize new factors. A
 //!    mass plan executes through one group fold inside the engine;
-//!    [`QueryEngine::estimate_mass`] is the only way to run one.
+//!    [`QueryEngine::estimate_mass`] is the only way to run one. The
+//!    engine's executions also hash-cons every operand they produce
+//!    into an expression table, so each group has an **expression key**
+//!    naming the operations that actually ran.
 //! 3. **Workload cache** — [`QueryEngine`] keeps one bounded
 //!    [`ShardedLru`] entry per query shape, keyed by the canonical
 //!    [`AttrSet`] and holding the compiled [`MassPlan`] and, once
@@ -38,7 +41,10 @@
 //!    one flat slot array with pooled scratch ([`crate::scratch`]) — no
 //!    per-query allocation. This is the flat tree-like bucket index of
 //!    Buccafurri et al., "Enhancing Histograms by Tree-Like Bucket
-//!    Indices".
+//!    Indices". Group lowerings are shared across shapes by expression
+//!    key through a table of `Weak` references, and a miss whose group
+//!    key resolves symbolically to a live lowering walks it instead of
+//!    executing the group.
 //!
 //! Planned execution is *operation-identical* to the recursive
 //! interpreter ([`crate::marginal::compute_marginal_interpreted`]): the
@@ -47,9 +53,10 @@
 //! `tests/plan_equivalence.rs`).
 
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::Instant;
 
+use dbhist_distribution::fxhash::FxHashMap;
 use dbhist_distribution::AttrSet;
 use dbhist_histogram::{IndexLayout, TreeIndex};
 use dbhist_model::junction::{RootedJunctionTree, RootedViews};
@@ -65,7 +72,7 @@ use crate::factor::Factor;
 use crate::kernel::MassKernel;
 use crate::query::Query;
 use crate::scratch::ScratchPool;
-use crate::sharded::ShardedLru;
+use crate::sharded::{lock, ShardedLru};
 
 /// Intermediate factors larger than this skip "tidying" (shed)
 /// projections: carrying a few extra attributes through `mass_in_box` is
@@ -175,9 +182,6 @@ query_counters! {
     sheds_skipped => "dbhist_query_sheds_skipped_total";
     /// Clique factors loaded by borrow (never cloned).
     clique_loads => "dbhist_query_clique_loads_total";
-    /// Whole-factor clones performed. Estimation never clones a factor,
-    /// so the engine always reports zero.
-    factor_clones => "dbhist_query_factor_clones_total";
     /// Queries that found their shape cached without a kernel and
     /// executed the cached plan.
     plan_cache_hits => "dbhist_query_plan_cache_hits_total";
@@ -193,6 +197,9 @@ query_counters! {
     /// Group marginals lowered into sparse (zero-subtree-collapsed) flat
     /// indices.
     kernel_lowered_sparse => "dbhist_query_kernel_lowered_sparse_total";
+    /// Group lowerings a new kernel took from another cached shape whose
+    /// group executed the same expression (not counted as lowered).
+    kernel_groups_shared => "dbhist_query_kernel_groups_shared_total";
     /// Mass-plan executions that could not lower every group (factor
     /// representation has no bit-identical lowering); the engine keeps
     /// executing those plans directly.
@@ -471,29 +478,66 @@ pub fn execute_marginal<'a, F: Factor>(
     factors: &'a [F],
     trace: &mut QueryTrace,
 ) -> Result<Cow<'a, F>, SynopsisError> {
-    execute_marginal_probed(plan, factors, trace, &mut NoProbe)
+    execute_keyed(plan, factors, trace, &mut NoProbe, |_, _, _| 0).map(|(result, _)| result)
 }
 
-/// [`execute_marginal`] with an [`ExplainProbe`] observing every step.
+/// The shed gate the executor applies at runtime (and the expression
+/// resolver replays): the cut `keep ∩ attrs` to project onto, or why the
+/// shed is skipped, checked in this order.
+fn shed_cut(keep: &AttrSet, attrs: &AttrSet, len: usize) -> Result<AttrSet, ShedSkip> {
+    let mut cut = keep.clone();
+    cut.intersect_with(attrs);
+    if cut.is_empty() {
+        Err(ShedSkip::NothingToKeep)
+    } else if &cut == attrs {
+        Err(ShedSkip::AlreadyTidy)
+    } else if len > SHED_LIMIT {
+        Err(ShedSkip::TooLarge)
+    } else {
+        Ok(cut)
+    }
+}
+
+/// One operand of the executor's stack: the factor, its expression key,
+/// and its `len_hint`.
+struct Operand<'a, F: Clone> {
+    factor: Cow<'a, F>,
+    key: ExprId,
+    len: usize,
+}
+
+impl<F: Factor> Operand<'_, F> {
+    /// An operand `expr` materialized, interned under its key.
+    fn owned(
+        expr: Expr,
+        factor: F,
+        intern: &mut impl FnMut(Expr, &AttrSet, usize) -> ExprId,
+    ) -> Self {
+        let len = factor.len_hint();
+        let key = intern(expr, factor.attrs(), len);
+        Self { factor: Cow::Owned(factor), key, len }
+    }
+}
+
+/// The one plan executor behind [`execute_marginal`] and the engine:
+/// runs the steps and names every operand it produces through
+/// `intern(operation, attrs, len_hint)`, returning the result with its
+/// expression key. Skipped sheds and identity projections change no
+/// operand, so they intern nothing.
 ///
-/// With [`NoProbe`] (what [`execute_marginal`] instantiates) every probe
-/// site is compiled out — `P::ACTIVE` is a monomorphization-time
-/// constant — so the unprobed path carries no clock reads or recording.
-/// Probes observe only; operands and results are untouched, keeping
-/// explained execution bit-identical.
-///
-/// # Errors
-///
-/// Propagates factor-operation failures; rejects plans inconsistent with
-/// the factor slice (wrong clique indices or malformed stack shape).
-pub fn execute_marginal_probed<'a, F: Factor, P: ExplainProbe>(
+/// With [`NoProbe`] every probe site is compiled out — `P::ACTIVE` is a
+/// monomorphization-time constant — so the unprobed path carries no
+/// clock reads or recording. Probes observe only; operands and results
+/// are untouched, keeping explained execution bit-identical.
+fn execute_keyed<'a, F: Factor, P: ExplainProbe>(
     plan: &MarginalPlan,
     factors: &'a [F],
     trace: &mut QueryTrace,
     probe: &mut P,
-) -> Result<Cow<'a, F>, SynopsisError> {
+    mut intern: impl FnMut(Expr, &AttrSet, usize) -> ExprId,
+) -> Result<(Cow<'a, F>, ExprId), SynopsisError> {
     let _span = dbhist_telemetry::span!("dbhist_query_plan_exec_latency_ns");
-    let mut stack: Vec<Cow<'a, F>> = Vec::new();
+    let mut stack: Vec<Operand<'a, F>> = Vec::new();
     for step in plan.steps() {
         let started = if P::ACTIVE { Some(Instant::now()) } else { None };
         let kind = match step {
@@ -501,17 +545,24 @@ pub fn execute_marginal_probed<'a, F: Factor, P: ExplainProbe>(
                 let f =
                     factors.get(*clique).ok_or_else(|| malformed("clique index out of range"))?;
                 trace.clique_loads += 1;
-                stack.push(Cow::Borrowed(f));
+                let len = f.len_hint();
+                let key = intern(Expr::Load(*clique), f.attrs(), len);
+                stack.push(Operand { factor: Cow::Borrowed(f), key, len });
                 StepKind::Load { clique: *clique }
             }
             PlanStep::Project { attrs } => {
                 let top = stack.last_mut().ok_or_else(|| malformed("project on empty stack"))?;
-                if top.attrs() == attrs {
+                if top.factor.attrs() == attrs {
                     trace.identity_projections += 1;
                     StepKind::IdentityProject
                 } else {
                     trace.projections += 1;
-                    *top = Cow::Owned(top.project(attrs)?);
+                    let projected = top.factor.project(attrs)?;
+                    *top = Operand::owned(
+                        Expr::Project(top.key, attrs.clone()),
+                        projected,
+                        &mut intern,
+                    );
                     StepKind::Project
                 }
             }
@@ -519,40 +570,141 @@ pub fn execute_marginal_probed<'a, F: Factor, P: ExplainProbe>(
                 let rhs = stack.pop().ok_or_else(|| malformed("product on empty stack"))?;
                 let lhs = stack.pop().ok_or_else(|| malformed("product on 1-operand stack"))?;
                 trace.products += 1;
-                stack.push(Cow::Owned(lhs.product(&rhs)?));
+                let product = lhs.factor.product(&rhs.factor)?;
+                stack.push(Operand::owned(Expr::Product(lhs.key, rhs.key), product, &mut intern));
                 StepKind::Product
             }
             PlanStep::Shed { keep } => {
                 let top = stack.last_mut().ok_or_else(|| malformed("shed on empty stack"))?;
-                let mut cut = keep.clone();
-                cut.intersect_with(top.attrs());
-                if cut.is_empty() || &cut == top.attrs() || top.len_hint() > SHED_LIMIT {
-                    trace.sheds_skipped += 1;
-                    StepKind::ShedSkipped(if cut.is_empty() {
-                        ShedSkip::NothingToKeep
-                    } else if &cut == top.attrs() {
-                        ShedSkip::AlreadyTidy
-                    } else {
-                        ShedSkip::TooLarge
-                    })
-                } else {
-                    trace.sheds += 1;
-                    *top = Cow::Owned(top.project(&cut)?);
-                    StepKind::Shed
+                match shed_cut(keep, top.factor.attrs(), top.len) {
+                    Err(skip) => {
+                        trace.sheds_skipped += 1;
+                        StepKind::ShedSkipped(skip)
+                    }
+                    Ok(cut) => {
+                        trace.sheds += 1;
+                        let projected = top.factor.project(&cut)?;
+                        *top = Operand::owned(Expr::Project(top.key, cut), projected, &mut intern);
+                        StepKind::Shed
+                    }
                 }
             }
         };
         if P::ACTIVE {
             let ns =
                 started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            probe.step(kind, ns, stack.last().map_or(0, |f| f.len_hint()));
+            probe.step(kind, ns, stack.last().map_or(0, |top| top.len));
         }
     }
     let result = stack.pop().ok_or_else(|| malformed("empty plan"))?;
     if !stack.is_empty() {
         return Err(malformed("leftover operands"));
     }
-    Ok(result)
+    Ok((result.factor, result.key))
+}
+
+/// Index of an interned [`Expr`] in an [`ExprTable`].
+type ExprId = usize;
+
+/// One factor operation a group execution actually ran, over interned
+/// operands: a node of a group's **expression key**. A fired shed is the
+/// projection it runs. A group's loose marginal is a deterministic
+/// function of its expression over the same factors, so equal keys mean
+/// bit-identical marginals and lowerings.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Expr {
+    /// A clique's stored factor.
+    Load(usize),
+    /// A proper projection of an operand.
+    Project(ExprId, AttrSet),
+    /// `lhs.product(rhs)`.
+    Product(ExprId, ExprId),
+}
+
+/// What execution observed of an interned expression's result: the
+/// inputs of the shed gate ([`shed_cut`]).
+#[derive(Debug)]
+struct Observed {
+    attrs: AttrSet,
+    len: usize,
+}
+
+/// The engine's hash-consed expressions: every operand an execution
+/// produced, what it observed of each, and one `Weak` group lowering per
+/// expression key that some cached shape's kernel holds. Interning
+/// happens only on execution, so every id has an observation, and a
+/// lowering lives exactly as long as a cached shape holds it. Valid for
+/// the factors it observed: [`QueryEngine::invalidate_kernels`] clears
+/// it.
+#[derive(Debug, Default)]
+struct ExprTable {
+    ids: FxHashMap<Expr, ExprId>,
+    observed: Vec<Observed>,
+    lowerings: FxHashMap<ExprId, Weak<TreeIndex>>,
+}
+
+impl ExprTable {
+    /// The id of `expr`, interning it with the observed `attrs` and `len`
+    /// on first sight.
+    fn intern(&mut self, expr: Expr, attrs: &AttrSet, len: usize) -> ExprId {
+        let next = self.observed.len();
+        let observed = &mut self.observed;
+        *self.ids.entry(expr).or_insert_with(|| {
+            observed.push(Observed { attrs: attrs.clone(), len });
+            next
+        })
+    }
+
+    /// The live lowering of the expression `steps` would execute,
+    /// resolved without running a factor operation: attribute sets and
+    /// shed decisions replay the executor from what earlier executions
+    /// observed. `None` when some operand was never executed or no cached
+    /// shape holds the lowering.
+    fn resolve(&self, steps: &[PlanStep]) -> Option<Arc<TreeIndex>> {
+        let id = |expr: Expr| self.ids.get(&expr).copied();
+        let mut stack: Vec<ExprId> = Vec::new();
+        for step in steps {
+            match step {
+                PlanStep::Load { clique } => stack.push(id(Expr::Load(*clique))?),
+                PlanStep::Project { attrs } => {
+                    let top = stack.last_mut()?;
+                    if &self.observed[*top].attrs != attrs {
+                        *top = id(Expr::Project(*top, attrs.clone()))?;
+                    }
+                }
+                PlanStep::Product => {
+                    let rhs = stack.pop()?;
+                    let lhs = stack.pop()?;
+                    stack.push(id(Expr::Product(lhs, rhs))?);
+                }
+                PlanStep::Shed { keep } => {
+                    let top = stack.last_mut()?;
+                    let seen = &self.observed[*top];
+                    if let Ok(cut) = shed_cut(keep, &seen.attrs, seen.len) {
+                        *top = id(Expr::Project(*top, cut))?;
+                    }
+                }
+            }
+        }
+        let key = stack.pop()?;
+        if !stack.is_empty() {
+            return None;
+        }
+        self.lowerings.get(&key)?.upgrade()
+    }
+
+    /// Publishes `index`, the lowering of expression `key`, and returns
+    /// the group to hold: a live lowering another worker published first
+    /// (`true`), else `index` itself. Dead entries are pruned on insert.
+    fn publish(&mut self, key: ExprId, index: TreeIndex) -> (Arc<TreeIndex>, bool) {
+        if let Some(live) = self.lowerings.get(&key).and_then(Weak::upgrade) {
+            return (live, true);
+        }
+        self.lowerings.retain(|_, lowering| lowering.strong_count() > 0);
+        let index = Arc::new(index);
+        self.lowerings.insert(key, Arc::downgrade(&index));
+        (index, false)
+    }
 }
 
 /// One independent model component of a [`MassPlan`]: the target
@@ -658,50 +810,21 @@ impl MassPlan {
     }
 }
 
-/// The one group fold of a [`MassPlan`], run by the engine whenever a
-/// shape has no kernel: executes each group's loose plan (probed, see
-/// [`execute_marginal_probed`] for the zero-cost contract), hands the
-/// resulting marginal to `visit`, and folds its box mass into
-/// `N · Π (mass / N)`. A non-positive total answers `0.0` right after
-/// the first group.
-fn execute_groups<F: Factor, P: ExplainProbe>(
-    plan: &MassPlan,
-    factors: &[F],
-    query: &Query,
-    trace: &mut QueryTrace,
-    probe: &mut P,
-    mut visit: impl FnMut(&F),
-) -> Result<f64, SynopsisError> {
-    let ranges = query.ranges();
-    let total = factors.first().map_or(0.0, Factor::total);
-    let mut mass = total;
-    for group in plan.groups() {
-        if P::ACTIVE {
-            probe.group(&group.attrs);
-        }
-        let loose = execute_marginal_probed(&group.plan, factors, trace, probe)?;
-        visit(&loose);
-        let group_mass = loose.mass_in_box(ranges);
-        if P::ACTIVE {
-            probe.group_mass(group_mass);
-        }
-        if total > 0.0 {
-            mass *= group_mass / total;
-        } else {
-            return Ok(0.0);
-        }
-    }
-    Ok(mass)
-}
-
 /// The one cache entry per query shape, keyed by the canonical (sorted,
 /// deduplicated) query attribute set: the compiled mass plan plus —
-/// once an execution has lowered every group bit-identically — its
-/// kernel.
+/// once an execution has lowered (or shared) every group
+/// bit-identically — its kernel.
 #[derive(Debug, Clone)]
 struct Shape {
     plan: MassPlan,
     kernel: OnceLock<Arc<MassKernel>>,
+}
+
+/// One group's lowering on the way into a shape's kernel: taken from
+/// another shape, or lowered by this execution under its expression key.
+enum GroupIndex {
+    Shared(Arc<TreeIndex>),
+    Lowered(ExprId, TreeIndex),
 }
 
 /// The per-synopsis workload cache: rooted views computed once, one
@@ -720,6 +843,10 @@ pub struct QueryEngine {
     /// One entry per query shape, probed once per query: a kernel
     /// answers it, else the cached plan executes, else a miss compiles.
     shapes: ShardedLru<AttrSet, Arc<Shape>>,
+    /// Every executed expression and the group lowerings cached shapes
+    /// hold, so shapes whose groups execute the same expression share
+    /// one lowering and a miss skips groups already lowered.
+    exprs: Mutex<ExprTable>,
     /// Pooled per-query walk scratch for kernel evaluations.
     scratch: ScratchPool,
     metrics: EngineMetrics,
@@ -733,6 +860,7 @@ impl Clone for QueryEngine {
         Self {
             views: self.views.clone(),
             shapes,
+            exprs: Mutex::default(),
             scratch: ScratchPool::default(),
             metrics: self.metrics.clone(),
         }
@@ -747,15 +875,18 @@ impl QueryEngine {
         Self {
             views: tree.rooted_views(),
             shapes: ShardedLru::new(PLAN_CACHE_CAPACITY),
+            exprs: Mutex::default(),
             scratch: ScratchPool::default(),
             metrics: EngineMetrics::default(),
         }
     }
 
-    /// Drops every cached shape's lowered kernel and keeps its plan.
-    /// Call after mutating the underlying factors: plans depend only on
-    /// model structure, kernels on factor contents.
-    pub fn invalidate_kernels(&self) {
+    /// Drops every cached shape's lowered kernel and every executed
+    /// expression, and keeps the plans. Call after mutating the
+    /// underlying factors: plans depend only on model structure, kernels
+    /// and expressions on factor contents. Takes `&mut self`, so no
+    /// estimate can run against a half-cleared table.
+    pub fn invalidate_kernels(&mut self) {
         // Only entries holding a kernel are rebuilt, so a stream of
         // updates between queries pays no per-entry plan copies.
         self.shapes.for_each_value(|shape| {
@@ -763,6 +894,7 @@ impl QueryEngine {
                 *shape = Arc::new(Shape { plan: shape.plan.clone(), kernel: OnceLock::new() });
             }
         });
+        *self.exprs.get_mut().unwrap_or_else(PoisonError::into_inner) = ExprTable::default();
     }
 
     /// A snapshot of the cumulative operation counters.
@@ -849,9 +981,12 @@ impl QueryEngine {
     /// An entry with a kernel answers the query from flat arrays with
     /// pooled scratch and touches no plan, factor, or tree; an entry
     /// without one executes its cached plan; a miss compiles and inserts.
-    /// A kernel exists only after a prior execution of the same shape
-    /// lowered every group bit-identically, so the fast path cannot
-    /// change any estimate (pinned by `tests/plan_equivalence.rs`).
+    /// Either way, a group whose expression key resolves to a lowering
+    /// another cached shape holds is answered by walking it instead of
+    /// executing. A kernel exists only after a prior execution of the
+    /// same shape lowered (or shared) every group bit-identically, so
+    /// the fast path cannot change any estimate (pinned by
+    /// `tests/plan_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -947,40 +1082,87 @@ impl QueryEngine {
             if P::ACTIVE {
                 probe.resolved_path(path);
             }
-            // Lower each group's loose marginal as it is produced; a
-            // kernel is cached only when *every* group lowers (otherwise
-            // the representation has no bit-identical flat form and the
-            // engine keeps executing this plan directly).
-            let mut lowered: Vec<TreeIndex> = Vec::with_capacity(plan.groups().len());
-            let mut lowerable = true;
-            let mass = execute_groups(plan, factors, query, &mut t, probe, |loose| {
-                if lowerable {
-                    match loose.lower_index() {
-                        Some(ix) => lowered.push(ix),
-                        None => lowerable = false,
-                    }
-                }
-            })?;
-            // A non-positive total stops the fold after one group: not
-            // every group got the chance to lower, so neither cache nor
-            // count.
+            // Each group is answered by a lowering another shape holds
+            // for the same expression (a walk, no factor operation), else
+            // executed and lowered. A kernel is cached only when *every*
+            // group has a lowering (otherwise the representation has no
+            // bit-identical flat form and the engine keeps executing this
+            // plan directly).
+            let ranges = query.ranges();
             let total = factors.first().map_or(0.0, Factor::total);
-            let folded_every_group = total > 0.0 || plan.groups().is_empty();
-            if !folded_every_group {
-                return Ok(mass);
+            let mut mass = total;
+            let mut lowered: Vec<GroupIndex> = Vec::with_capacity(plan.groups().len());
+            let mut lowerable = true;
+            for group in plan.groups() {
+                if P::ACTIVE {
+                    probe.group(&group.attrs);
+                }
+                let shared = lock(&self.exprs).resolve(group.plan.steps());
+                let group_mass = if let Some(index) = shared {
+                    let started = if P::ACTIVE { Some(Instant::now()) } else { None };
+                    let mut scratch = self.scratch.acquire();
+                    let group_mass = index.mass_in_box_with(
+                        ranges,
+                        &mut scratch.bounds,
+                        &mut scratch.constraint,
+                    );
+                    self.scratch.release(scratch);
+                    if P::ACTIVE {
+                        let ns = started
+                            .map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(0));
+                        probe.step(StepKind::KernelWalk, ns, 0);
+                    }
+                    lowered.push(GroupIndex::Shared(index));
+                    group_mass
+                } else {
+                    let (loose, key) =
+                        execute_keyed(&group.plan, factors, &mut t, probe, |expr, attrs, len| {
+                            lock(&self.exprs).intern(expr, attrs, len)
+                        })?;
+                    if lowerable {
+                        match loose.lower_index() {
+                            Some(index) => lowered.push(GroupIndex::Lowered(key, index)),
+                            None => lowerable = false,
+                        }
+                    }
+                    loose.mass_in_box(ranges)
+                };
+                if P::ACTIVE {
+                    probe.group_mass(group_mass);
+                }
+                if total > 0.0 {
+                    mass *= group_mass / total;
+                } else {
+                    // A non-positive total stops the fold after one
+                    // group: not every group got the chance to lower, so
+                    // neither cache nor count.
+                    return Ok(0.0);
+                }
             }
             if lowerable {
-                for ix in &lowered {
-                    match ix.layout() {
-                        IndexLayout::Dense => t.kernel_lowered_dense += 1,
-                        IndexLayout::Sparse => t.kernel_lowered_sparse += 1,
+                let mut exprs = lock(&self.exprs);
+                let mut indices = Vec::with_capacity(lowered.len());
+                for group in lowered {
+                    let (index, shared) = match group {
+                        GroupIndex::Shared(index) => (index, true),
+                        GroupIndex::Lowered(key, index) => exprs.publish(key, index),
+                    };
+                    if shared {
+                        t.kernel_groups_shared += 1;
+                    } else {
+                        match index.layout() {
+                            IndexLayout::Dense => t.kernel_lowered_dense += 1,
+                            IndexLayout::Sparse => t.kernel_lowered_sparse += 1,
+                        }
                     }
                     if P::ACTIVE {
-                        probe.layout(ix);
+                        probe.layout(&index);
                     }
+                    indices.push(index);
                 }
+                drop(exprs);
                 // A racing duplicate lowering computed the same bits.
-                let _ = slot.set(Arc::new(MassKernel::new(total, lowered)));
+                let _ = slot.set(Arc::new(MassKernel::new(total, indices)));
             } else {
                 t.kernel_fallbacks += 1;
             }
@@ -1117,7 +1299,6 @@ mod tests {
         assert!(matches!(result, Cow::Borrowed(_)));
         assert_eq!(trace.products, 0);
         assert_eq!(trace.projections, 0);
-        assert_eq!(trace.factor_clones, 0);
         assert_eq!(trace.clique_loads, 1);
     }
 
@@ -1149,7 +1330,7 @@ mod tests {
         // Exact factors never lower: N repeats read one miss, N − 1 plan
         // hits, and N fallbacks.
         let exact = exact_factors(&rel, &m);
-        let engine = QueryEngine::new(tree);
+        let mut engine = QueryEngine::new(tree);
         let cold = engine.estimate_mass(tree, &exact, &target, &query).unwrap();
         for _ in 1..6 {
             let warm = engine.estimate_mass(tree, &exact, &target, &query).unwrap();
@@ -1165,7 +1346,7 @@ mod tests {
         // Split trees: after invalidation the next query executes the
         // cached plan (a hit, not a miss) and lowers a fresh kernel.
         let trees = split_tree_factors(&rel, &m, 32);
-        let engine = QueryEngine::new(tree);
+        let mut engine = QueryEngine::new(tree);
         let cold = engine.estimate_mass(tree, &trees, &target, &query).unwrap();
         engine.estimate_mass(tree, &trees, &target, &query).unwrap();
         let t0 = engine.trace();
@@ -1210,7 +1391,6 @@ mod tests {
             engine.estimate_mass(tree, &factors, &target, &query).unwrap();
         }
         let t = engine.trace();
-        assert_eq!(t.factor_clones, 0, "identity workload must not clone factors: {t:?}");
         assert_eq!(t.products, 0);
         assert_eq!(t.projections, 0);
         assert_eq!(t.plan_cache_misses, 2, "two distinct shapes");
@@ -1224,7 +1404,7 @@ mod tests {
         let m = model(&rel);
         let tree = m.junction_tree();
         let factors = split_tree_factors(&rel, &m, 32);
-        let engine = QueryEngine::new(tree);
+        let mut engine = QueryEngine::new(tree);
         let target = AttrSet::from_ids([0, 2, 4]);
         let query = Query::range(0, 0, 2).and(2, 1, 3).and(4, 0, 1);
 
@@ -1258,6 +1438,90 @@ mod tests {
                 > t1.kernel_lowered_dense + t1.kernel_lowered_sparse,
             "invalidation must force a re-lowering: {t2:?}"
         );
+    }
+
+    /// Shapes whose groups execute the same expression share one
+    /// lowering: {0, 2, 3} and {0, 2, 4} both run the {0, 1} × {1, 2}
+    /// chain shed to {0, 2}, so the second shape's miss resolves that
+    /// group symbolically, walks the first shape's lowering and runs no
+    /// product. Every estimate matches a cold engine bit for bit.
+    #[test]
+    fn shapes_share_group_lowerings_by_expression() {
+        let rel = relation();
+        let m = model(&rel);
+        let tree = m.junction_tree();
+        let trees = split_tree_factors(&rel, &m, 32);
+        let engine = QueryEngine::new(tree);
+        let first = (AttrSet::from_ids([0, 2, 4]), Query::range(0, 0, 2).and(2, 1, 3).and(4, 0, 1));
+        let second =
+            (AttrSet::from_ids([0, 2, 3]), Query::range(0, 1, 3).and(2, 0, 2).and(3, 1, 2));
+        let cold = |(target, query): &(AttrSet, Query)| {
+            QueryEngine::new(tree).estimate_mass(tree, &trees, target, query).unwrap()
+        };
+
+        let a = engine.estimate_mass(tree, &trees, &first.0, &first.1).unwrap();
+        let t0 = engine.trace();
+        assert!(t0.products >= 1, "the chain group multiplies: {t0:?}");
+        assert_eq!(t0.kernel_groups_shared, 0, "{t0:?}");
+        let b = engine.estimate_mass(tree, &trees, &second.0, &second.1).unwrap();
+        let t1 = engine.trace();
+        assert_eq!(t1.plan_cache_misses, 2, "{t1:?}");
+        assert_eq!(t1.products, t0.products, "the shared group runs no product: {t1:?}");
+        assert_eq!(t1.kernel_groups_shared, 1, "{t1:?}");
+        assert_eq!(a.to_bits(), cold(&first).to_bits());
+        assert_eq!(b.to_bits(), cold(&second).to_bits());
+
+        // One `Arc` behind both kernels' chain group; the other groups
+        // ({4} and {3} of clique {3, 4}) are distinct expressions.
+        let kernel = |target: &AttrSet| {
+            let shape = engine.shapes.get(target).unwrap();
+            Arc::clone(shape.kernel.get().unwrap())
+        };
+        let (k1, k2) = (kernel(&first.0), kernel(&second.0));
+        assert!(Arc::ptr_eq(&k1.groups()[0], &k2.groups()[0]));
+        assert!(!Arc::ptr_eq(&k1.groups()[1], &k2.groups()[1]));
+
+        // Both shapes now answer from their kernels, still bit-identical.
+        for shape in [&first, &second] {
+            let warm = engine.estimate_mass(tree, &trees, &shape.0, &shape.1).unwrap();
+            assert_eq!(warm.to_bits(), cold(shape).to_bits());
+        }
+        assert_eq!(engine.trace().kernel_hits, 2);
+    }
+
+    /// After the factors change, nothing lowered from the old ones is
+    /// shared, even while a copy of the engine keeps those lowerings
+    /// alive: invalidation clears the expression table with the kernels,
+    /// so a shape whose group executes an expression lowered before the
+    /// change answers from the new factors.
+    #[test]
+    fn invalidation_shares_nothing_stale() {
+        let rel = relation();
+        let m = model(&rel);
+        let tree = m.junction_tree();
+        let mut factors = split_tree_factors(&rel, &m, 32);
+        let mut engine = QueryEngine::new(tree);
+        let first = (AttrSet::from_ids([0, 2, 4]), Query::range(0, 0, 2).and(2, 1, 3).and(4, 0, 1));
+        let second =
+            (AttrSet::from_ids([0, 2, 3]), Query::range(0, 1, 3).and(2, 0, 2).and(3, 1, 2));
+        engine.estimate_mass(tree, &factors, &first.0, &first.1).unwrap();
+        // A copy taken before the change keeps the old lowerings alive.
+        let before = engine.clone();
+        // The maintenance path: mutate the factors, then invalidate.
+        for factor in &mut factors {
+            let key = vec![1; factor.attrs().len()];
+            factor.update(&key, 400.0);
+        }
+        engine.invalidate_kernels();
+        for (target, query) in [&second, &first] {
+            let got = engine.estimate_mass(tree, &factors, target, query).unwrap();
+            let fresh =
+                QueryEngine::new(tree).estimate_mass(tree, &factors, target, query).unwrap();
+            assert_eq!(got.to_bits(), fresh.to_bits(), "{target}");
+        }
+        // Sharing still works among lowerings of the new factors.
+        assert_eq!(engine.trace().kernel_groups_shared, 1);
+        drop(before);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! bit-for-bit (not just within tolerance), for exact factors and for
 //! approximate MHIST split trees alike, over randomized junction trees,
 //! factors, and query sets. Cached replays (the engine's shape cache)
-//! must also be bit-identical to their cold runs.
+//! and groups shared across shapes by expression key must also be
+//! bit-identical to their cold runs.
 //!
 //! The dense kernel backend rides the same contract: lowered tree
 //! indices (dense or sparse layout), the engine's pooled scratch reuse
@@ -307,6 +308,43 @@ proptest! {
         }
         let trace = engine.trace();
         prop_assert!(trace.plan_cache_hits >= queries.len(), "{:?}", trace);
+    }
+
+    /// Shared group lowerings never change an answer: a random sequence
+    /// of shapes (repeats included) through one engine, where later
+    /// misses take groups other shapes lowered for the same expression,
+    /// answers every query bit-identically to a cold engine.
+    #[test]
+    fn shared_group_lowerings_bit_identical(
+        arity in 3usize..=6,
+        domain in 2u32..=6,
+        rows in 30usize..=150,
+        seed in any::<u64>(),
+    ) {
+        let (rel, model, _, mut state) = build_setup(arity, domain, rows, seed);
+        let tree = model.junction_tree();
+        let buckets = 2 + (xorshift(&mut state) % 8) as usize;
+        let hists: Vec<_> = model
+            .cliques()
+            .iter()
+            .map(|c| {
+                MhistBuilder::build(&rel.marginal(c).unwrap(), buckets, SplitCriterion::MaxDiff)
+                    .unwrap()
+            })
+            .collect();
+        let engine = QueryEngine::new(tree);
+        let shapes = random_targets(arity, &mut state, 6);
+        for _ in 0..16 {
+            let target = &shapes[(xorshift(&mut state) % shapes.len() as u64) as usize];
+            let query = Query::from(random_ranges(target, domain, &mut state));
+            let shared = engine.estimate_mass(tree, &hists, target, &query).unwrap();
+            let cold = QueryEngine::new(tree).estimate_mass(tree, &hists, target, &query).unwrap();
+            prop_assert_eq!(
+                shared.to_bits(), cold.to_bits(),
+                "target {}: shared {} vs cold {}", target, shared, cold
+            );
+        }
+        prop_assert_eq!(engine.trace().kernel_fallbacks, 0);
     }
 
     /// Lowered tree indices: the layout is sparse exactly when a zero

@@ -81,13 +81,13 @@ fn telemetry_on_and_off_are_bit_identical() {
         ("dbhist_query_sheds_total", t.sheds),
         ("dbhist_query_sheds_skipped_total", t.sheds_skipped),
         ("dbhist_query_clique_loads_total", t.clique_loads),
-        ("dbhist_query_factor_clones_total", t.factor_clones),
         ("dbhist_query_plan_cache_hits_total", t.plan_cache_hits),
         ("dbhist_query_plan_cache_misses_total", t.plan_cache_misses),
         ("dbhist_query_plans_compiled_total", t.plan_cache_misses),
         ("dbhist_query_kernel_hits_total", t.kernel_hits),
         ("dbhist_query_kernel_lowered_dense_total", t.kernel_lowered_dense),
         ("dbhist_query_kernel_lowered_sparse_total", t.kernel_lowered_sparse),
+        ("dbhist_query_kernel_groups_shared_total", t.kernel_groups_shared),
         ("dbhist_query_kernel_fallbacks_total", t.kernel_fallbacks),
     ] {
         assert_eq!(snap.counter(name), Some(value as u64), "{name}");
