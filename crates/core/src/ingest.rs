@@ -71,7 +71,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dbhist_distribution::{Distribution, Relation};
+use dbhist_distribution::{Distribution, Relation, Schema};
 use dbhist_persist::wal::{WalOp, WalPosition, WalWriter};
 use dbhist_persist::PersistError;
 use dbhist_telemetry::journal::{journal, JournalEvent};
@@ -203,6 +203,36 @@ fn batches_to_skip(
     }
 }
 
+/// Checks every op's row against `schema`: its arity, then each value
+/// against its attribute's domain, so that no factor update can reject
+/// it. `parameter` names the ops' source in the error.
+fn check_ops(schema: &Schema, ops: &[WalOp], parameter: &'static str) -> Result<(), SynopsisError> {
+    for row in ops.iter().map(WalOp::row) {
+        if row.len() != schema.arity() {
+            return Err(SynopsisError::InvalidConfig {
+                parameter,
+                reason: format!(
+                    "op arity {} does not match the schema arity {}",
+                    row.len(),
+                    schema.arity()
+                ),
+            });
+        }
+        if let Some(((a, attr), v)) =
+            schema.iter().zip(row).find(|((_, attr), &v)| v >= attr.domain_size)
+        {
+            return Err(SynopsisError::InvalidConfig {
+                parameter,
+                reason: format!(
+                    "op value {v} of attribute {a} is outside its domain 0..{}",
+                    attr.domain_size
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Each op's row with its count delta: `+1.0` per insert, `-1.0` per
 /// delete.
 fn signed_rows(ops: &[WalOp]) -> impl Iterator<Item = (&[u32], f64)> {
@@ -276,9 +306,9 @@ impl IngestSession {
         snapshot_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
     ) -> Result<Self, SynopsisError> {
-        self.maintained.persist_to_with_wal(
-            snapshot_path,
-            WalPosition { generation: 0, batches_covered: 0 },
+        self.maintained.persist_with(
+            snapshot_path.into(),
+            Some(WalPosition { generation: 0, batches_covered: 0 }),
         )?;
         let arity = self.arity_u16()?;
         self.wal = Some(WalWriter::create(wal_path.into(), arity)?);
@@ -303,8 +333,10 @@ impl IngestSession {
     /// recorded position and generation cannot have come from one
     /// checkpoint protocol run (see the module docs) is
     /// [`PersistError::Corrupt`] — replaying it could double- or
-    /// under-apply batches. A torn WAL *tail* is not an error — it is
-    /// reported in [`RecoveryReport::tail_discarded`].
+    /// under-apply batches. A logged op whose value lies outside its
+    /// attribute's domain is [`SynopsisError::InvalidConfig`]. A torn WAL
+    /// *tail* is not an error — it is reported in
+    /// [`RecoveryReport::tail_discarded`].
     pub fn recover(
         snapshot_path: impl AsRef<Path>,
         wal_path: impl Into<PathBuf>,
@@ -337,8 +369,9 @@ impl IngestSession {
             let skip = batches_to_skip(snap_pos, &recovery)?;
             report.batches_skipped = skip;
             for batch in recovery.batches.iter().skip(usize::try_from(skip).unwrap_or(usize::MAX)) {
-                // Decoded rows carry exactly the header arity, checked
-                // against the schema above.
+                // A log written before values were checked on ingest may
+                // hold an op that no factor can apply.
+                check_ops(maintained.synopsis().model().schema(), &batch.ops, "wal_path")?;
                 maintained.apply(signed_rows(&batch.ops));
                 report.ops_replayed += batch.ops.len() as u64;
                 report.batches_replayed += 1;
@@ -382,22 +415,12 @@ impl IngestSession {
     /// # Errors
     ///
     /// [`SynopsisError::InvalidConfig`] if any op's arity disagrees with
-    /// the schema (checked up front — nothing is journaled or applied),
+    /// the schema or any value lies outside its attribute's domain
+    /// (checked up front — nothing is journaled or applied),
     /// or a [`SynopsisError::Persist`] WAL failure (nothing is applied:
     /// a batch that isn't durable must not move the estimates).
     pub fn apply_batch(&mut self, ops: &[WalOp]) -> Result<u64, SynopsisError> {
-        let arity = self.maintained.synopsis().model().schema().arity();
-        for op in ops {
-            if op.row().len() != arity {
-                return Err(SynopsisError::InvalidConfig {
-                    parameter: "ops",
-                    reason: format!(
-                        "op arity {} does not match the schema arity {arity}",
-                        op.row().len()
-                    ),
-                });
-            }
-        }
+        check_ops(self.maintained.synopsis().model().schema(), ops, "ops")?;
         if let Some(wal) = &mut self.wal {
             let before = wal.appended_bytes();
             let seq = wal.append(ops)?;
@@ -499,18 +522,14 @@ impl IngestSession {
     ///
     /// Propagates snapshot-save and WAL I/O failures.
     pub fn checkpoint(&mut self) -> Result<(), SynopsisError> {
-        match &mut self.wal {
-            Some(wal) => {
-                let position = wal.position();
-                self.maintained.refresh_snapshot_with_wal(position)?;
-                let batches = wal.next_seq();
-                wal.truncate()?;
-                journal().publish(JournalEvent::WalTruncate { batches });
-                if dbhist_telemetry::enabled() {
-                    wellknown().ingest_wal_bytes.set(0.0);
-                }
+        self.maintained.refresh_with(self.wal.as_ref().map(WalWriter::position))?;
+        if let Some(wal) = &mut self.wal {
+            let batches = wal.next_seq();
+            wal.truncate()?;
+            journal().publish(JournalEvent::WalTruncate { batches });
+            if dbhist_telemetry::enabled() {
+                wellknown().ingest_wal_bytes.set(0.0);
             }
-            None => self.maintained.refresh_snapshot()?,
         }
         Ok(())
     }
@@ -818,7 +837,7 @@ mod tests {
         // leave the log untouched. The log now holds 6 batches the
         // snapshot already absorbed.
         let position = s.wal.as_ref().unwrap().position();
-        s.maintained.refresh_snapshot_with_wal(position).unwrap();
+        s.maintained.refresh_with(Some(position)).unwrap();
         // One more batch lands after the interrupted checkpoint.
         s.apply_batch(&[WalOp::Insert(vec![2, 2, 1])]).unwrap();
         let q = Query::equals(0, 2);

@@ -326,7 +326,7 @@ impl MaintainedDbHistogram {
         self.reservoir.clear();
         self.reservoir_seen = 0;
         if let Some(path) = &self.snapshot_path {
-            crate::snapshot::save_db(&self.synopsis, path)?;
+            crate::snapshot::save_db(&self.synopsis, path, None)?;
         }
         self.trip_latched.store(false, Ordering::Release);
         journal().publish(JournalEvent::Rebuild { rows: relation.row_count() as u64, max_drift });
@@ -342,23 +342,19 @@ impl MaintainedDbHistogram {
     ///
     /// Propagates the initial save's failure.
     pub fn persist_to(&mut self, path: impl Into<std::path::PathBuf>) -> Result<(), SynopsisError> {
-        let path = path.into();
-        crate::snapshot::save_db(&self.synopsis, &path)?;
-        self.snapshot_path = Some(path);
-        Ok(())
+        self.persist_with(path.into(), None)
     }
 
-    /// [`MaintainedDbHistogram::persist_to`] with a WAL position
-    /// recorded atomically inside the snapshot — the durable ingest
-    /// session's entry point, so recovery can prove which WAL batches
+    /// [`MaintainedDbHistogram::persist_to`] with an optional WAL
+    /// position recorded atomically inside the snapshot: the durable
+    /// ingest session passes one, so recovery can prove which WAL batches
     /// the snapshot already absorbed.
-    pub(crate) fn persist_to_with_wal(
+    pub(crate) fn persist_with(
         &mut self,
-        path: impl Into<std::path::PathBuf>,
-        wal: dbhist_persist::WalPosition,
+        path: std::path::PathBuf,
+        wal: Option<dbhist_persist::WalPosition>,
     ) -> Result<(), SynopsisError> {
-        let path = path.into();
-        crate::snapshot::save_db_with_wal(&self.synopsis, &path, Some(wal))?;
+        crate::snapshot::save_db(&self.synopsis, &path, wal)?;
         self.snapshot_path = Some(path);
         Ok(())
     }
@@ -377,23 +373,20 @@ impl MaintainedDbHistogram {
     ///
     /// Propagates the save's failure.
     pub fn refresh_snapshot(&self) -> Result<(), SynopsisError> {
-        if let Some(path) = &self.snapshot_path {
-            crate::snapshot::save_db(&self.synopsis, path)?;
-        }
-        Ok(())
+        self.refresh_with(None)
     }
 
-    /// [`MaintainedDbHistogram::refresh_snapshot`] with a WAL position
-    /// recorded atomically inside the snapshot. The ingest checkpoint
-    /// calls this **before** truncating the WAL: a crash between the
-    /// two leaves a snapshot that names exactly the batches it absorbed,
-    /// so recovery skips them instead of double-applying.
-    pub(crate) fn refresh_snapshot_with_wal(
+    /// [`MaintainedDbHistogram::refresh_snapshot`] with an optional WAL
+    /// position recorded atomically inside the snapshot. The ingest
+    /// checkpoint passes one **before** truncating the WAL: a crash
+    /// between the two leaves a snapshot that names exactly the batches
+    /// it absorbed, so recovery skips them instead of double-applying.
+    pub(crate) fn refresh_with(
         &self,
-        wal: dbhist_persist::WalPosition,
+        wal: Option<dbhist_persist::WalPosition>,
     ) -> Result<(), SynopsisError> {
         if let Some(path) = &self.snapshot_path {
-            crate::snapshot::save_db_with_wal(&self.synopsis, path, Some(wal))?;
+            crate::snapshot::save_db(&self.synopsis, path, wal)?;
         }
         Ok(())
     }

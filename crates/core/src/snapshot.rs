@@ -138,17 +138,9 @@ fn snapshot_bytes<F: PersistableFactor>(
 }
 
 /// Saves a synopsis to `path` (atomic write: temp file + rename, both
-/// fsync'd).
+/// fsync'd), with an optional WAL position recorded atomically with the
+/// synopsis state — see [`snapshot_bytes`].
 pub(crate) fn save_db<F: PersistableFactor>(
-    db: &DbHistogram<F>,
-    path: &Path,
-) -> Result<(), SynopsisError> {
-    save_db_with_wal(db, path, None)
-}
-
-/// [`save_db`] plus an optional WAL position recorded atomically with
-/// the synopsis state — see [`snapshot_bytes`].
-pub(crate) fn save_db_with_wal<F: PersistableFactor>(
     db: &DbHistogram<F>,
     path: &Path,
     wal: Option<WalPosition>,
@@ -226,9 +218,9 @@ impl Synopsis {
     /// Returns [`SynopsisError::Persist`] on encoding or I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SynopsisError> {
         match self {
-            Self::Mhist(db) => save_db(db, path.as_ref()),
-            Self::Grid(db) => save_db(db, path.as_ref()),
-            Self::Wavelet(db) => save_db(db, path.as_ref()),
+            Self::Mhist(db) => save_db(db, path.as_ref(), None),
+            Self::Grid(db) => save_db(db, path.as_ref(), None),
+            Self::Wavelet(db) => save_db(db, path.as_ref(), None),
         }
     }
 

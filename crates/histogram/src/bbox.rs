@@ -66,6 +66,21 @@ impl BoundingBox {
         true
     }
 
+    /// The two halves of the box cut by a split of `a` at `split`: values
+    /// `< split` and values `≥ split`. `None` unless the split lies
+    /// strictly inside the box, so that both halves are non-empty.
+    pub(crate) fn halves(&self, a: AttrId, split: u32) -> Option<(BoundingBox, BoundingBox)> {
+        let p = self.attrs.position(a)?;
+        let (lo, hi) = self.ranges[p];
+        if split <= lo || split > hi {
+            return None;
+        }
+        let (mut left, mut right) = (self.clone(), self.clone());
+        left.ranges[p] = (lo, split - 1);
+        right.ranges[p] = (split, hi);
+        Some((left, right))
+    }
+
     /// Number of integer points in the box (`Π (hi − lo + 1)`), saturating.
     #[must_use]
     pub fn volume(&self) -> u64 {

@@ -66,16 +66,6 @@ fn volume_sse(freqs: impl Iterator<Item = f64> + Clone, volume: u64) -> f64 {
     nonzero_sse + (volume - nnz) * mean * mean
 }
 
-/// The boxes of the two halves of splitting `bbox` at `attr = value`.
-fn split_boxes(bbox: &BoundingBox, attr: AttrId, value: u32) -> Option<(BoundingBox, BoundingBox)> {
-    let (lo, hi) = bbox.range(attr)?;
-    let mut lbox = bbox.clone();
-    lbox.clamp(attr, lo, value - 1);
-    let mut rbox = bbox.clone();
-    rbox.clamp(attr, value, hi);
-    Some((lbox, rbox))
-}
-
 /// Incremental MHIST-2 builder over a marginal [`Distribution`].
 #[derive(Debug, Clone)]
 pub struct MhistBuilder {
@@ -200,7 +190,7 @@ impl MhistBuilder {
             }
         }
         let (pos, attr, value, score) = best?;
-        let (lbox, rbox) = split_boxes(&bucket.bbox, attr, value)?;
+        let (lbox, rbox) = bucket.bbox.halves(attr, value)?;
         let side = |left: bool| {
             bucket
                 .keys
@@ -267,7 +257,7 @@ impl MhistBuilder {
         let Some(pos) = self.attrs.position(best.attr) else {
             return false;
         };
-        let Some((lbox, rbox)) = split_boxes(&parent.bbox, best.attr, best.value) else {
+        let Some((lbox, rbox)) = parent.bbox.halves(best.attr, best.value) else {
             return false;
         };
         // Partition the cells, keeping their relative order.

@@ -199,7 +199,7 @@ impl TreeIndex {
         bounds: &mut Vec<(u32, u32)>,
         constraint: &mut Vec<(u32, u32)>,
     ) -> f64 {
-        // Constraint setup is verbatim from SplitTree::mass_in_box: query
+        // Constraint setup is verbatim from SplitTree::mass_within: query
         // ranges intersected with the domain, empty intersection ⇒ 0.
         constraint.clear();
         constraint.extend_from_slice(&self.domain);

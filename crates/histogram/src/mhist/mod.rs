@@ -149,24 +149,28 @@ impl SplitTree {
     #[must_use]
     pub fn leaves(&self) -> Vec<(BoundingBox, f64)> {
         let mut out = Vec::with_capacity(self.bucket_count());
-        self.walk_leaves(0, self.domain.clone(), &mut out);
+        self.visit_leaves(0, self.domain.clone(), &mut |_, bbox, freq| out.push((bbox, freq)));
         out
     }
 
-    fn walk_leaves(&self, node: NodeId, bbox: BoundingBox, out: &mut Vec<(BoundingBox, f64)>) {
+    /// Calls `visit(id, bucket box, frequency)` for every leaf under
+    /// `node`, in preorder.
+    pub(crate) fn visit_leaves(
+        &self,
+        node: NodeId,
+        bbox: BoundingBox,
+        visit: &mut impl FnMut(NodeId, BoundingBox, f64),
+    ) {
         match &self.nodes[node as usize] {
-            Node::Leaf { freq } => out.push((bbox, *freq)),
+            Node::Leaf { freq } => visit(node, bbox, *freq),
             Node::Internal { attr, split, left, right } => {
-                // Validated trees cover their split attributes; degrade to
-                // an unclamped walk otherwise (`clamp` tolerates misses).
-                let (lo, hi) = bbox.range(*attr).unwrap_or((0, u32::MAX));
-                debug_assert!(*split > lo && *split <= hi, "split inside box");
-                let mut lbox = bbox.clone();
-                lbox.clamp(*attr, lo, split.saturating_sub(1));
-                self.walk_leaves(*left, lbox, out);
-                let mut rbox = bbox;
-                rbox.clamp(*attr, *split, hi);
-                self.walk_leaves(*right, rbox, out);
+                // Validated trees only split inside their node's box;
+                // degrade to an unsplit walk otherwise.
+                let halves = bbox.halves(*attr, *split);
+                debug_assert!(halves.is_some(), "split inside box");
+                let (lbox, rbox) = halves.unwrap_or_else(|| (bbox.clone(), bbox));
+                self.visit_leaves(*left, lbox, visit);
+                self.visit_leaves(*right, rbox, visit);
             }
         }
     }
@@ -179,10 +183,31 @@ impl SplitTree {
     /// frequency scaled by the fraction of its volume inside the box.
     #[must_use]
     pub fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
-        // Per-attribute constraint: the query ranges intersected with the
-        // domain. Empty intersection anywhere means zero mass.
-        let mut constraint: Vec<(u32, u32)> = self.domain.ranges().to_vec();
-        for &(a, lo, hi) in ranges {
+        self.mass_within(ranges.iter().copied(), &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// Estimated frequency mass inside a bounding box over (a subset of)
+    /// the histogram's attributes.
+    #[must_use]
+    pub fn mass_in_bounding_box(&self, bbox: &BoundingBox) -> f64 {
+        let ranges = bbox.attrs().iter().zip(bbox.ranges()).map(|(a, &(lo, hi))| (a, lo, hi));
+        self.mass_within(ranges, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// The one entry point of every mass query: `ranges` intersected with
+    /// the domain into `constraint`, then the `mass_rec` walk from the
+    /// root with `bounds` as its box. Both buffers are cleared and
+    /// refilled, so a caller that keeps them allocates nothing.
+    pub(crate) fn mass_within(
+        &self,
+        ranges: impl IntoIterator<Item = (AttrId, u32, u32)>,
+        bounds: &mut Vec<(u32, u32)>,
+        constraint: &mut Vec<(u32, u32)>,
+    ) -> f64 {
+        // Empty intersection anywhere means zero mass.
+        constraint.clear();
+        constraint.extend_from_slice(self.domain.ranges());
+        for (a, lo, hi) in ranges {
             if let Some(p) = self.attrs.position(a) {
                 let c = &mut constraint[p];
                 *c = (c.0.max(lo), c.1.min(hi));
@@ -191,27 +216,9 @@ impl SplitTree {
                 }
             }
         }
-        let mut bounds: Vec<(u32, u32)> = self.domain.ranges().to_vec();
-        self.mass_rec(0, &mut bounds, &constraint)
-    }
-
-    /// Estimated frequency mass inside a bounding box over (a subset of)
-    /// the histogram's attributes — the allocation-light form used by the
-    /// `product` operator's separator lookups.
-    #[must_use]
-    pub fn mass_in_bounding_box(&self, bbox: &BoundingBox) -> f64 {
-        let mut constraint: Vec<(u32, u32)> = self.domain.ranges().to_vec();
-        for (p, a) in self.attrs.iter().enumerate() {
-            if let Some((lo, hi)) = bbox.range(a) {
-                let c = &mut constraint[p];
-                *c = (c.0.max(lo), c.1.min(hi));
-                if c.0 > c.1 {
-                    return 0.0;
-                }
-            }
-        }
-        let mut bounds: Vec<(u32, u32)> = self.domain.ranges().to_vec();
-        self.mass_rec(0, &mut bounds, &constraint)
+        bounds.clear();
+        bounds.extend_from_slice(self.domain.ranges());
+        self.mass_rec(0, bounds, constraint)
     }
 
     /// Allocation-free walk: `bounds` tracks the current node's box
@@ -349,16 +356,14 @@ impl SplitTree {
                 }
                 Node::Internal { attr, split, left, right } => {
                     internals += 1;
-                    let Some((lo, hi)) = bbox.range(*attr) else {
-                        return Err(format!("node {node} splits uncovered attribute {attr}"));
+                    let Some((lbox, rbox)) = bbox.halves(*attr, *split) else {
+                        return Err(match bbox.range(*attr) {
+                            None => format!("node {node} splits uncovered attribute {attr}"),
+                            Some((lo, hi)) => {
+                                format!("node {node} split {split} outside ({lo}, {hi}]")
+                            }
+                        });
                     };
-                    if *split <= lo || *split > hi {
-                        return Err(format!("node {node} split {split} outside ({lo}, {hi}]"));
-                    }
-                    let mut lbox = bbox.clone();
-                    lbox.clamp(*attr, lo, split - 1);
-                    let mut rbox = bbox;
-                    rbox.clamp(*attr, *split, hi);
                     stack.push((*left, lbox, depth + 1));
                     stack.push((*right, rbox, depth + 1));
                 }

@@ -1,23 +1,44 @@
 //! MHIST operators on split trees (paper §3.3.2, Figs. 4 & 5).
 //!
 //! Both `project` and `product` work *solely on the split-tree
-//! representation* of their inputs and output — the paper's headline
-//! implementation contribution. The shared workhorse is `restrict_node`
-//! (the paper's `restrictNode(N, R)`): pruning a subtree to the splits and
-//! leaves pertaining to a range restriction `R`.
+//! representation* of their inputs and output, the paper's headline
+//! implementation contribution. Each is one walk over its operands' node
+//! arenas that pushes the output's nodes straight into the result's arena
+//! in preorder, as [`TreeIndex::lower`](super::TreeIndex::lower) does:
+//! an [`Emitter`] holds the arena and the box of the node being emitted,
+//! computes a leaf's frequency when it pushes the leaf, and on the way
+//! out of a split whose two children are zero leaves collapses the split
+//! into one zero leaf. A zero bucket estimates zero over every sub-box,
+//! so the collapse preserves every estimate, and it keeps the products of
+//! sparse operands (whose empty regions multiply into zero forests) small.
 //!
-//! Structure generation follows the paper exactly. Frequencies:
+//! The paper's `restrictNode(N, R)` (prune a subtree to the splits that
+//! cut the range restriction `R`) is the walk's rule for an operand
+//! split: it is emitted if it cuts the emitted box and pruned to the side
+//! holding the box if it does not.
 //!
-//! * `project` (Fig. 4 step 3) computes each output bucket's frequency as
-//!   the uniformity-weighted sum `Σ w_l'·frequency(l')` via
-//!   [`SplitTree::mass_in_box`];
-//! * `product` (Fig. 5 step 10) evaluates the separation formula
-//!   `(w_i f_i)(w_j f_j)/(w_ij f_ij)`. The input-bucket terms are O(1)
-//!   per output bucket — every output bucket lies inside exactly one
-//!   bucket of each operand, whose frequency and volume are threaded
-//!   through the structural generation — while the separator term uses a
-//!   (pruned) mass query on `H(S_ij)`, generalizing the paper's formula
-//!   to output buckets that straddle several separator buckets.
+//! * `project` (Fig. 4): the output reflects every split along the kept
+//!   attributes. The walk keeps a list of source subtrees still to lay
+//!   out in the current box. A split on a dropped attribute continues
+//!   with its left subtree and queues its right one, and a leaf continues
+//!   with the next queued subtree (Fig. 4's `genSplits`, which overlays a
+//!   dropped split's right structure onto every leaf of its left one).
+//!   The queue is a persistent list, so both sides of an emitted split
+//!   share it, and the walk recurses only at emitted splits. Each output
+//!   bucket's frequency (Fig. 4 step 3) is the uniformity-weighted mass
+//!   `Σ w_l'·frequency(l')` of the source inside it.
+//! * `product` (Fig. 5): the walk lays out the left operand's arena and,
+//!   at each of its non-zero buckets, the right operand's arena
+//!   restricted to that bucket. Each output bucket lies inside one bucket
+//!   of each operand, so the separation formula
+//!   `(w_i f_i)(w_j f_j)/(w_ij f_ij)` (step 10) takes the operand terms in
+//!   O(1) from those buckets' frequencies and volumes, and the separator
+//!   term from a mass query on `H(S_ij)` (generalizing the paper's
+//!   formula to output buckets that straddle several separator buckets).
+//!   A node budget bounds the walk: one unit per left node and per right
+//!   node visited (pruned ones included), checked before the zero-bucket
+//!   shortcut. Once it is spent, each remaining region becomes one coarse
+//!   bucket whose operand terms are mass queries too.
 
 use dbhist_distribution::{AttrId, AttrSet};
 
@@ -25,31 +46,6 @@ use crate::bbox::BoundingBox;
 use crate::error::HistogramError;
 
 use super::{Node, NodeId, SplitTree};
-
-/// Temporary structural tree with a payload on each leaf.
-#[derive(Debug, Clone)]
-enum TempNode<L> {
-    Internal { attr: AttrId, split: u32, left: Box<TempNode<L>>, right: Box<TempNode<L>> },
-    Leaf(L),
-}
-
-/// Frequency and own-box volume of a source bucket.
-#[derive(Debug, Clone, Copy)]
-struct SourceLeaf {
-    freq: f64,
-    volume: f64,
-}
-
-/// Payload of a product bucket.
-#[derive(Debug, Clone, Copy)]
-enum ProductLeaf {
-    /// The bucket lies inside exactly one bucket of each operand, whose
-    /// frequency/volume are threaded through for O(1) evaluation.
-    Pair { left: SourceLeaf, right: SourceLeaf },
-    /// The structural budget ran out: the bucket may span several operand
-    /// buckets; its frequency is computed by mass queries instead.
-    Coarse,
-}
 
 /// Upper bound on the number of structural nodes a single `product` may
 /// materialize. Chained products over many cliques grow multiplicatively;
@@ -81,14 +77,45 @@ impl SplitTree {
         if attrs == self.attrs() {
             return Ok(self.clone());
         }
-        // Step 1 (genSplits): structure of the projected tree.
-        let domain = sub_box(self.domain(), attrs);
-        let structure = gen_splits(self, 0, attrs, &domain);
-        // Steps 2–4: frequencies from uniformity-weighted sums.
-        let tree = materialize(attrs.clone(), domain, &structure, |leaf_box, ()| {
-            self.mass_in_box(&box_to_ranges(leaf_box))
-        });
-        Ok(tree)
+        let mut out = Emitter::new(sub_box(self.domain(), attrs));
+        self.project_into(&mut out, &mut Vec::new(), 0, usize::MAX);
+        Ok(out.finish())
+    }
+
+    /// Lays out source subtree `head`, then the queued subtrees from
+    /// `queue[next]` on, in the emitter's current box. Each entry holds a
+    /// subtree and the index of the entry after it; an index past the
+    /// queue's end (`usize::MAX`) ends the list.
+    fn project_into(
+        &self,
+        out: &mut Emitter,
+        queue: &mut Vec<(NodeId, usize)>,
+        mut head: NodeId,
+        mut next: usize,
+    ) {
+        loop {
+            match &self.nodes()[head as usize] {
+                Node::Leaf { .. } => match queue.get(next) {
+                    Some(&entry) => (head, next) = entry,
+                    None => return out.leaf(|out| out.mass(self)),
+                },
+                Node::Internal { attr, split, left, right } => match out.range(*attr) {
+                    None => {
+                        queue.push((*right, next));
+                        (head, next) = (*left, queue.len() - 1);
+                    }
+                    Some((_, hi)) if hi < *split => head = *left,
+                    Some((lo, _)) if lo >= *split => head = *right,
+                    Some(_) => {
+                        let mark = queue.len();
+                        return out.split(*attr, *split, [*left, *right], |out, child| {
+                            self.project_into(out, queue, child, next);
+                            queue.truncate(mark);
+                        });
+                    }
+                },
+            }
+        }
     }
 
     /// Multiplies two clique histograms into a histogram over the union of
@@ -120,50 +147,21 @@ impl SplitTree {
             };
             ranges.push(r);
         }
-        let domain = BoundingBox::new(union.clone(), ranges);
-
-        // Step 1: initialize with the split tree of `self`.
-        // Steps 2–5: replace each of its leaves with `other` restricted to
-        // the leaf's ranges along the shared attributes.
-        let other_temp = to_source_temp(other, 0, other.domain().clone());
-        let mut budget = PRODUCT_NODE_BUDGET as isize;
-        let structure = graft(self, 0, self.domain().clone(), &other_temp, &mut budget);
-
-        // Step 6: the separator histogram H(S_ij) = project(H(C_i), S_ij).
-        let separator = if shared.is_empty() { None } else { Some(self.project(&shared)?) };
-
-        // Steps 7–11: separation-formula frequencies. The operand terms
-        // come from the threaded source buckets; the separator term from a
-        // mass query (exactly `w_ij · f_ij` when the output bucket sits in
-        // one separator bucket, the consistent generalization otherwise).
-        let self_attrs = self.attrs().clone();
-        let other_attrs = other.attrs().clone();
-        let self_total = self.total();
-        let tree = materialize(union, domain, &structure, |leaf_box, payload: ProductLeaf| {
-            let (wi_fi, wj_fj) = match payload {
-                ProductLeaf::Pair { left, right } => (
-                    left.freq * leaf_box.volume_over(&self_attrs) as f64 / left.volume,
-                    right.freq * leaf_box.volume_over(&other_attrs) as f64 / right.volume,
-                ),
-                ProductLeaf::Coarse => {
-                    (self.mass_in_bounding_box(leaf_box), other.mass_in_bounding_box(leaf_box))
-                }
-            };
-            // lint:allow-next-line(float-cmp): exact multiplicative zero short-circuit
-            if wi_fi == 0.0 || wj_fj == 0.0 {
-                return 0.0;
-            }
-            let fsep = match &separator {
-                Some(sep) => sep.mass_in_bounding_box(leaf_box),
-                None => self_total,
-            };
-            if fsep <= 0.0 {
-                0.0
-            } else {
-                wi_fi * wj_fj / fsep
-            }
+        let mut right_volumes = vec![0.0; other.nodes().len()];
+        other.visit_leaves(0, other.domain().clone(), &mut |id, bbox, _| {
+            right_volumes[id as usize] = bbox.volume() as f64;
         });
-        Ok(tree)
+        let mut product = Product {
+            left: self,
+            right: other,
+            // Step 6: the separator histogram H(S_ij) = project(H(C_i), S_ij).
+            separator: if shared.is_empty() { None } else { Some(self.project(&shared)?) },
+            right_volumes,
+            budget: PRODUCT_NODE_BUDGET as isize,
+        };
+        let mut out = Emitter::new(BoundingBox::new(union, ranges));
+        product.left_walk(&mut out, 0);
+        Ok(out.finish())
     }
 }
 
@@ -182,262 +180,168 @@ fn sub_box(domain: &BoundingBox, attrs: &AttrSet) -> BoundingBox {
     BoundingBox::new(kept, ranges)
 }
 
-/// `(attr, lo, hi)` constraints of a box.
-fn box_to_ranges(bbox: &BoundingBox) -> Vec<(AttrId, u32, u32)> {
-    bbox.attrs().iter().zip(bbox.ranges()).map(|(a, &(lo, hi))| (a, lo, hi)).collect()
-}
-
-/// The paper's `genSplits(N, S)` (Fig. 4): the structure of the projection
-/// of the subtree at `node` onto `keep`, expressed over `keep`'s domain
-/// box `keep_box`.
-fn gen_splits(
-    tree: &SplitTree,
-    node: NodeId,
-    keep: &AttrSet,
-    keep_box: &BoundingBox,
-) -> TempNode<()> {
-    match &tree.nodes()[node as usize] {
-        Node::Leaf { .. } => TempNode::Leaf(()),
-        Node::Internal { attr, split, left, right } => {
-            let l = gen_splits(tree, *left, keep, keep_box);
-            let r = gen_splits(tree, *right, keep, keep_box);
-            if keep.contains(*attr) {
-                TempNode::Internal {
-                    attr: *attr,
-                    split: *split,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                }
-            } else {
-                // Fig. 4 steps 8–12: overlay the right structure onto every
-                // leaf of the left structure, so that all splits along the
-                // kept dimensions survive.
-                overlay(l, &r, keep_box.clone())
-            }
-        }
-    }
-}
-
-/// Replaces every leaf of `base` (whose box is tracked in `bbox`) with
-/// `other` restricted to that leaf's ranges.
-fn overlay(base: TempNode<()>, other: &TempNode<()>, bbox: BoundingBox) -> TempNode<()> {
-    match base {
-        TempNode::Leaf(()) => restrict_node(other, &bbox, &|()| ()),
-        TempNode::Internal { attr, split, left, right } => {
-            // Kept split attributes always have a range in the kept box;
-            // if not (corrupt structure), degrade by skipping the clamp.
-            let Some((lo, hi)) = bbox.range(attr) else {
-                return TempNode::Internal {
-                    attr,
-                    split,
-                    left: Box::new(overlay(*left, other, bbox.clone())),
-                    right: Box::new(overlay(*right, other, bbox)),
-                };
-            };
-            let mut lbox = bbox.clone();
-            lbox.clamp(attr, lo, split - 1);
-            let mut rbox = bbox;
-            rbox.clamp(attr, split, hi);
-            TempNode::Internal {
-                attr,
-                split,
-                left: Box::new(overlay(*left, other, lbox)),
-                right: Box::new(overlay(*right, other, rbox)),
-            }
-        }
-    }
-}
-
-/// The paper's `restrictNode(N, R)`: the subtree of `node` containing only
-/// the splits and leaves pertaining to the range restriction `restriction`.
-/// Attributes not constrained by the restriction pass through untouched.
-/// Leaf payloads are rebuilt through `map`.
-fn restrict_node<L: Copy, M>(
-    node: &TempNode<L>,
-    restriction: &BoundingBox,
-    map: &impl Fn(L) -> M,
-) -> TempNode<M> {
-    match node {
-        TempNode::Leaf(payload) => TempNode::Leaf(map(*payload)),
-        TempNode::Internal { attr, split, left, right } => match restriction.range(*attr) {
-            Some((_, hi)) if hi < *split => restrict_node(left, restriction, map),
-            Some((lo, _)) if lo >= *split => restrict_node(right, restriction, map),
-            _ => TempNode::Internal {
-                attr: *attr,
-                split: *split,
-                left: Box::new(restrict_node(left, restriction, map)),
-                right: Box::new(restrict_node(right, restriction, map)),
-            },
-        },
-    }
-}
-
-/// Copies a split tree's structure into a [`TempNode`] whose leaves carry
-/// the source bucket's frequency and volume.
-fn to_source_temp(tree: &SplitTree, node: NodeId, bbox: BoundingBox) -> TempNode<SourceLeaf> {
-    match &tree.nodes()[node as usize] {
-        Node::Leaf { freq } => {
-            TempNode::Leaf(SourceLeaf { freq: *freq, volume: bbox.volume() as f64 })
-        }
-        Node::Internal { attr, split, left, right } => {
-            // Validated trees always cover their split attributes; degrade
-            // to an unclamped walk if this one is corrupt (`clamp` ignores
-            // unknown attributes).
-            let (lo, hi) = bbox.range(*attr).unwrap_or((0, u32::MAX));
-            let mut lbox = bbox.clone();
-            lbox.clamp(*attr, lo, split.saturating_sub(1));
-            let mut rbox = bbox;
-            rbox.clamp(*attr, *split, hi);
-            TempNode::Internal {
-                attr: *attr,
-                split: *split,
-                left: Box::new(to_source_temp(tree, *left, lbox)),
-                right: Box::new(to_source_temp(tree, *right, rbox)),
-            }
-        }
-    }
-}
-
-/// Grafts `other`'s restricted structure onto every leaf of `tree`
-/// (product steps 1–5), walking `tree`'s structure over its own box to
-/// identify the enclosing source bucket of each output region. `budget`
-/// bounds the structural nodes created; exhausted regions collapse to
-/// [`ProductLeaf::Coarse`].
-fn graft(
-    tree: &SplitTree,
-    node: NodeId,
-    own_box: BoundingBox,
-    other: &TempNode<SourceLeaf>,
-    budget: &mut isize,
-) -> TempNode<ProductLeaf> {
-    *budget -= 1;
-    match &tree.nodes()[node as usize] {
-        Node::Leaf { freq } => {
-            if *budget <= 0 {
-                return TempNode::Leaf(ProductLeaf::Coarse);
-            }
-            // lint:allow-next-line(float-cmp): exact zero marks a trimmed empty region
-            if *freq == 0.0 {
-                // A zero operand bucket zeroes the whole region; no need
-                // to overlay the other operand's structure.
-                return TempNode::Leaf(ProductLeaf::Pair {
-                    left: SourceLeaf { freq: 0.0, volume: 1.0 },
-                    right: SourceLeaf { freq: 0.0, volume: 1.0 },
-                });
-            }
-            let left = SourceLeaf { freq: *freq, volume: own_box.volume() as f64 };
-            // Restrict `other` to this bucket's ranges along the shared
-            // attributes (constraints on other attributes are ignored by
-            // `restrict_node` since they are absent from `own_box`).
-            restrict_node_budgeted(other, &own_box, budget, &move |right| ProductLeaf::Pair {
-                left,
-                right,
-            })
-        }
-        Node::Internal { attr, split, left, right } => {
-            if *budget <= 0 {
-                return TempNode::Leaf(ProductLeaf::Coarse);
-            }
-            let (lo, hi) = own_box.range(*attr).unwrap_or((0, u32::MAX));
-            let mut lbox = own_box.clone();
-            lbox.clamp(*attr, lo, split.saturating_sub(1));
-            let mut rbox = own_box;
-            rbox.clamp(*attr, *split, hi);
-            TempNode::Internal {
-                attr: *attr,
-                split: *split,
-                left: Box::new(graft(tree, *left, lbox, other, budget)),
-                right: Box::new(graft(tree, *right, rbox, other, budget)),
-            }
-        }
-    }
-}
-
-/// [`restrict_node`] with a node budget; exhausted regions collapse into
-/// coarse product leaves.
-fn restrict_node_budgeted(
-    node: &TempNode<SourceLeaf>,
-    restriction: &BoundingBox,
-    budget: &mut isize,
-    map: &impl Fn(SourceLeaf) -> ProductLeaf,
-) -> TempNode<ProductLeaf> {
-    *budget -= 1;
-    if *budget <= 0 {
-        return TempNode::Leaf(ProductLeaf::Coarse);
-    }
-    match node {
-        TempNode::Leaf(payload) => TempNode::Leaf(map(*payload)),
-        TempNode::Internal { attr, split, left, right } => match restriction.range(*attr) {
-            Some((_, hi)) if hi < *split => restrict_node_budgeted(left, restriction, budget, map),
-            Some((lo, _)) if lo >= *split => {
-                restrict_node_budgeted(right, restriction, budget, map)
-            }
-            _ => TempNode::Internal {
-                attr: *attr,
-                split: *split,
-                left: Box::new(restrict_node_budgeted(left, restriction, budget, map)),
-                right: Box::new(restrict_node_budgeted(right, restriction, budget, map)),
-            },
-        },
-    }
-}
-
-/// Converts a structural tree into a [`SplitTree`], computing each leaf's
-/// frequency from its bounding box and payload.
-fn materialize<L: Copy>(
-    attrs: AttrSet,
+/// The output arena under construction, with the box of the node being
+/// emitted and the scratch of its mass queries.
+struct Emitter {
     domain: BoundingBox,
-    structure: &TempNode<L>,
-    mut leaf_freq: impl FnMut(&BoundingBox, L) -> f64,
-) -> SplitTree {
-    let mut nodes: Vec<Node> = Vec::new();
-    build_arena(structure, &domain, &mut nodes, &mut leaf_freq);
-    SplitTree::from_parts(attrs, domain, nodes)
+    /// The current node's box, aligned with `domain`'s attributes.
+    bbox: Vec<(u32, u32)>,
+    nodes: Vec<Node>,
+    bounds: Vec<(u32, u32)>,
+    constraint: Vec<(u32, u32)>,
 }
 
-/// Appends `structure` to the arena, returning its node id.
-///
-/// All-zero subtrees are collapsed into single zero leaves as they are
-/// built: a zero bucket estimates zero over every sub-box regardless of
-/// its internal splits, so the collapse is estimate-preserving, and it
-/// shrinks the products of sparse operands (whose trimmed empty regions
-/// multiply into large zero forests) dramatically.
-fn build_arena<L: Copy>(
-    structure: &TempNode<L>,
-    bbox: &BoundingBox,
-    nodes: &mut Vec<Node>,
-    leaf_freq: &mut impl FnMut(&BoundingBox, L) -> f64,
-) -> NodeId {
-    match structure {
-        TempNode::Leaf(payload) => {
-            let id = nodes.len() as NodeId;
-            nodes.push(Node::Leaf { freq: leaf_freq(bbox, *payload) });
-            id
+impl Emitter {
+    fn new(domain: BoundingBox) -> Self {
+        let bbox = domain.ranges().to_vec();
+        Self { domain, bbox, nodes: Vec::new(), bounds: Vec::new(), constraint: Vec::new() }
+    }
+
+    /// The current box's range of `attr`, if the output covers it.
+    fn range(&self, attr: AttrId) -> Option<(u32, u32)> {
+        self.domain.attrs().position(attr).map(|p| self.bbox[p])
+    }
+
+    /// Volume of the current box over the attributes in `sub`, as
+    /// [`BoundingBox::volume_over`] computes it.
+    fn volume_over(&self, sub: &AttrSet) -> f64 {
+        let attrs = self.domain.attrs().iter().zip(&self.bbox);
+        let sides =
+            attrs.filter(|(a, _)| sub.contains(*a)).map(|(_, &(lo, hi))| u64::from(hi - lo) + 1);
+        sides.fold(1u64, u64::saturating_mul) as f64
+    }
+
+    /// `tree`'s mass inside the current box.
+    fn mass(&mut self, tree: &SplitTree) -> f64 {
+        let ranges = self.domain.attrs().iter().zip(&self.bbox).map(|(a, &(lo, hi))| (a, lo, hi));
+        tree.mass_within(ranges, &mut self.bounds, &mut self.constraint)
+    }
+
+    /// Pushes a leaf whose frequency `freq` computes from the current box.
+    fn leaf(&mut self, freq: impl FnOnce(&mut Self) -> f64) {
+        let freq = freq(self);
+        self.nodes.push(Node::Leaf { freq });
+    }
+
+    /// Emits a split of the current box at `attr = split`: `child` lays
+    /// out each of `children` in its half, and a split whose two children
+    /// came out as zero leaves collapses into one zero leaf.
+    fn split(
+        &mut self,
+        attr: AttrId,
+        split: u32,
+        children: [NodeId; 2],
+        mut child: impl FnMut(&mut Self, NodeId),
+    ) {
+        let id = self.nodes.len();
+        // The placeholder doubles as the collapsed zero leaf.
+        self.nodes.push(Node::Leaf { freq: 0.0 });
+        // Operand splits lie on covered attributes; a corrupt one
+        // contributes a zero leaf rather than abort.
+        let Some(p) = self.domain.attrs().position(attr) else {
+            return;
+        };
+        let (lo, hi) = self.bbox[p];
+        self.bbox[p] = (lo, split.saturating_sub(1));
+        child(self, children[0]);
+        let right = self.nodes.len();
+        self.bbox[p] = (split, hi);
+        child(self, children[1]);
+        self.bbox[p] = (lo, hi);
+        // lint:allow-next-line(float-cmp): collapse only literally-zero leaves
+        let zero = |n: &Node| matches!(n, Node::Leaf { freq } if *freq == 0.0);
+        if self.nodes.len() == id + 3 && zero(&self.nodes[id + 1]) && zero(&self.nodes[id + 2]) {
+            self.nodes.truncate(id + 1);
+        } else {
+            let (left, right) = (id as NodeId + 1, right as NodeId);
+            self.nodes[id] = Node::Internal { attr, split, left, right };
         }
-        TempNode::Internal { attr, split, left, right } => {
-            let id = nodes.len() as NodeId;
-            nodes.push(Node::Leaf { freq: 0.0 }); // placeholder
-            let (lo, hi) = bbox.range(*attr).unwrap_or((0, u32::MAX));
-            let mut lbox = bbox.clone();
-            lbox.clamp(*attr, lo, split.saturating_sub(1));
-            let left_id = build_arena(left, &lbox, nodes, leaf_freq);
-            let mut rbox = bbox.clone();
-            rbox.clamp(*attr, *split, hi);
-            let right_id = build_arena(right, &rbox, nodes, leaf_freq);
-            // Zero-collapse: if both children ended up as zero leaves
-            // (they are the only arena entries past `id`), drop them.
-            let both_zero = left_id == id + 1
-                && matches!(nodes[left_id as usize], Node::Leaf { freq } if freq == 0.0) // lint:allow(float-cmp): collapse only literally-zero leaves
-                && right_id as usize == nodes.len() - 1
-                && matches!(nodes[right_id as usize], Node::Leaf { freq } if freq == 0.0); // lint:allow(float-cmp): collapse only literally-zero leaves
-            if both_zero {
-                nodes.truncate(id as usize + 1);
-                // `id` already holds the zero-leaf placeholder.
-            } else {
-                nodes[id as usize] =
-                    Node::Internal { attr: *attr, split: *split, left: left_id, right: right_id };
+    }
+
+    fn finish(self) -> SplitTree {
+        SplitTree::from_parts(self.domain.attrs().clone(), self.domain, self.nodes)
+    }
+}
+
+/// The operands and running budget of one `product`.
+struct Product<'a> {
+    left: &'a SplitTree,
+    right: &'a SplitTree,
+    separator: Option<SplitTree>,
+    /// The right operand's bucket volumes by arena id.
+    right_volumes: Vec<f64>,
+    budget: isize,
+}
+
+impl Product<'_> {
+    /// Product steps 1–5: lays out the left operand's subtree at `node`
+    /// and, at each of its buckets, the right operand restricted to it.
+    fn left_walk(&mut self, out: &mut Emitter, node: NodeId) {
+        self.budget -= 1;
+        match &self.left.nodes()[node as usize] {
+            _ if self.budget <= 0 => out.leaf(|out| self.coarse(out)),
+            // A zero bucket zeroes its whole region; the right operand's
+            // structure is not laid out inside it.
+            // lint:allow-next-line(float-cmp): exact zero marks a trimmed empty region
+            Node::Leaf { freq } if *freq == 0.0 => out.leaf(|_| 0.0),
+            Node::Leaf { freq } => {
+                let bucket = (*freq, out.volume_over(self.left.attrs()));
+                self.right_walk(out, 0, bucket);
             }
-            id
+            Node::Internal { attr, split, left, right } => {
+                out.split(*attr, *split, [*left, *right], |out, child| self.left_walk(out, child));
+            }
+        }
+    }
+
+    /// Lays out the right operand's subtree at `node`, restricted to the
+    /// current box, inside the left bucket `(frequency, volume)`.
+    fn right_walk(&mut self, out: &mut Emitter, node: NodeId, bucket: (f64, f64)) {
+        self.budget -= 1;
+        if self.budget <= 0 {
+            return out.leaf(|out| self.coarse(out));
+        }
+        match &self.right.nodes()[node as usize] {
+            Node::Leaf { freq } => out.leaf(|out| {
+                // Steps 7–11 with the operand terms from the two buckets.
+                let wi_fi = bucket.0 * out.volume_over(self.left.attrs()) / bucket.1;
+                let wj_fj =
+                    freq * out.volume_over(self.right.attrs()) / self.right_volumes[node as usize];
+                self.separate(out, wi_fi, wj_fj)
+            }),
+            Node::Internal { attr, split, left, right } => match out.range(*attr) {
+                Some((_, hi)) if hi < *split => self.right_walk(out, *left, bucket),
+                Some((lo, _)) if lo >= *split => self.right_walk(out, *right, bucket),
+                _ => out.split(*attr, *split, [*left, *right], |out, child| {
+                    self.right_walk(out, child, bucket);
+                }),
+            },
+        }
+    }
+
+    /// A bucket past the budget, which may span several buckets of each
+    /// operand: its operand terms are mass queries.
+    fn coarse(&self, out: &mut Emitter) -> f64 {
+        let (wi_fi, wj_fj) = (out.mass(self.left), out.mass(self.right));
+        self.separate(out, wi_fi, wj_fj)
+    }
+
+    /// The separation formula with the separator term a mass query
+    /// (exactly `w_ij · f_ij` when the bucket sits in one separator
+    /// bucket, the consistent generalization otherwise).
+    fn separate(&self, out: &mut Emitter, wi_fi: f64, wj_fj: f64) -> f64 {
+        // lint:allow-next-line(float-cmp): exact multiplicative zero short-circuit
+        if wi_fi == 0.0 || wj_fj == 0.0 {
+            return 0.0;
+        }
+        let fsep = match &self.separator {
+            Some(sep) => out.mass(sep),
+            None => self.left.total(),
+        };
+        if fsep <= 0.0 {
+            0.0
+        } else {
+            wi_fi * wj_fj / fsep
         }
     }
 }
@@ -632,10 +536,9 @@ mod tests {
         let sep = hab.project(&AttrSet::singleton(1)).unwrap();
         let prod = hab.product(&hbc).unwrap();
         for (bbox, freq) in prod.leaves() {
-            let ranges = box_to_ranges(&bbox);
-            let fi = hab.mass_in_box(&ranges);
-            let fj = hbc.mass_in_box(&ranges);
-            let fs = sep.mass_in_box(&ranges);
+            let fi = hab.mass_in_bounding_box(&bbox);
+            let fj = hbc.mass_in_bounding_box(&bbox);
+            let fs = sep.mass_in_bounding_box(&bbox);
             let expect = if fs <= 0.0 { 0.0 } else { fi * fj / fs };
             assert!(
                 (freq - expect).abs() < 1e-6 * (1.0 + expect),

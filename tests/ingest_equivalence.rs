@@ -309,3 +309,50 @@ fn wal_bitflips_are_always_detected() {
         }
     }
 }
+
+/// An op whose value lies outside its attribute's domain is rejected
+/// before anything is journaled or applied, and a log that holds such an
+/// op anyway fails recovery with a typed error instead of a panic.
+#[test]
+fn out_of_domain_ops_are_rejected_before_the_wal() {
+    let dir = std::env::temp_dir();
+    let tag = format!("{}-domain", std::process::id());
+    let snap = dir.join(format!("dbhist-eqv-{tag}.dbhs"));
+    let walp = dir.join(format!("dbhist-eqv-{tag}.wal"));
+    let domain = 8;
+    let rel = seed_relation(512, domain, 11);
+    let built = MaintainedDbHistogram::build(&rel, DbConfig::new(700)).unwrap();
+    let mut session = IngestSession::begin(built, &rel, IngestConfig::default())
+        .unwrap()
+        .with_durability(&snap, &walp)
+        .unwrap();
+    session.apply_batch(&op_stream(&rel, 16, domain, 3)).unwrap();
+    let queries = probe_queries(domain);
+    let estimates = bit_patterns(session.estimator(), &queries);
+    let wal_bytes = std::fs::read(&walp).unwrap();
+
+    let poisoned = [WalOp::Insert(vec![1, 1, 1, 1]), WalOp::Insert(vec![1, 1, domain + 1, 1])];
+    let err = session.apply_batch(&poisoned).unwrap_err();
+    assert!(
+        matches!(err, dbhist::core::SynopsisError::InvalidConfig { parameter: "ops", .. }),
+        "{err:?}"
+    );
+    assert_eq!(std::fs::read(&walp).unwrap(), wal_bytes, "a rejected batch is not journaled");
+    assert_eq!(session.batches_applied(), 1);
+    assert_eq!(bit_patterns(session.estimator(), &queries), estimates);
+    drop(session);
+
+    // A log written without the check: recovery refuses the logged op.
+    let mut wal = dbhist::persist::WalWriter::open(&walp, 4).unwrap();
+    wal.append(&poisoned).unwrap();
+    drop(wal);
+    let err = IngestSession::recover(&snap, &walp, DbConfig::new(700), IngestConfig::default())
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(err, dbhist::core::SynopsisError::InvalidConfig { parameter: "wal_path", .. }),
+        "{err:?}"
+    );
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(&walp).ok();
+}
