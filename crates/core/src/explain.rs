@@ -42,6 +42,9 @@ pub enum QueryPath {
     /// No constrained attribute: the estimate is the table total and no
     /// engine machinery runs.
     TableTotal,
+    /// Answered by range-restricted sum-product over the junction tree
+    /// ([`crate::evaluate`]): no plan, no product, nothing cached.
+    Evaluated,
 }
 
 impl QueryPath {
@@ -54,6 +57,7 @@ impl QueryPath {
             QueryPath::PlanCacheHit => "plan_cache_hit",
             QueryPath::PlanCompiled => "plan_compiled",
             QueryPath::TableTotal => "table_total",
+            QueryPath::Evaluated => "evaluated",
         }
     }
 }
@@ -105,6 +109,12 @@ pub enum StepKind {
     /// The group was answered by walking a lowering another cached shape
     /// holds for the same expression; no factor operation ran.
     KernelWalk,
+    /// The evaluator folded a clique's buckets (or, for a group one
+    /// clique answers alone, took its box mass).
+    Visit {
+        /// The visited clique's index.
+        clique: usize,
+    },
 }
 
 impl StepKind {
@@ -117,6 +127,7 @@ impl StepKind {
             StepKind::Shed => "shed",
             StepKind::ShedSkipped(_) => "shed_skipped",
             StepKind::KernelWalk => "kernel_walk",
+            StepKind::Visit { .. } => "visit",
         }
     }
 }
@@ -175,9 +186,9 @@ impl ExplainProbe for NoProbe {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// Operation tag (`load`, `project`, `identity_project`, `product`,
-    /// `shed`, `shed_skipped`, `kernel_walk`).
+    /// `shed`, `shed_skipped`, `kernel_walk`, `visit`).
     pub op: &'static str,
-    /// Loaded clique index, for `load` steps.
+    /// The clique index, for `load` and `visit` steps.
     pub clique: Option<usize>,
     /// Skip reason, for `shed_skipped` steps.
     pub skip: Option<&'static str>,
@@ -385,7 +396,7 @@ impl ExplainProbe for ExplainRecorder {
         let record = StepReport {
             op: kind.op(),
             clique: match kind {
-                StepKind::Load { clique } => Some(clique),
+                StepKind::Load { clique } | StepKind::Visit { clique } => Some(clique),
                 _ => None,
             },
             skip: match kind {
@@ -447,6 +458,7 @@ mod tests {
             QueryPath::PlanCacheHit,
             QueryPath::PlanCompiled,
             QueryPath::TableTotal,
+            QueryPath::Evaluated,
         ] {
             let tag = path.as_str();
             assert!(tag.chars().all(|c| c.is_ascii_lowercase() || c == '_'), "{tag}");

@@ -31,6 +31,14 @@ pub trait Factor: Sized + Clone {
     /// constraints on uncovered attributes are ignored.
     fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64;
 
+    /// Calls `visit(ranges, frequency)` once per bucket, `ranges` aligned
+    /// with [`Factor::attrs`], without allocating per bucket. The factor
+    /// spreads each bucket's frequency uniformly over its box; support
+    /// cells of exact distributions are point boxes. The range-restricted
+    /// evaluator ([`crate::evaluate`]) reads every factor family through
+    /// this one method.
+    fn for_each_bucket(&self, visit: impl FnMut(&[(u32, u32)], f64));
+
     /// Projects onto a non-empty subset of the covered attributes.
     ///
     /// # Errors
@@ -72,6 +80,10 @@ impl Factor for SplitTree {
         SplitTree::mass_in_box(self, ranges)
     }
 
+    fn for_each_bucket(&self, visit: impl FnMut(&[(u32, u32)], f64)) {
+        SplitTree::for_each_bucket(self, visit);
+    }
+
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {
         Ok(SplitTree::project(self, attrs)?)
     }
@@ -100,6 +112,10 @@ impl Factor for GridHistogram {
 
     fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
         GridHistogram::mass_in_box(self, ranges)
+    }
+
+    fn for_each_bucket(&self, visit: impl FnMut(&[(u32, u32)], f64)) {
+        GridHistogram::for_each_bucket(self, visit);
     }
 
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {
@@ -147,6 +163,15 @@ impl Factor for ExactFactor {
 
     fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
         self.0.range_mass(ranges)
+    }
+
+    fn for_each_bucket(&self, mut visit: impl FnMut(&[(u32, u32)], f64)) {
+        let mut cell = Vec::with_capacity(self.0.attrs().len());
+        for (key, f) in self.0.iter() {
+            cell.clear();
+            cell.extend(key.iter().map(|&v| (v, v)));
+            visit(&cell, f);
+        }
     }
 
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {

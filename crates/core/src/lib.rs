@@ -16,7 +16,13 @@
 //!   `ComputeMarginal` algorithm (Fig. 3) over the junction tree,
 //!   minimizing histogram multiplications/projections; the recursive
 //!   interpreters beside it are the test oracle.
-//! * [`plan`] — the plan-based query engine: compiles the Fig. 3
+//! * [`evaluate`] — how a synopsis answers a query when every separator
+//!   of its model has at most one attribute (every `k_max = 2` model):
+//!   the Eq. 2 estimate by sum-product over the junction tree restricted
+//!   to the query box, following Fig. 3's choices, with no factor
+//!   product built and nothing cached.
+//! * [`plan`] — the plan-based query engine for models with a wider
+//!   separator: compiles the Fig. 3
 //!   recursion into [`plan::MarginalPlan`]s executed with zero-clone
 //!   (`Cow`) operand passing. [`plan::QueryEngine::estimate_mass`] is
 //!   the one cached way in: one entry per query shape holds its
@@ -72,6 +78,7 @@ pub mod build;
 pub mod builder;
 pub mod error;
 pub mod estimator;
+pub mod evaluate;
 pub mod explain;
 pub mod factor;
 pub mod ingest;

@@ -17,13 +17,15 @@
 //!
 //! [`compute_marginal_with_stats`] compiles the recursion into a
 //! [`crate::plan::MarginalPlan`] and executes it once, uncached.
-//! Selectivity estimation has one way in,
+//! Selectivity estimation goes through [`crate::evaluate`] for models
+//! whose separators have at most one attribute and through
 //! [`crate::plan::QueryEngine::estimate_mass`], which caches each query
-//! shape's [`crate::plan::MassPlan`] and kernel. The direct recursion is
-//! retained as [`compute_marginal_interpreted`] /
+//! shape's [`crate::plan::MassPlan`] and kernel, for the rest. The direct
+//! recursion is retained as [`compute_marginal_interpreted`] /
 //! [`estimate_mass_interpreted`]: it is the executable specification the
-//! planner is property-tested against (`tests/plan_equivalence.rs`) and
-//! the baseline the benches compare planned execution to.
+//! planner (`tests/plan_equivalence.rs`) and the evaluator
+//! (`tests/evaluate_equivalence.rs`) are property-tested against, and the
+//! baseline the benches compare planned execution to.
 //!
 //! [`compute_marginal_naive`] implements the baseline the paper argues
 //! against — build the estimate over *all* attributes, then project — and
@@ -33,6 +35,7 @@ use dbhist_distribution::AttrSet;
 use dbhist_model::JunctionTree;
 
 use crate::error::SynopsisError;
+use crate::evaluate::components;
 use crate::factor::Factor;
 use crate::plan::{execute_marginal, MarginalPlan, QueryTrace, SHED_LIMIT};
 use crate::query::Query;
@@ -258,24 +261,8 @@ pub fn estimate_mass_interpreted<F: Factor>(
     // information and their intermediate blow-up only compounds
     // approximation error.
     let n_cliques = tree.len();
-    let mut comp = vec![usize::MAX; n_cliques];
-    let mut next_comp = 0usize;
-    for start in 0..n_cliques {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        comp[start] = next_comp;
-        while let Some(c) = stack.pop() {
-            for (other, sep) in tree.neighbors(c) {
-                if !sep.is_empty() && comp[other] == usize::MAX {
-                    comp[other] = next_comp;
-                    stack.push(other);
-                }
-            }
-        }
-        next_comp += 1;
-    }
+    let mut comp = Vec::new();
+    let next_comp = components(tree, &mut comp, &mut Vec::new());
     // Group target attributes by the component that covers them.
     let mut groups: Vec<AttrSet> = vec![AttrSet::empty(); next_comp];
     'attrs: for a in target.iter() {

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::Instant;
 
 use dbhist_distribution::fxhash::FxHashMap;
-use dbhist_distribution::AttrSet;
+use dbhist_distribution::{AttrSet, Schema};
 use dbhist_histogram::{IndexLayout, TreeIndex};
 use dbhist_model::junction::{RootedJunctionTree, RootedViews};
 use dbhist_model::JunctionTree;
@@ -65,6 +65,7 @@ use dbhist_telemetry::registry::Counter;
 use dbhist_telemetry::wellknown::wellknown;
 
 use crate::error::SynopsisError;
+use crate::evaluate::{components, estimate_mass_with, EvalScratch};
 use crate::explain::{
     ExplainProbe, ExplainRecorder, ExplainReport, NoProbe, QueryPath, ShedSkip, StepKind,
 };
@@ -131,9 +132,12 @@ macro_rules! query_counters {
         }
 
         impl EngineMetrics {
-            /// Adds a per-call trace into the cumulative counters.
+            /// Adds a per-call trace into the cumulative counters,
+            /// touching only the counters it moves.
             fn add(&self, t: &QueryTrace) {
-                $(self.$field.add(to_u64(t.$field));)+
+                $(if t.$field != 0 {
+                    self.$field.add(to_u64(t.$field));
+                })+
             }
 
             /// Reads the counters into a [`QueryTrace`] value.
@@ -204,6 +208,9 @@ query_counters! {
     /// representation has no bit-identical lowering); the engine keeps
     /// executing those plans directly.
     kernel_fallbacks => "dbhist_query_kernel_fallbacks_total";
+    /// Queries answered by range-restricted sum-product
+    /// ([`crate::evaluate`]) instead of a plan or kernel.
+    evaluations => "dbhist_query_evaluations_total";
 }
 
 impl EngineMetrics {
@@ -742,28 +749,9 @@ impl MassPlan {
         views: &RootedViews,
         target: &AttrSet,
     ) -> Result<Self, SynopsisError> {
-        // Model components (cliques connected by *non-empty* separators)
-        // are mutually independent by construction: the estimate
-        // factorizes as N · Π (mass_component / N).
         let n_cliques = tree.len();
-        let mut comp = vec![usize::MAX; n_cliques];
-        let mut next_comp = 0usize;
-        for start in 0..n_cliques {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![start];
-            comp[start] = next_comp;
-            while let Some(c) = stack.pop() {
-                for (other, sep) in tree.neighbors(c) {
-                    if !sep.is_empty() && comp[other] == usize::MAX {
-                        comp[other] = next_comp;
-                        stack.push(other);
-                    }
-                }
-            }
-            next_comp += 1;
-        }
+        let mut comp = Vec::new();
+        let next_comp = components(tree, &mut comp, &mut Vec::new());
         // Group target attributes by the component that covers them.
         let mut group_attrs: Vec<AttrSet> = vec![AttrSet::empty(); next_comp];
         'attrs: for a in target.iter() {
@@ -849,6 +837,8 @@ pub struct QueryEngine {
     exprs: Mutex<ExprTable>,
     /// Pooled per-query walk scratch for kernel evaluations.
     scratch: ScratchPool,
+    /// Pooled buffers for range-restricted evaluations.
+    eval_scratch: ScratchPool<EvalScratch>,
     metrics: EngineMetrics,
 }
 
@@ -862,6 +852,7 @@ impl Clone for QueryEngine {
             shapes,
             exprs: Mutex::default(),
             scratch: ScratchPool::default(),
+            eval_scratch: ScratchPool::default(),
             metrics: self.metrics.clone(),
         }
     }
@@ -877,6 +868,7 @@ impl QueryEngine {
             shapes: ShardedLru::new(PLAN_CACHE_CAPACITY),
             exprs: Mutex::default(),
             scratch: ScratchPool::default(),
+            eval_scratch: ScratchPool::default(),
             metrics: EngineMetrics::default(),
         }
     }
@@ -1028,12 +1020,53 @@ impl QueryEngine {
         Ok((mass, probe.finish(mass, total_ns)))
     }
 
+    /// Answers through range-restricted sum-product
+    /// ([`crate::evaluate`]), the path of every model whose separators
+    /// have at most one attribute, with pooled scratch. Feeds the same
+    /// latency span and estimate counter as the plan path and counts one
+    /// evaluation; reports [`QueryPath::Evaluated`] to `probe`.
+    pub(crate) fn evaluate_probed<F: Factor, P: ExplainProbe>(
+        &self,
+        tree: &JunctionTree,
+        schema: &Schema,
+        factors: &[F],
+        target: &AttrSet,
+        query: &Query,
+        probe: &mut P,
+    ) -> Result<f64, SynopsisError> {
+        let _span = dbhist_telemetry::span!("dbhist_query_estimate_latency_ns");
+        if dbhist_telemetry::enabled() {
+            wellknown().query_estimates.increment();
+        }
+        let mut scratch = if P::ACTIVE {
+            probe.resolved_path(QueryPath::Evaluated);
+            let (tracked, reused) = self.eval_scratch.acquire_tracked();
+            probe.scratch(reused);
+            tracked
+        } else {
+            self.eval_scratch.acquire()
+        };
+        let mass = estimate_mass_with(
+            tree,
+            &self.views,
+            schema,
+            factors,
+            target,
+            query,
+            &mut scratch,
+            probe,
+        );
+        self.eval_scratch.release(scratch);
+        self.metrics.absorb(&QueryTrace { evaluations: 1, ..QueryTrace::default() });
+        mass
+    }
+
     /// The probed body behind [`QueryEngine::estimate_mass`] (instantiated
     /// with [`NoProbe`]) and [`QueryEngine::estimate_mass_explained`]
     /// (instantiated with a recorder). Probe sites are gated on
     /// `P::ACTIVE`, so the unprobed monomorphization is the pre-explain
     /// code.
-    fn estimate_mass_probed<F: Factor, P: ExplainProbe>(
+    pub(crate) fn estimate_mass_probed<F: Factor, P: ExplainProbe>(
         &self,
         tree: &JunctionTree,
         factors: &[F],

@@ -1,4 +1,4 @@
-//! Reusable per-query scratch buffers for kernel walks.
+//! Reusable per-query scratch buffers for kernel walks and evaluations.
 //!
 //! A lowered-kernel evaluation ([`crate::kernel::MassKernel`]) needs two
 //! small `(lo, hi)` vectors per walk — the descending node box and the
@@ -6,7 +6,9 @@
 //! heap round-trips on the hottest path in the engine, so the
 //! [`QueryEngine`](crate::plan::QueryEngine) owns a [`ScratchPool`] of
 //! [`PlanScratch`] arenas: a walk pops one (or creates the first), reuses
-//! its capacity, and pushes it back. Buffers are cleared and refilled at
+//! its capacity, and pushes it back. The range-restricted evaluator
+//! ([`crate::evaluate`]) draws its buffers from a second pool the same
+//! way. Buffers are cleared and refilled at
 //! the start of every walk, so reuse can never leak state between
 //! queries — pinned by the interleaved-query proptests in
 //! `tests/plan_equivalence.rs`.
@@ -38,31 +40,38 @@ impl PlanScratch {
     }
 }
 
-/// A small free-list of [`PlanScratch`] arenas shared by every query on
-/// one engine; `&self` access from any thread.
-#[derive(Debug, Default)]
-pub(crate) struct ScratchPool {
-    pool: Mutex<Vec<PlanScratch>>,
+/// A small free-list of scratch arenas ([`PlanScratch`] for kernel
+/// walks, [`crate::evaluate::EvalScratch`] for the evaluator) shared by
+/// every query on one engine; `&self` access from any thread.
+#[derive(Debug)]
+pub(crate) struct ScratchPool<T = PlanScratch> {
+    pool: Mutex<Vec<T>>,
 }
 
-impl ScratchPool {
+impl<T> Default for ScratchPool<T> {
+    fn default() -> Self {
+        Self { pool: Mutex::new(Vec::new()) }
+    }
+}
+
+impl<T: Default> ScratchPool<T> {
     /// Pops a pooled arena, or creates one when the pool is empty.
-    pub(crate) fn acquire(&self) -> PlanScratch {
+    pub(crate) fn acquire(&self) -> T {
         lock(&self.pool).pop().unwrap_or_default()
     }
 
     /// [`ScratchPool::acquire`] plus whether the arena was reused from
     /// the pool (`false` = freshly allocated). Only the explain path
     /// calls this; the plain path keeps its branch-free `acquire`.
-    pub(crate) fn acquire_tracked(&self) -> (PlanScratch, bool) {
+    pub(crate) fn acquire_tracked(&self) -> (T, bool) {
         match lock(&self.pool).pop() {
             Some(scratch) => (scratch, true),
-            None => (PlanScratch::default(), false),
+            None => (T::default(), false),
         }
     }
 
     /// Returns an arena to the pool (dropped when the pool is full).
-    pub(crate) fn release(&self, scratch: PlanScratch) {
+    pub(crate) fn release(&self, scratch: T) {
         let mut pool = lock(&self.pool);
         if pool.len() < MAX_POOLED {
             pool.push(scratch);
@@ -76,7 +85,7 @@ mod tests {
 
     #[test]
     fn pool_recycles_capacity() {
-        let pool = ScratchPool::default();
+        let pool: ScratchPool = ScratchPool::default();
         let mut s = pool.acquire();
         s.bounds.extend_from_slice(&[(0, 7), (0, 7)]);
         s.constraint.extend_from_slice(&[(1, 3), (0, 7)]);
@@ -89,7 +98,7 @@ mod tests {
 
     #[test]
     fn tracked_acquire_reports_reuse() {
-        let pool = ScratchPool::default();
+        let pool: ScratchPool = ScratchPool::default();
         let (s, reused) = pool.acquire_tracked();
         assert!(!reused, "empty pool allocates fresh scratch");
         pool.release(s);
@@ -99,7 +108,7 @@ mod tests {
 
     #[test]
     fn pool_is_bounded() {
-        let pool = ScratchPool::default();
+        let pool: ScratchPool = ScratchPool::default();
         let many: Vec<PlanScratch> = (0..200).map(|_| pool.acquire()).collect();
         for s in many {
             pool.release(s);

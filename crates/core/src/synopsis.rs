@@ -11,16 +11,20 @@
 //!    [`crate::alloc::incremental_gains`] or the optimal DP.
 //! 3. **Assembly** — the junction tree plus finished histograms.
 //!
-//! Estimation (paper §3.3) goes through a per-synopsis
-//! [`QueryEngine`]: the Fig. 3 recursion is compiled once per query
-//! *shape* into a [`crate::plan::MarginalPlan`]/[`crate::plan::MassPlan`]
-//! (memoized in a bounded LRU, one entry per shape), then executed with
-//! zero-clone `Cow` operand passing; split-tree factors lower the shape
-//! into a flat kernel that answers every later query of that shape.
-//! [`DbHistogram::query_trace`] exposes the engine's cumulative
-//! operation counters.
+//! Estimation (paper §3.3) takes one of two paths, chosen by the model's
+//! structure. When every separator has at most one attribute (every
+//! `k_max = 2` model), [`crate::evaluate`] sums the Eq. 2 estimate over
+//! the query box by sum-product over the junction tree, building no
+//! product. Otherwise the per-synopsis [`QueryEngine`] compiles the
+//! Fig. 3 recursion once per query *shape* into a
+//! [`crate::plan::MarginalPlan`]/[`crate::plan::MassPlan`] (memoized in a
+//! bounded LRU, one entry per shape), then executes it with zero-clone
+//! `Cow` operand passing; split-tree factors lower the shape into a flat
+//! kernel that answers every later query of that shape.
+//! [`DbHistogram::query_trace`] exposes the cumulative operation counters
+//! of both paths.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dbhist_distribution::{AttrSet, Distribution, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
@@ -34,7 +38,7 @@ use crate::build::{GridCliqueBuilder, IncrementalBuilder, MhistCliqueBuilder};
 use crate::builder::BuildTrace;
 use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
-use crate::explain::{ExplainRecorder, ExplainReport};
+use crate::explain::{ExplainProbe, ExplainRecorder, ExplainReport, NoProbe};
 use crate::factor::{ExactFactor, Factor};
 use crate::marginal::compute_marginal_with_stats;
 use crate::plan::{QueryEngine, QueryTrace};
@@ -131,6 +135,13 @@ impl<F: Factor> DbHistogram<F> {
         }
     }
 
+    /// The plan engine, which serves models with a separator wider than
+    /// one attribute.
+    #[cfg(test)]
+    pub(crate) fn engine(&self) -> &QueryEngine {
+        &self.engine
+    }
+
     /// Snapshot of the engine's cumulative operation and cache counters.
     ///
     /// Non-destructive and lock-free: the engine's counters keep
@@ -170,6 +181,34 @@ impl<F: Factor> DbHistogram<F> {
             .map(|(f, _)| f)
     }
 
+    /// The query's constrained attributes the schema knows; constraints on
+    /// unknown attributes are ignored.
+    fn target(&self, query: &Query) -> AttrSet {
+        let arity = self.model.schema().arity();
+        AttrSet::from_ids(
+            query.ranges().iter().map(|&(a, _, _)| a).filter(|&a| usize::from(a) < arity),
+        )
+    }
+
+    /// The one way a constrained query is answered: range-restricted
+    /// sum-product ([`crate::evaluate`]) when every separator of the model
+    /// has at most one attribute, the [`QueryEngine`] otherwise. The
+    /// model's structure makes the choice.
+    fn estimate_probed<P: ExplainProbe>(
+        &self,
+        target: &AttrSet,
+        query: &Query,
+        probe: &mut P,
+    ) -> Result<f64, SynopsisError> {
+        let tree = self.model.junction_tree();
+        if crate::evaluate::applies(tree) {
+            let schema = self.model.schema();
+            self.engine.evaluate_probed(tree, schema, &self.factors, target, query, probe)
+        } else {
+            self.engine.estimate_mass_probed(tree, &self.factors, target, query, probe)
+        }
+    }
+
     /// Estimates the selectivity of a conjunctive range predicate,
     /// returning an error instead of panicking on structural failures.
     ///
@@ -177,23 +216,17 @@ impl<F: Factor> DbHistogram<F> {
     ///
     /// Propagates factor-operation failures.
     pub fn try_estimate(&self, query: &Query) -> Result<f64, SynopsisError> {
-        let attrs = AttrSet::from_ids(
-            query
-                .ranges()
-                .iter()
-                .map(|&(a, _, _)| a)
-                .filter(|&a| usize::from(a) < self.model.schema().arity()),
-        );
-        if attrs.is_empty() {
+        let target = self.target(query);
+        if target.is_empty() {
             // No constrained attribute: the estimate is the table size.
             return Ok(self.factors.first().map_or(0.0, Factor::total));
         }
-        self.engine.estimate_mass(self.model.junction_tree(), &self.factors, &attrs, query)
+        self.estimate_probed(&target, query, &mut NoProbe)
     }
 
     /// [`DbHistogram::try_estimate`] plus a per-query [`ExplainReport`]
-    /// describing how the engine resolved it. The estimate is
-    /// bit-identical to the unexplained call (probes only observe; see
+    /// describing how it was resolved. The estimate is bit-identical to
+    /// the unexplained call (probes only observe; see
     /// [`crate::explain`]).
     ///
     /// # Errors
@@ -203,26 +236,18 @@ impl<F: Factor> DbHistogram<F> {
         &self,
         query: &Query,
     ) -> Result<(f64, ExplainReport), SynopsisError> {
-        let attrs = AttrSet::from_ids(
-            query
-                .ranges()
-                .iter()
-                .map(|&(a, _, _)| a)
-                .filter(|&a| usize::from(a) < self.model.schema().arity()),
-        );
-        if attrs.is_empty() {
+        let started = Instant::now();
+        let target = self.target(query);
+        let mut recorder = ExplainRecorder::new(&target);
+        let estimate = if target.is_empty() {
             // No constrained attribute: the estimate is the table size and
-            // no engine machinery runs — the report says exactly that.
-            let estimate = self.factors.first().map_or(0.0, Factor::total);
-            let recorder = ExplainRecorder::new(&attrs);
-            return Ok((estimate, recorder.finish(estimate, 0)));
-        }
-        self.engine.estimate_mass_explained(
-            self.model.junction_tree(),
-            &self.factors,
-            &attrs,
-            query,
-        )
+            // nothing else runs — the report says exactly that.
+            self.factors.first().map_or(0.0, Factor::total)
+        } else {
+            self.estimate_probed(&target, query, &mut recorder)?
+        };
+        let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        Ok((estimate, recorder.finish(estimate, total_ns)))
     }
 
     /// Feeds an observed cardinality back into the synopsis's
@@ -244,13 +269,7 @@ impl<F: Factor> DbHistogram<F> {
         }
         let Ok(est) = self.try_estimate(query) else { return };
         let err = dbhist_data::metrics::relative_error(est, actual);
-        let attrs = AttrSet::from_ids(
-            query
-                .ranges()
-                .iter()
-                .map(|&(a, _, _)| a)
-                .filter(|&a| usize::from(a) < self.model.schema().arity()),
-        );
+        let attrs = self.target(query);
         if !attrs.is_empty() {
             match self.engine.loaded_cliques(self.model.junction_tree(), &attrs) {
                 Ok(cliques) => {
@@ -674,11 +693,14 @@ mod tests {
         let db = SynopsisBuilder::new(&rel).budget(400).build_mhist().unwrap();
         db.reset_query_trace();
         // Eight queries, one attribute-set shape {a, b} — a single clique
-        // of the discovered model. The first compiles a plan and lowers a
-        // kernel; the rest skip plans and factors entirely. No query
-        // clones a stored factor.
+        // of the discovered model — straight into the engine, which
+        // serves models with wider separators. The first compiles a plan
+        // and lowers a kernel; the rest skip plans and factors entirely.
+        // No query clones a stored factor.
+        let (tree, target) = (db.model.junction_tree(), AttrSet::from_ids([0, 1]));
         for i in 0..8u32 {
-            db.try_estimate(&Query::range(0, 0, 3).and(1, i % 8, 7)).unwrap();
+            let query = Query::range(0, 0, 3).and(1, i % 8, 7);
+            db.engine.estimate_mass(tree, &db.factors, &target, &query).unwrap();
         }
         let t = db.query_trace();
         assert_eq!(t.plan_cache_misses, 1, "{t:?}");
@@ -687,6 +709,11 @@ mod tests {
         assert!(t.clique_loads >= 1);
         db.reset_query_trace();
         assert_eq!(db.query_trace(), crate::plan::QueryTrace::default());
+        // This model's separators are single attributes, so a served
+        // query is one evaluation and touches no plan.
+        db.try_estimate(&Query::range(0, 0, 3).and(1, 2, 7)).unwrap();
+        let served = crate::plan::QueryTrace { evaluations: 1, ..Default::default() };
+        assert_eq!(db.query_trace(), served);
         // The estimator trait exposes the same counters.
         assert_eq!(db.query_trace(), SelectivityEstimator::query_trace(&db).unwrap());
     }

@@ -96,6 +96,10 @@ impl Factor for WaveletFactor {
         self.reconstruction.mass_in_box(ranges)
     }
 
+    fn for_each_bucket(&self, visit: impl FnMut(&[(u32, u32)], f64)) {
+        self.reconstruction.for_each_bucket(visit);
+    }
+
     fn project(&self, attrs: &AttrSet) -> Result<Self, SynopsisError> {
         Ok(Self {
             reconstruction: self.reconstruction.project(attrs)?,

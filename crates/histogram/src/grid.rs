@@ -180,6 +180,26 @@ impl GridHistogram {
         }
     }
 
+    /// Calls `visit(ranges, frequency)` for every cell in row-major order,
+    /// `ranges` aligned with [`GridHistogram::attrs`]: an odometer over
+    /// the cell grid that updates one box buffer in place.
+    pub fn for_each_bucket(&self, mut visit: impl FnMut(&[(u32, u32)], f64)) {
+        let dims = self.dims();
+        let mut idx = vec![0usize; dims.len()];
+        let mut bbox: Vec<(u32, u32)> = (0..dims.len()).map(|p| self.cell_range(p, 0)).collect();
+        for &freq in &self.freqs {
+            visit(&bbox, freq);
+            // Advance the odometer, last dimension fastest.
+            for p in (0..dims.len()).rev() {
+                idx[p] = (idx[p] + 1) % dims[p];
+                bbox[p] = self.cell_range(p, idx[p]);
+                if idx[p] > 0 {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Projects onto `attrs ⊆ self.attrs()` by summing out the dropped
     /// dimensions (exact — no uniformity assumption is needed).
     ///
@@ -661,6 +681,24 @@ mod tests {
             assert!(g.bucket_count() <= budget);
             assert!((g.total() - dist.total()).abs() < 1e-9);
             assert!((g.mass_in_box(&[]) - dist.total()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn bucket_visitor_tiles_the_grid_in_row_major_order() {
+        let dist = grid_relation().distribution();
+        let g = GridBuilder::build(&dist, 12, SplitCriterion::MaxDiff).unwrap();
+        let mut cells = Vec::new();
+        g.for_each_bucket(|ranges, freq| cells.push((ranges.to_vec(), freq)));
+        assert_eq!(cells.len(), g.bucket_count());
+        let volume: u32 =
+            cells.iter().map(|(r, _)| r.iter().map(|&(lo, hi)| hi - lo + 1).product::<u32>()).sum();
+        assert_eq!(volume, 64, "cells tile the domain");
+        for (flat, (ranges, freq)) in cells.iter().enumerate() {
+            assert_eq!(freq.to_bits(), g.freqs()[flat].to_bits());
+            let query: Vec<(AttrId, u32, u32)> =
+                g.attrs().iter().zip(ranges).map(|(a, &(lo, hi))| (a, lo, hi)).collect();
+            assert!((g.mass_in_box(&query) - freq).abs() < 1e-9, "{ranges:?}");
         }
     }
 

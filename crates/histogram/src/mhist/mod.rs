@@ -186,6 +186,39 @@ impl SplitTree {
         self.mass_within(ranges.iter().copied(), &mut Vec::new(), &mut Vec::new())
     }
 
+    /// Calls `visit(ranges, frequency)` for every bucket in arena
+    /// preorder, `ranges` aligned with [`SplitTree::attrs`]. One box
+    /// buffer is cut in place down the walk and restored on the way up,
+    /// as the operators' emitter does, so no bucket allocates.
+    pub fn for_each_bucket(&self, mut visit: impl FnMut(&[(u32, u32)], f64)) {
+        let mut bbox = self.domain.ranges().to_vec();
+        self.bucket_walk(0, &mut bbox, &mut visit);
+    }
+
+    fn bucket_walk(
+        &self,
+        node: NodeId,
+        bbox: &mut [(u32, u32)],
+        visit: &mut impl FnMut(&[(u32, u32)], f64),
+    ) {
+        match &self.nodes[node as usize] {
+            Node::Leaf { freq } => visit(bbox, *freq),
+            Node::Internal { attr, split, left, right } => {
+                // An uncovered split attribute means a corrupt tree; its
+                // subtree is skipped rather than aborting.
+                let Some(p) = self.attrs.position(*attr) else {
+                    return;
+                };
+                let (lo, hi) = bbox[p];
+                bbox[p] = (lo, split.saturating_sub(1));
+                self.bucket_walk(*left, bbox, visit);
+                bbox[p] = (*split, hi);
+                self.bucket_walk(*right, bbox, visit);
+                bbox[p] = (lo, hi);
+            }
+        }
+    }
+
     /// Estimated frequency mass inside a bounding box over (a subset of)
     /// the histogram's attributes.
     #[must_use]
@@ -456,6 +489,16 @@ mod tests {
         assert_eq!(leaves[0].1, 8.0);
         assert_eq!(leaves[1].0.ranges(), &[(0, 3), (2, 7)]);
         assert_eq!(leaves[2].0.ranges(), &[(4, 7), (0, 7)]);
+    }
+
+    #[test]
+    fn bucket_visitor_walks_leaves_in_preorder() {
+        let t = manual_tree();
+        let mut seen = Vec::new();
+        t.for_each_bucket(|ranges, freq| seen.push((ranges.to_vec(), freq)));
+        let leaves: Vec<_> =
+            t.leaves().into_iter().map(|(b, f)| (b.ranges().to_vec(), f)).collect();
+        assert_eq!(seen, leaves);
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! selection plus `IncrementalGains` allocation) and compares the number
 //! of funded splits, the bucket count of every clique factor, the storage
 //! bytes, a CRC-32 of the saved snapshot bytes, and the bit patterns of
-//! the estimates on a fixed query set.
+//! the estimates on a fixed query set, twice: through the Fig. 3
+//! interpreter (`estimate_mass_interpreted`, which `plan_equivalence`
+//! holds bit-identical to the plan engine) and as served (the
+//! range-restricted evaluator for these single-attribute-separator
+//! models).
 //! Any change to split selection, the error bookkeeping that ranks splits,
-//! the allocator's tie-breaking or the factor encodings shows up here.
+//! the allocator's tie-breaking or the factor encodings shows up in the
+//! interpreted estimates; a change to how queries are served shows up in
+//! the served ones.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
@@ -14,10 +20,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dbhist::core::builder::{FactorKind, SynopsisBuilder};
+use dbhist::core::marginal::estimate_mass_interpreted;
 use dbhist::core::{Query, SelectivityEstimator, Synopsis};
 use dbhist::data::census;
 use dbhist::data::workload::{Workload, WorkloadConfig};
-use dbhist::distribution::{Relation, Schema};
+use dbhist::distribution::{AttrSet, Relation, Schema};
 use dbhist::persist::crc32;
 
 /// What one build is pinned to.
@@ -28,6 +35,7 @@ struct Pin {
     storage_bytes: usize,
     snapshot_crc: u32,
     estimates: Vec<u64>,
+    served: Vec<u64>,
 }
 
 fn scratch_path() -> PathBuf {
@@ -51,6 +59,24 @@ fn queries(rel: &Relation) -> Vec<Query> {
     out
 }
 
+/// The Fig. 3 interpreter's estimate of `query` over the synopsis's
+/// factors.
+fn interpreted(synopsis: &Synopsis, query: &Query) -> f64 {
+    let target = AttrSet::from_ids(query.ranges().iter().map(|r| r.0));
+    let estimate = match synopsis {
+        Synopsis::Mhist(db) => {
+            estimate_mass_interpreted(db.model().junction_tree(), db.factors(), &target, query)
+        }
+        Synopsis::Grid(db) => {
+            estimate_mass_interpreted(db.model().junction_tree(), db.factors(), &target, query)
+        }
+        Synopsis::Wavelet(db) => {
+            estimate_mass_interpreted(db.model().junction_tree(), db.factors(), &target, query)
+        }
+    };
+    estimate.unwrap()
+}
+
 fn pin(rel: &Relation, kind: FactorKind, budget: usize) -> Pin {
     let synopsis = SynopsisBuilder::new(rel).budget(budget).factor(kind).build().unwrap();
     let buckets = match &synopsis {
@@ -67,7 +93,8 @@ fn pin(rel: &Relation, kind: FactorKind, budget: usize) -> Pin {
         buckets,
         storage_bytes: synopsis.storage_bytes(),
         snapshot_crc: crc32(&bytes),
-        estimates: queries(rel).iter().map(|q| synopsis.estimate(q).to_bits()).collect(),
+        estimates: queries(rel).iter().map(|q| interpreted(&synopsis, q).to_bits()).collect(),
+        served: queries(rel).iter().map(|q| synopsis.estimate(q).to_bits()).collect(),
     }
 }
 
@@ -88,6 +115,20 @@ fn census_1_mhist_3kb_is_pinned() {
             storage_bytes: 2997,
             snapshot_crc: 0x5a5e_f638,
             estimates: vec![
+                0x40d0_49c0_0000_0000,
+                0x40d2_bcce_38e3_8e39,
+                0x40d2_8a4d_dced_6830,
+                0x40d2_b650_ec0c_5796,
+                0x40cd_4b00_0000_0000,
+                0x40c3_f980_0000_0000,
+                0x40ba_354b_65f8_f2a8,
+                0x408d_dfd0_8c33_b592,
+                0x4091_9979_46c4_80e0,
+                0x4057_693e_f368_eb03,
+                0x4088_c3c5_d638_8659,
+                0x40d3_8800_0000_0000,
+            ],
+            served: vec![
                 0x40d0_49c0_0000_0000,
                 0x40d2_bcce_38e3_8e39,
                 0x40d2_8a4d_dced_6830,
@@ -131,6 +172,20 @@ fn census_1_grid_3kb_is_pinned() {
                 0x4088_c5c8_16f0_068e,
                 0x40d3_87ff_ffff_fef8,
             ],
+            served: vec![
+                0x40d0_49c0_0000_0000,
+                0x40d2_bda3_8e38_e38f,
+                0x40d2_c1d5_5555_5555,
+                0x40d2_bfe4_9249_2493,
+                0x40cd_4b00_0000_0000,
+                0x40c3_f980_0000_0000,
+                0x40ba_4318_5ae0_e1f0,
+                0x408e_fb9e_7942_f783,
+                0x4090_46f8_db57_200a,
+                0x4059_5333_3333_3333,
+                0x4088_c5c8_16f0_068e,
+                0x40d3_8800_0000_0000,
+            ],
         },
     );
 }
@@ -172,6 +227,32 @@ fn census_2_mhist_20kb_is_pinned() {
                 0x4095_6016_dcd9_dd60,
                 0x40a8_23df_7cef_0c5d,
                 0x40cd_4c00_0000_0000,
+            ],
+            served: vec![
+                0x40c8_5980_0000_0000,
+                0x40cc_2c80_0000_0000,
+                0x40cc_21e9_81fc_9820,
+                0x40cc_2406_840c_4bae,
+                0x40c6_0100_0000_0000,
+                0x40be_8224_cb95_47b3,
+                0x40b7_b227_1304_756e,
+                0x40c8_2c00_0000_0000,
+                0x40b8_9400_0000_0000,
+                0x40c6_2707_911e_2433,
+                0x40c3_cef2_1ef6_814b,
+                0x40bd_3802_7027_0270,
+                0x40b3_e815_e9cf_07b3,
+                0x4088_4e30_0798_9220,
+                0x4089_fea3_7f34_4336,
+                0x4054_49b5_0d17_edf0,
+                0x4083_d524_6847_1da2,
+                0x4097_c3d7_596f_e149,
+                0x409b_b0d6_3c68_e4be,
+                0x40a0_9abc_c1e0_98eb,
+                0x40bc_d2ca_5263_fc87,
+                0x4095_6016_dcd9_dd60,
+                0x40aa_3fcc_c361_a5f9,
+                0x40cd_4bff_ffff_fffd,
             ],
         },
     );
@@ -218,7 +299,8 @@ fn correlated_pairs() -> Relation {
 
 /// An allocation-heavy MHIST build: 64 KB over the correlated-pairs
 /// table funds 7276 splits, and the summed estimates of a fixed
-/// 16-query, 3-attribute workload print as 47638.857355.
+/// 16-query, 3-attribute workload print as 47638.857355 through the
+/// Fig. 3 interpreter and as 47876.386202 served.
 #[test]
 fn correlated_pairs_mhist_64kb_is_pinned() {
     let rel = correlated_pairs();
@@ -227,8 +309,11 @@ fn correlated_pairs_mhist_64kb_is_pinned() {
         WorkloadConfig { dimensionality: 3, queries: 16, min_count: 50, seed: 0xB11D },
     );
     let synopsis = SynopsisBuilder::new(&rel).budget(64 * 1024).build().unwrap();
-    let checksum: f64 =
-        workload.queries.iter().map(|q| synopsis.estimate(&Query::from(q.ranges.as_slice()))).sum();
+    let queries: Vec<Query> =
+        workload.queries.iter().map(|q| Query::from(q.ranges.as_slice())).collect();
+    let checksum: f64 = queries.iter().map(|q| interpreted(&synopsis, q)).sum();
+    let served: f64 = queries.iter().map(|q| synopsis.estimate(q)).sum();
     assert_eq!(synopsis.build_trace().splits_funded, 7276);
     assert_eq!(checksum.to_bits(), 0x40e7_42db_6f73_3ed4, "checksum {checksum:.6}");
+    assert_eq!(served.to_bits(), 0x40e7_608c_5bc4_79d8, "served {served:.6}");
 }

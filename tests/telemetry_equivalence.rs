@@ -89,6 +89,7 @@ fn telemetry_on_and_off_are_bit_identical() {
         ("dbhist_query_kernel_lowered_sparse_total", t.kernel_lowered_sparse),
         ("dbhist_query_kernel_groups_shared_total", t.kernel_groups_shared),
         ("dbhist_query_kernel_fallbacks_total", t.kernel_fallbacks),
+        ("dbhist_query_evaluations_total", t.evaluations),
     ] {
         assert_eq!(snap.counter(name), Some(value as u64), "{name}");
     }
