@@ -10,7 +10,6 @@ use dbhist_core::baselines::{IndEstimator, MhistEstimator};
 use dbhist_core::marginal::{
     compute_marginal_naive, compute_marginal_with_stats, estimate_mass_interpreted,
 };
-use dbhist_core::plan::QueryEngine;
 use dbhist_core::Query;
 use dbhist_core::SelectivityEstimator;
 use dbhist_core::SynopsisBuilder;
@@ -71,7 +70,7 @@ fn bench_marginal_strategies(c: &mut Criterion) {
     );
 }
 
-fn bench_plan_vs_interpreter(c: &mut Criterion) {
+fn bench_interpreter(c: &mut Criterion) {
     let scale = Scale::quick();
     let rel = scale.census_1();
     let db = SynopsisBuilder::new(&rel).budget(3 * 1024).build_mhist().unwrap();
@@ -99,29 +98,10 @@ fn bench_plan_vs_interpreter(c: &mut Criterion) {
                 .sum::<f64>()
         });
     });
-    // Warm the plan cache once so the measurement reflects the steady
-    // state (replayed plans, zero-clone execution).
-    let engine = QueryEngine::new(tree);
-    for (t, r) in &queries {
-        engine.estimate_mass(tree, factors, t, r).unwrap();
-    }
-    group.bench_function("planned_warm_cache", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|(t, r)| engine.estimate_mass(tree, factors, t, r).unwrap())
-                .sum::<f64>()
-        });
-    });
     group.finish();
-    let trace = engine.trace();
-    eprintln!(
-        "plan path: {} plan-cache hits / {} misses",
-        trace.plan_cache_hits, trace.plan_cache_misses
-    );
 }
 
-criterion_group!(benches, bench_estimation, bench_marginal_strategies, bench_plan_vs_interpreter);
+criterion_group!(benches, bench_estimation, bench_marginal_strategies, bench_interpreter);
 fn main() {
     // Debug builds (`cargo test --workspace`) skip the heavy pipelines;
     // run `cargo bench` for real measurements.

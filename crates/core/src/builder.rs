@@ -42,8 +42,8 @@ use dbhist_model::DecomposableModel;
 
 use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
+use crate::evaluate::QueryTrace;
 use crate::explain::ExplainReport;
-use crate::plan::QueryTrace;
 use crate::query::Query;
 use crate::synopsis::{AllocationStrategy, DbConfig, DbHistogram};
 use crate::wavelet_factor::WaveletFactor;
@@ -72,7 +72,7 @@ pub struct BuildTrace {
     pub construction: Duration,
     /// Wall time of budget allocation (greedy gains or DP curves).
     pub allocation: Duration,
-    /// Wall time of factor materialization + engine assembly.
+    /// Wall time of factor materialization + synopsis assembly.
     pub assembly: Duration,
     /// End-to-end wall time (selection through assembly).
     pub total: Duration,
@@ -132,7 +132,7 @@ impl Synopsis {
         delegate!(self, db => db.build_trace())
     }
 
-    /// Snapshot of the query engine's cumulative counters.
+    /// Snapshot of the cumulative query counters.
     ///
     /// Non-destructive: counters keep accumulating across calls until
     /// [`Synopsis::reset_query_trace`] zeroes them.
@@ -141,7 +141,7 @@ impl Synopsis {
         delegate!(self, db => db.query_trace())
     }
 
-    /// Zeroes the query engine's cumulative counters (this synopsis only;
+    /// Zeroes the cumulative query counters (this synopsis only;
     /// the process-wide telemetry registry is untouched).
     pub fn reset_query_trace(&self) {
         delegate!(self, db => db.reset_query_trace());

@@ -7,7 +7,7 @@
 //! against.
 
 use crate::builder::BuildTrace;
-use crate::plan::QueryTrace;
+use crate::evaluate::QueryTrace;
 use crate::query::Query;
 
 /// An object that can estimate the result size of a conjunctive
@@ -27,9 +27,9 @@ pub trait SelectivityEstimator {
     /// A short display name (e.g. `"DB2"`, `"MHIST"`, `"IND"`).
     fn name(&self) -> &str;
 
-    /// Cumulative operation/cache counters of the estimator's query
-    /// engine, when it has one. Baselines without a junction-tree engine
-    /// return `None` (the default).
+    /// Cumulative counters of the estimator's junction-tree query path,
+    /// when it has one. Baselines without one return `None` (the
+    /// default).
     ///
     /// Reading is **non-destructive**: the snapshot is a copy, the
     /// underlying counters keep accumulating, and repeated calls between
@@ -41,7 +41,7 @@ pub trait SelectivityEstimator {
 
     /// Zeroes the counters behind
     /// [`SelectivityEstimator::query_trace`]. A no-op (the default) for
-    /// estimators without an instrumented engine. Only the estimator's
+    /// estimators without an instrumented query path. Only the estimator's
     /// own counters are affected; the process-wide telemetry registry is
     /// left untouched.
     fn reset_trace(&self) {}

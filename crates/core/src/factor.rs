@@ -10,7 +10,7 @@
 //! [`Distribution`] to it.
 
 use dbhist_distribution::{AttrId, AttrSet, Distribution};
-use dbhist_histogram::{GridHistogram, HistogramError, SplitTree, TreeIndex};
+use dbhist_histogram::{GridHistogram, HistogramError, SplitTree};
 
 use crate::error::SynopsisError;
 
@@ -23,8 +23,9 @@ pub trait Factor: Sized + Clone {
     /// Total frequency mass.
     fn total(&self) -> f64;
 
-    /// A rough size measure (buckets / support cells), used by the query
-    /// planner to decide whether an intermediate projection is worthwhile.
+    /// A rough size measure (buckets / support cells), used by the
+    /// interpreter to decide whether an intermediate projection is
+    /// worthwhile.
     fn len_hint(&self) -> usize;
 
     /// Estimated frequency mass inside a conjunction of inclusive ranges;
@@ -53,14 +54,6 @@ pub trait Factor: Sized + Clone {
     ///
     /// Rejects operands with incompatible shared domains.
     fn product(&self, other: &Self) -> Result<Self, SynopsisError>;
-
-    /// Lowers the factor into a flattened [`TreeIndex`] for the dense
-    /// kernel path (see [`crate::kernel`]), or `None` when no bit-identical
-    /// lowering exists for this representation. The engine falls back to
-    /// direct plan execution on `None`.
-    fn lower_index(&self) -> Option<TreeIndex> {
-        None
-    }
 }
 
 impl Factor for SplitTree {
@@ -90,10 +83,6 @@ impl Factor for SplitTree {
 
     fn product(&self, other: &Self) -> Result<Self, SynopsisError> {
         Ok(SplitTree::product(self, other)?)
-    }
-
-    fn lower_index(&self) -> Option<TreeIndex> {
-        TreeIndex::lower(self)
     }
 }
 

@@ -14,20 +14,16 @@
 //!   number of buckets" used in Fig. 6).
 //! * [`marginal::compute_marginal_with_stats`] — the paper's
 //!   `ComputeMarginal` algorithm (Fig. 3) over the junction tree,
-//!   minimizing histogram multiplications/projections; the recursive
-//!   interpreters beside it are the test oracle.
-//! * [`evaluate`] — how a synopsis answers a query when every separator
-//!   of its model has at most one attribute (every `k_max = 2` model):
-//!   the Eq. 2 estimate by sum-product over the junction tree restricted
-//!   to the query box, following Fig. 3's choices, with no factor
-//!   product built and nothing cached.
-//! * [`plan`] — the plan-based query engine for models with a wider
-//!   separator: compiles the Fig. 3
-//!   recursion into [`plan::MarginalPlan`]s executed with zero-clone
-//!   (`Cow`) operand passing. [`plan::QueryEngine::estimate_mass`] is
-//!   the one cached way in: one entry per query shape holds its
-//!   [`plan::MassPlan`] and lowered kernel, and [`plan::QueryTrace`]
-//!   counts every operation.
+//!   minimizing histogram multiplications/projections; it serves
+//!   [`synopsis::DbHistogram::marginal`], and
+//!   [`marginal::estimate_mass_interpreted`] beside it is the test
+//!   oracle.
+//! * [`evaluate`] — how a synopsis answers a query: the Eq. 2 estimate
+//!   by sum-product over the junction tree restricted to the query box,
+//!   following Fig. 3's choices, with no factor product built and nothing
+//!   cached. A model whose separators join into a block over
+//!   [`evaluate::MESSAGE_CELL_BUDGET`] cells is answered by the
+//!   interpreter instead; [`evaluate::QueryTrace`] counts evaluations.
 //! * [`alloc`] — storage allocation across clique histograms: the optimal
 //!   pseudo-polynomial dynamic program and the `IncrementalGains` greedy
 //!   (Fig. 2).
@@ -82,15 +78,11 @@ pub mod evaluate;
 pub mod explain;
 pub mod factor;
 pub mod ingest;
-pub mod kernel;
 pub mod maintenance;
 pub mod marginal;
 pub mod observe;
-pub mod plan;
 pub mod query;
-pub mod scratch;
 pub mod service;
-pub mod sharded;
 pub mod snapshot;
 pub mod synopsis;
 pub mod wavelet_factor;
@@ -98,19 +90,23 @@ pub mod wavelet_factor;
 pub use builder::{BuildTrace, FactorKind, Synopsis, SynopsisBuilder};
 pub use error::SynopsisError;
 pub use estimator::SelectivityEstimator;
+pub use evaluate::QueryTrace;
 pub use explain::{
-    ExplainProbe, ExplainRecorder, ExplainReport, GroupReport, NoProbe, QueryPath, ShedSkip,
-    StepKind, StepReport,
+    ExplainProbe, ExplainRecorder, ExplainReport, GroupReport, NoProbe, QueryPath, StepKind,
+    StepReport,
 };
 pub use factor::{ExactFactor, Factor};
 pub use ingest::{IngestConfig, IngestSession, RecoveryReport, TuneOutcome};
-pub use kernel::MassKernel;
 pub use observe::ObservabilityServer;
-pub use plan::{MarginalPlan, MassPlan, QueryEngine, QueryTrace};
 pub use query::{Predicate, Query};
-pub use scratch::PlanScratch;
 pub use service::{
     BatchReply, BatchTicket, EstimatorService, Generation, ServeStats, ServiceConfig,
 };
-pub use sharded::ShardedLru;
 pub use synopsis::{DbConfig, DbHistogram};
+
+/// Locks `m`, recovering from poisoning: every mutex in this crate guards
+/// state a panicking peer cannot leave logically corrupt (pooled scratch,
+/// queues, report rings).
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

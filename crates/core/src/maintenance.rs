@@ -167,8 +167,8 @@ impl MaintainedDbHistogram {
 
     /// Applies row updates in order — `+1.0` inserts, `-1.0` deletes of
     /// rows already checked against the schema arity — to every clique
-    /// histogram, under one borrow of the model and one kernel
-    /// invalidation. Each insert then enters the reservoir.
+    /// histogram, under one borrow of the model. Each insert then enters
+    /// the reservoir.
     pub(crate) fn apply<'r>(&mut self, rows: impl IntoIterator<Item = (&'r [u32], f64)>) {
         let (model, factors) = self.synopsis.factors_mut();
         let mut key: Vec<u32> = Vec::new();
@@ -456,7 +456,7 @@ impl SelectivityEstimator for MaintainedDbHistogram {
         "DB-maintained"
     }
 
-    fn query_trace(&self) -> Option<crate::plan::QueryTrace> {
+    fn query_trace(&self) -> Option<crate::evaluate::QueryTrace> {
         self.synopsis.query_trace().into()
     }
 
@@ -476,7 +476,7 @@ impl SelectivityEstimator for MaintainedDbHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbhist_distribution::{AttrSet, Schema};
+    use dbhist_distribution::Schema;
 
     /// a == b (8 values), c independent.
     fn relation(rows: u32) -> Relation {
@@ -569,55 +569,34 @@ mod tests {
         );
     }
 
-    /// The synopsis's own plan engine, called directly: these models'
-    /// queries are served by the evaluator, but the engine serves models
-    /// with wider separators and keeps kernels that updates must drop.
-    fn engine_estimate(db: &DbHistogram<SplitTree>, q: &Query) -> f64 {
-        let (tree, target) = (db.model().junction_tree(), q.ranges().iter().map(|r| r.0));
-        db.engine().estimate_mass(tree, db.factors(), &AttrSet::from_ids(target), q).unwrap()
-    }
-
+    /// Updates go through `factors_mut()`, and nothing is cached: the
+    /// next served estimate reads the updated factors, bit for bit what a
+    /// synopsis freshly assembled over them answers, while a copy taken
+    /// before the update keeps answering from the old factors.
     #[test]
-    fn updates_drop_stale_kernels() {
+    fn updates_reach_served_estimates() {
         let rel = relation(4096);
         let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(400)).unwrap();
-        // The first query lowers a kernel for its shape; an update must
-        // not let that stale kernel answer the next query.
-        let before = engine_estimate(m.synopsis(), &Query::range(0, 3, 3));
-        assert_eq!(m.synopsis().query_trace().kernel_fallbacks, 0, "split trees lower");
+        let q = Query::range(0, 3, 3);
+        let before = m.estimate(&q);
+        let stale = m.synopsis().clone();
         for _ in 0..500 {
             m.insert(&[3, 3, 0]);
         }
-        let after = engine_estimate(m.synopsis(), &Query::range(0, 3, 3));
-        assert!(after > before + 400.0, "stale kernel served after update: {after}");
-    }
-
-    /// Updates go through `factors_mut()`, which clears the engine's
-    /// expression table with its kernels: a copy taken before the update
-    /// keeps the old lowering of `{a}` alive, yet after it every shape
-    /// whose group executes that expression answers exactly as a fresh
-    /// engine over the updated factors does.
-    #[test]
-    fn updates_share_no_stale_group() {
-        let rel = relation(4096);
-        let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(400)).unwrap();
-        engine_estimate(m.synopsis(), &Query::range(0, 3, 3));
-        let before = m.synopsis().clone();
-        for _ in 0..500 {
-            m.insert(&[3, 3, 0]);
-        }
+        let after = m.estimate(&q);
+        assert!(after > before + 400.0, "update did not reach the served estimate: {after}");
+        assert_eq!(stale.estimate(&q).to_bits(), before.to_bits());
         let db = m.synopsis();
-        let tree = db.model().junction_tree();
+        let fresh = DbHistogram::assemble(
+            db.model().clone(),
+            db.factors().to_vec(),
+            db.storage_bytes(),
+            String::new(),
+        );
         for q in [Query::range(0, 3, 3).and(2, 0, 1), Query::range(0, 3, 3), Query::range(2, 0, 0)]
         {
-            let target = AttrSet::from_ids(q.ranges().iter().map(|r| r.0));
-            let fresh = crate::plan::QueryEngine::new(tree)
-                .estimate_mass(tree, db.factors(), &target, &q)
-                .unwrap();
-            assert_eq!(engine_estimate(db, &q).to_bits(), fresh.to_bits(), "{q:?}");
+            assert_eq!(db.estimate(&q).to_bits(), fresh.estimate(&q).to_bits(), "{q:?}");
         }
-        assert!(db.query_trace().kernel_groups_shared >= 1, "{:?}", db.query_trace());
-        drop(before);
     }
 
     #[test]

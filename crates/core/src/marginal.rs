@@ -15,17 +15,15 @@
 //! * The root is chosen as the clique sharing the most attributes with
 //!   `S_Q` (the paper roots arbitrarily); this only reduces work.
 //!
-//! [`compute_marginal_with_stats`] compiles the recursion into a
-//! [`crate::plan::MarginalPlan`] and executes it once, uncached.
-//! Selectivity estimation goes through [`crate::evaluate`] for models
-//! whose separators have at most one attribute and through
-//! [`crate::plan::QueryEngine::estimate_mass`], which caches each query
-//! shape's [`crate::plan::MassPlan`] and kernel, for the rest. The direct
-//! recursion is retained as [`compute_marginal_interpreted`] /
-//! [`estimate_mass_interpreted`]: it is the executable specification the
-//! planner (`tests/plan_equivalence.rs`) and the evaluator
-//! (`tests/evaluate_equivalence.rs`) are property-tested against, and the
-//! baseline the benches compare planned execution to.
+//! [`compute_marginal_with_stats`] runs the recursion directly; it serves
+//! [`crate::synopsis::DbHistogram::marginal`]. Selectivity estimation
+//! goes through [`crate::evaluate`], which follows the same clique
+//! selection without building a product. [`estimate_mass_interpreted`],
+//! the recursion applied to a query box, is the executable specification
+//! the evaluator is property-tested against
+//! (`tests/evaluate_equivalence.rs`), the baseline the benches compare it
+//! to, and the answer for models whose separator blocks exceed
+//! [`crate::evaluate::MESSAGE_CELL_BUDGET`].
 //!
 //! [`compute_marginal_naive`] implements the baseline the paper argues
 //! against — build the estimate over *all* attributes, then project — and
@@ -37,14 +35,16 @@ use dbhist_model::JunctionTree;
 use crate::error::SynopsisError;
 use crate::evaluate::components;
 use crate::factor::Factor;
-use crate::plan::{execute_marginal, MarginalPlan, QueryTrace, SHED_LIMIT};
 use crate::query::Query;
 
-/// Operation counts of a marginal computation.
-///
-/// The coarse, historical counter pair; the plan path records the richer
-/// [`QueryTrace`] and folds it down via `From<QueryTrace>` (applied sheds
-/// count as projections, exactly as the interpreter counted them).
+/// Intermediate factors larger than this skip "tidying" (shed)
+/// projections: carrying a few extra attributes through `mass_in_box` is
+/// linear in the factor size, while the projection overlay can be
+/// quadratic.
+pub const SHED_LIMIT: usize = 2048;
+
+/// Operation counts of a marginal computation (applied sheds count as
+/// projections).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MarginalStats {
     /// Factor multiplications performed.
@@ -52,12 +52,6 @@ pub struct MarginalStats {
     /// Proper projections performed (projections onto the full attribute
     /// set are free and not counted).
     pub projections: usize,
-}
-
-impl From<QueryTrace> for MarginalStats {
-    fn from(t: QueryTrace) -> Self {
-        Self { products: t.products, projections: t.projections + t.sheds }
-    }
 }
 
 struct Ctx<'a, F> {
@@ -227,8 +221,8 @@ impl<'a, F: Factor> Ctx<'a, F> {
 
 /// Estimates the frequency mass of the model's marginal over `target`
 /// inside the conjunctive `query` via the direct recursive interpreter —
-/// the executable specification [`crate::plan::QueryEngine::estimate_mass`]
-/// is verified against.
+/// the executable specification [`crate::evaluate::estimate_mass`] is
+/// verified against.
 ///
 /// Computes the same model estimate as
 /// `compute_marginal_with_stats(tree, factors, target)?.0.mass_in_box(query.ranges())`
@@ -313,11 +307,8 @@ pub fn estimate_mass_interpreted<F: Factor>(
 }
 
 /// Computes the marginal factor over `target` from a junction tree and its
-/// clique factors, returning the factor and operation counts.
-///
-/// Compiles a [`crate::plan::MarginalPlan`] and executes it once,
-/// uncached (identical results and operation counts to the interpreter,
-/// see [`compute_marginal_interpreted`]).
+/// clique factors, returning the factor and operation counts: Fig. 3's
+/// recursion, run directly.
 ///
 /// # Errors
 ///
@@ -330,27 +321,6 @@ pub fn compute_marginal_with_stats<F: Factor>(
     target: &AttrSet,
 ) -> Result<(F, MarginalStats), SynopsisError> {
     assert_eq!(tree.len(), factors.len(), "one factor per clique");
-    let views = tree.rooted_views();
-    let plan = MarginalPlan::compile(tree, &views, target)?;
-    let mut trace = QueryTrace::default();
-    let f = execute_marginal(&plan, factors, &mut trace)?.into_owned();
-    Ok((f, MarginalStats::from(trace)))
-}
-
-/// [`compute_marginal_with_stats`] via the direct recursive interpreter —
-/// the executable specification the plan path is verified against.
-///
-/// # Errors
-///
-/// Propagates factor operation failures; returns a budget-style error if
-/// `target` mentions attributes not covered by any clique.
-pub fn compute_marginal_interpreted<F: Factor>(
-    tree: &JunctionTree,
-    factors: &[F],
-    target: &AttrSet,
-) -> Result<(F, MarginalStats), SynopsisError> {
-    assert_eq!(tree.len(), factors.len(), "one factor per clique");
-    assert!(!target.is_empty(), "target attribute set must be non-empty");
     // Root at the clique overlapping the target most (never hurts).
     let Some(root) = (0..tree.len())
         .max_by_key(|&i| (tree.cliques()[i].intersection(target).len(), usize::MAX - i))
@@ -677,36 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_entry_point_matches_interpreter() {
-        // The planned entry point and the interpreter (the specification)
-        // must coincide in results and operation counts.
-        let rel = relation();
-        let m = model(&rel);
-        let factors = exact_factors(&rel, &m);
-        for target in [
-            AttrSet::from_ids([0]),
-            AttrSet::from_ids([0, 2]),
-            AttrSet::from_ids([0, 4]),
-            AttrSet::from_ids([2, 3]),
-            AttrSet::from_ids([0, 1, 2, 3, 4]),
-        ] {
-            let (planned, planned_stats) =
-                compute_marginal_with_stats(m.junction_tree(), &factors, &target).unwrap();
-            let (interp, interp_stats) =
-                compute_marginal_interpreted(m.junction_tree(), &factors, &target).unwrap();
-            assert_eq!(planned_stats, interp_stats, "target {target}");
-            assert_eq!(planned.attrs(), interp.attrs(), "target {target}");
-            for (k, v) in interp.0.iter() {
-                assert_eq!(
-                    planned.0.frequency(k).to_bits(),
-                    v.to_bits(),
-                    "target {target}: key {k:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn efficient_does_less_work_on_local_targets() {
         let rel = relation();
         let m = model(&rel);
@@ -742,7 +682,6 @@ mod tests {
         assert!(compute_marginal_with_stats(m.junction_tree(), &factors, &bad).is_err());
         let empty = AttrSet::empty();
         assert!(compute_marginal_with_stats(m.junction_tree(), &factors, &empty).is_err());
-        assert!(compute_marginal_interpreted(m.junction_tree(), &factors, &bad).is_err());
     }
 
     #[test]

@@ -306,7 +306,7 @@ mod tests {
         let response = get(server.addr(), "/explain");
         assert!(response.contains("\"path\":\""), "{response}");
         assert!(response.contains("\"estimate\":"), "{response}");
-        assert!(response.contains("\"kernel_bytes\":"), "{response}");
+        assert!(response.contains("\"scratch_reused\":"), "{response}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The typed query surface: [`Query`] and [`Predicate`].
 //!
 //! Every estimator entry point ([`crate::estimator::SelectivityEstimator`],
-//! [`crate::plan::QueryEngine`], [`crate::service::EstimatorService`])
+//! [`crate::synopsis::DbHistogram`], [`crate::service::EstimatorService`])
 //! takes a `&Query` — a validated conjunction of per-attribute range
 //! predicates — instead of a raw `&[(AttrId, u32, u32)]` slice. The
 //! builder chains fluently:

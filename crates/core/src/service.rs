@@ -28,10 +28,10 @@
 //! `current` mutex is touched only on the swap edge, and is held just
 //! long enough to clone an `Arc`.
 //!
-//! Estimates are **bit-identical to the serial engine** at any reader
+//! Estimates are **bit-identical to serial estimation** at any reader
 //! count: workers call the same [`SelectivityEstimator::estimate`] on
-//! the same immutable synopsis, and the engine's sharded caches
-//! ([`crate::sharded`]) are pure memoization. `tests/concurrent_equivalence.rs`
+//! the same immutable synopsis, which caches nothing (its pooled scratch
+//! is cleared before every use). `tests/concurrent_equivalence.rs`
 //! pins this with a proptest that hammers one service from many threads
 //! across mid-run swaps.
 
@@ -50,9 +50,9 @@ use crate::builder::{Synopsis, SynopsisBuilder};
 use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
 use crate::explain::ExplainReport;
+use crate::lock;
 use crate::maintenance::MaintainedDbHistogram;
 use crate::query::Query;
-use crate::sharded::lock;
 
 /// Sampled [`ExplainReport`]s retained for
 /// [`EstimatorService::recent_explains`] (older reports are evicted).
@@ -68,7 +68,7 @@ pub struct ServiceConfig {
     /// retained for [`EstimatorService::recent_explains`] and a
     /// [`JournalEvent::QuerySampled`] published. `0` (the default)
     /// disables sampling entirely — the serving path is then byte-for-byte
-    /// the unprobed engine code.
+    /// the unprobed estimation code.
     pub explain_sample: usize,
 }
 
@@ -650,7 +650,7 @@ mod tests {
         let reports = service.recent_explains();
         assert_eq!(reports.len(), queries().len(), "sample=1 explains every query");
         for r in &reports {
-            // Every query constrains an attribute, so the engine reports
+            // Every query constrains an attribute, so the report carries
             // the path it resolved through.
             assert_ne!(r.path, QueryPath::TableTotal, "report must carry the resolved path");
         }

@@ -6,8 +6,8 @@
 //! every clique factor into the [`dbhist_persist`] container;
 //! [`Synopsis::load`] materializes it back **without re-deriving any
 //! structure** — no re-chordalization, no junction-tree construction, no
-//! re-rooting (the query engine's `RootedViews` and plan cache refill
-//! lazily, exactly as after an in-memory build).
+//! re-rooting (the synopsis's `RootedViews` refill lazily, exactly as
+//! after an in-memory build).
 //!
 //! Loaded synopses are *bit-identical* estimators: every `f64` in every
 //! factor round-trips by bit pattern (see the `*_exact` codecs in
@@ -204,7 +204,7 @@ fn load_db<F: PersistableFactor>(
     let bytes = usize::try_from(meta.storage_bytes).map_err(|_| PersistError::Corrupt {
         reason: "storage byte count overflows usize".into(),
     })?;
-    Ok(DbHistogram::from_loaded_parts(model, factors, bytes, meta.name))
+    Ok(DbHistogram::assemble(model, factors, bytes, meta.name))
 }
 
 impl Synopsis {

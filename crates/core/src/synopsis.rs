@@ -11,23 +11,20 @@
 //!    [`crate::alloc::incremental_gains`] or the optimal DP.
 //! 3. **Assembly** — the junction tree plus finished histograms.
 //!
-//! Estimation (paper §3.3) takes one of two paths, chosen by the model's
-//! structure. When every separator has at most one attribute (every
-//! `k_max = 2` model), [`crate::evaluate`] sums the Eq. 2 estimate over
-//! the query box by sum-product over the junction tree, building no
-//! product. Otherwise the per-synopsis [`QueryEngine`] compiles the
-//! Fig. 3 recursion once per query *shape* into a
-//! [`crate::plan::MarginalPlan`]/[`crate::plan::MassPlan`] (memoized in a
-//! bounded LRU, one entry per shape), then executes it with zero-clone
-//! `Cow` operand passing; split-tree factors lower the shape into a flat
-//! kernel that answers every later query of that shape.
-//! [`DbHistogram::query_trace`] exposes the cumulative operation counters
-//! of both paths.
+//! Estimation (paper §3.3) sums the Eq. 2 estimate over the query box by
+//! sum-product over the junction tree ([`crate::evaluate`]), building no
+//! product and caching nothing. A model whose separators join into a
+//! block larger than [`crate::evaluate::MESSAGE_CELL_BUDGET`] is answered
+//! by the Fig. 3 interpreter
+//! ([`crate::marginal::estimate_mass_interpreted`]) instead; the model's
+//! structure and schema make that choice. [`DbHistogram::query_trace`]
+//! counts the evaluations.
 
 use std::time::{Duration, Instant};
 
 use dbhist_distribution::{AttrSet, Distribution, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
+use dbhist_model::junction::RootedViews;
 use dbhist_model::selection::{ForwardSelector, SelectionConfig, SelectionResult};
 use dbhist_model::DecomposableModel;
 use dbhist_telemetry::span::SpanRecord;
@@ -38,10 +35,10 @@ use crate::build::{GridCliqueBuilder, IncrementalBuilder, MhistCliqueBuilder};
 use crate::builder::BuildTrace;
 use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
-use crate::explain::{ExplainProbe, ExplainRecorder, ExplainReport, NoProbe};
+use crate::evaluate::{estimate_mass_with, fits, QueryMetrics, QueryTrace, ScratchPool};
+use crate::explain::{ExplainProbe, ExplainRecorder, ExplainReport, NoProbe, QueryPath};
 use crate::factor::{ExactFactor, Factor};
-use crate::marginal::compute_marginal_with_stats;
-use crate::plan::{QueryEngine, QueryTrace};
+use crate::marginal::{compute_marginal_with_stats, estimate_mass_interpreted};
 use crate::query::Query;
 
 /// How the storage budget is distributed across clique histograms.
@@ -92,7 +89,11 @@ pub struct DbHistogram<F: Factor> {
     factors: Vec<F>,
     bytes: usize,
     name: String,
-    engine: QueryEngine,
+    /// The junction tree's rooted views, derived once per root.
+    views: RootedViews,
+    /// Pooled evaluation buffers.
+    scratch: ScratchPool,
+    metrics: QueryMetrics,
     trace: BuildTrace,
     drift: DriftMonitor,
 }
@@ -112,21 +113,17 @@ impl<F: Factor> DbHistogram<F> {
 
     /// Mutable access for incremental maintenance, beside the model it
     /// stays aligned with (crate-internal: bucket counts may move, but
-    /// the factor set must stay aligned with the model's cliques).
-    /// Invalidates lowered kernels — compiled plans survive, they depend
-    /// only on the model structure.
+    /// the factor set must stay aligned with the model's cliques). The
+    /// next estimate reads the updated factors; nothing is cached.
     pub(crate) fn factors_mut(&mut self) -> (&DecomposableModel, &mut [F]) {
-        self.engine.invalidate_kernels();
         (&self.model, &mut self.factors)
     }
 
     /// Replaces one clique's factor wholesale (a feedback-triggered
-    /// re-split installing fresh bucket boundaries). Goes through
-    /// [`DbHistogram::factors_mut`], so lowered kernels are invalidated;
-    /// compiled plans survive (the model structure is unchanged). Returns
-    /// `false` for an out-of-range index, leaving the synopsis untouched.
+    /// re-split installing fresh bucket boundaries). Returns `false` for
+    /// an out-of-range index, leaving the synopsis untouched.
     pub(crate) fn replace_factor(&mut self, clique: usize, factor: F) -> bool {
-        match self.factors_mut().1.get_mut(clique) {
+        match self.factors.get_mut(clique) {
             Some(slot) => {
                 *slot = factor;
                 true
@@ -135,21 +132,13 @@ impl<F: Factor> DbHistogram<F> {
         }
     }
 
-    /// The plan engine, which serves models with a separator wider than
-    /// one attribute.
-    #[cfg(test)]
-    pub(crate) fn engine(&self) -> &QueryEngine {
-        &self.engine
-    }
-
-    /// Snapshot of the engine's cumulative operation and cache counters.
+    /// Snapshot of the cumulative query counters.
     ///
-    /// Non-destructive and lock-free: the engine's counters keep
-    /// accumulating across calls until [`DbHistogram::reset_query_trace`]
-    /// zeroes them.
+    /// Non-destructive and lock-free: the counters keep accumulating
+    /// across calls until [`DbHistogram::reset_query_trace`] zeroes them.
     #[must_use]
     pub fn query_trace(&self) -> QueryTrace {
-        self.engine.trace()
+        self.metrics.snapshot()
     }
 
     /// Per-phase construction instrumentation recorded when this synopsis
@@ -164,13 +153,13 @@ impl<F: Factor> DbHistogram<F> {
         self.trace = trace;
     }
 
-    /// Resets the engine's cumulative counters to zero.
+    /// Resets the cumulative query counters to zero.
     pub fn reset_query_trace(&self) {
-        self.engine.reset_trace();
+        self.metrics.reset();
     }
 
     /// Estimates the marginal factor over an arbitrary attribute subset
-    /// (paper §3.3.1) by compiling and executing its plan once, uncached.
+    /// (paper §3.3.1) by running Fig. 3's `ComputeMarginal`.
     ///
     /// # Errors
     ///
@@ -191,22 +180,66 @@ impl<F: Factor> DbHistogram<F> {
     }
 
     /// The one way a constrained query is answered: range-restricted
-    /// sum-product ([`crate::evaluate`]) when every separator of the model
-    /// has at most one attribute, the [`QueryEngine`] otherwise. The
-    /// model's structure makes the choice.
+    /// sum-product ([`crate::evaluate`]) with pooled scratch, or the Fig. 3
+    /// interpreter when the model does not [`fits`]. The model's
+    /// structure and schema make the choice. Reports the path, the
+    /// scratch reuse and the visited cliques to `probe`.
     fn estimate_probed<P: ExplainProbe>(
         &self,
         target: &AttrSet,
         query: &Query,
         probe: &mut P,
     ) -> Result<f64, SynopsisError> {
-        let tree = self.model.junction_tree();
-        if crate::evaluate::applies(tree) {
-            let schema = self.model.schema();
-            self.engine.evaluate_probed(tree, schema, &self.factors, target, query, probe)
-        } else {
-            self.engine.estimate_mass_probed(tree, &self.factors, target, query, probe)
+        // Inert unless telemetry is on (or a span collector is installed).
+        let _span = dbhist_telemetry::span!("dbhist_query_estimate_latency_ns");
+        if dbhist_telemetry::enabled() {
+            dbhist_telemetry::wellknown::wellknown().query_estimates.increment();
         }
+        let (tree, schema) = (self.model.junction_tree(), self.model.schema());
+        if !fits(tree, schema) {
+            if P::ACTIVE {
+                probe.resolved_path(QueryPath::Interpreted);
+                let mut scratch = self.scratch.acquire();
+                if scratch.select(tree, &self.views, schema.arity(), target).is_ok() {
+                    scratch.explain_selection(target, &self.factors, probe);
+                }
+                self.scratch.release(scratch);
+            }
+            return estimate_mass_interpreted(tree, &self.factors, target, query);
+        }
+        let mut scratch = if P::ACTIVE {
+            probe.resolved_path(QueryPath::Evaluated);
+            let (tracked, reused) = self.scratch.acquire_tracked();
+            probe.scratch(reused);
+            tracked
+        } else {
+            self.scratch.acquire()
+        };
+        let mass = estimate_mass_with(
+            tree,
+            &self.views,
+            schema,
+            &self.factors,
+            target,
+            query,
+            &mut scratch,
+            probe,
+        );
+        self.scratch.release(scratch);
+        self.metrics.evaluated();
+        mass
+    }
+
+    /// The cliques an estimate over `target` reads: Fig. 3's selection
+    /// (`EvalScratch::select`), with pooled scratch.
+    fn visited_cliques(&self, target: &AttrSet) -> Result<Vec<usize>, SynopsisError> {
+        let mut scratch = self.scratch.acquire();
+        let schema = self.model.schema();
+        let selected =
+            scratch.select(self.model.junction_tree(), &self.views, schema.arity(), target);
+        let cliques = selected.map(|()| scratch.cliques());
+        self.scratch.release(scratch);
+        cliques
     }
 
     /// Estimates the selectivity of a conjunctive range predicate,
@@ -254,11 +287,15 @@ impl<F: Factor> DbHistogram<F> {
     /// accuracy-drift monitor: the query is re-estimated, the absolute
     /// relative error `|estimate − actual| / actual` is computed (via
     /// [`dbhist_data::metrics::relative_error`]), and the observation is
-    /// attributed to the cliques whose factors the query's compiled plan
-    /// actually loads ([`QueryEngine::loaded_cliques`]) — blame lands on
-    /// the factors that produced the estimate, so feedback-driven
-    /// re-splitting ([`crate::ingest::IngestSession::tune`]) targets a
-    /// clique whose boundaries the failing queries actually consult.
+    /// attributed to the cliques the estimate reads (Fig. 3's selection,
+    /// which the evaluator walks and the interpreter's EXPLAIN lists) —
+    /// blame lands on the factors that produced the estimate, so
+    /// feedback-driven re-splitting
+    /// ([`crate::ingest::IngestSession::tune`]) targets a clique whose
+    /// boundaries the failing queries actually consult. With cliques
+    /// `{a,b}` and `{a,c}`, a query on `a` alone reads one of them, and
+    /// blaming the other would steer re-splitting toward a factor the
+    /// estimate never consulted.
     ///
     /// Non-positive or non-finite `actual` values are ignored (relative
     /// error is undefined at zero), as are queries the synopsis cannot
@@ -271,23 +308,9 @@ impl<F: Factor> DbHistogram<F> {
         let err = dbhist_data::metrics::relative_error(est, actual);
         let attrs = self.target(query);
         if !attrs.is_empty() {
-            match self.engine.loaded_cliques(self.model.junction_tree(), &attrs) {
-                Ok(cliques) => {
-                    for i in cliques {
-                        self.drift.record(i, err);
-                    }
-                }
-                // `try_estimate` succeeded, so the plan compiles; this
-                // arm is unreachable in practice, but attr-overlap
-                // attribution keeps the observation from vanishing if a
-                // future planner rejects a target the estimator accepts.
-                Err(_) => {
-                    for (i, clique) in self.model.cliques().iter().enumerate() {
-                        if !clique.is_disjoint(&attrs) {
-                            self.drift.record(i, err);
-                        }
-                    }
-                }
+            // `try_estimate` succeeded, so the selection covers `attrs`.
+            for i in self.visited_cliques(&attrs).unwrap_or_default() {
+                self.drift.record(i, err);
             }
         }
         if dbhist_telemetry::enabled() {
@@ -306,21 +329,30 @@ impl<F: Factor> DbHistogram<F> {
         self.name = name.into();
     }
 
-    /// Reassembles a synopsis from snapshot-loaded parts. Mirrors the
-    /// tail of `build_for_model`: the query engine's `RootedViews` and
-    /// plan cache start empty and fill lazily, exactly as after a fresh
-    /// build, and the build trace is all-zero (nothing was built). The
-    /// caller (the snapshot loader) has already validated that `factors`
-    /// aligns one-to-one with the model's cliques.
-    pub(crate) fn from_loaded_parts(
+    /// Assembles a synopsis from a model and its aligned factors: rooted
+    /// views fill lazily, the scratch pool and counters start empty, and
+    /// the build trace is all-zero until the builder sets it. The
+    /// snapshot loader calls this after validating that `factors` aligns
+    /// one-to-one with the model's cliques.
+    pub(crate) fn assemble(
         model: DecomposableModel,
         factors: Vec<F>,
         bytes: usize,
         name: String,
     ) -> Self {
-        let engine = QueryEngine::new(model.junction_tree());
+        let views = model.junction_tree().rooted_views();
         let drift = DriftMonitor::new(model.cliques().len(), DRIFT_WINDOW);
-        Self { model, factors, bytes, name, engine, trace: BuildTrace::default(), drift }
+        Self {
+            model,
+            factors,
+            bytes,
+            name,
+            views,
+            scratch: ScratchPool::default(),
+            metrics: QueryMetrics::default(),
+            trace: BuildTrace::default(),
+            drift,
+        }
     }
 }
 
@@ -345,7 +377,7 @@ impl<F: Factor> SelectivityEstimator for DbHistogram<F> {
     }
 
     fn query_trace(&self) -> Option<QueryTrace> {
-        Some(self.engine.trace())
+        Some(self.metrics.snapshot())
     }
 
     fn reset_trace(&self) {
@@ -452,12 +484,11 @@ where
         }
     };
 
-    let (bytes, factors, engine): (usize, Vec<F>, QueryEngine) = {
+    let mut synopsis = {
         let _span = dbhist_telemetry::span!("dbhist_build_assembly_latency_us");
         let bytes = builders.iter().map(IncrementalBuilder::storage_bytes).sum();
         let factors: Vec<F> = builders.iter().map(IncrementalBuilder::finish).collect();
-        let engine = QueryEngine::new(model.junction_tree());
-        (bytes, factors, engine)
+        DbHistogram::assemble(model, factors, bytes, "DB".into())
     };
 
     let records = collector.finish();
@@ -471,17 +502,16 @@ where
         w.build_splits_funded.add(u64::try_from(splits_funded).unwrap_or(u64::MAX));
     }
 
-    let trace = BuildTrace {
+    synopsis.set_trace(BuildTrace {
         construction,
         allocation,
         assembly,
         total: construction + allocation + assembly,
-        cliques: factors.len(),
+        cliques: synopsis.factors.len(),
         splits_funded,
         ..BuildTrace::default()
-    };
-    let drift = DriftMonitor::new(model.cliques().len(), DRIFT_WINDOW);
-    Ok(DbHistogram { model, factors, bytes, name: "DB".into(), engine, trace, drift })
+    });
+    Ok(synopsis)
 }
 
 /// Internal entry for MHIST synopses; [`crate::builder::SynopsisBuilder`]
@@ -562,17 +592,7 @@ impl DbHistogram<ExactFactor> {
         // Storage accounting for exact marginals: 4 bytes per stored value
         // plus 4 per frequency (informational only; Fig. 6 ignores space).
         let bytes = factors.iter().map(|f| f.0.support_size() * 4 * (f.0.attrs().len() + 1)).sum();
-        let engine = QueryEngine::new(model.junction_tree());
-        let drift = DriftMonitor::new(model.cliques().len(), DRIFT_WINDOW);
-        Ok(DbHistogram {
-            model,
-            factors,
-            bytes,
-            name: "DB-exact".into(),
-            engine,
-            trace: BuildTrace::default(),
-            drift,
-        })
+        Ok(DbHistogram::assemble(model, factors, bytes, "DB-exact".into()))
     }
 }
 
@@ -688,31 +708,23 @@ mod tests {
     }
 
     #[test]
-    fn repeated_workload_rides_the_kernel_without_clones() {
+    fn repeated_queries_are_counted_evaluations_over_pooled_scratch() {
         let rel = relation();
         let db = SynopsisBuilder::new(&rel).budget(400).build_mhist().unwrap();
         db.reset_query_trace();
-        // Eight queries, one attribute-set shape {a, b} — a single clique
-        // of the discovered model — straight into the engine, which
-        // serves models with wider separators. The first compiles a plan
-        // and lowers a kernel; the rest skip plans and factors entirely.
-        // No query clones a stored factor.
-        let (tree, target) = (db.model.junction_tree(), AttrSet::from_ids([0, 1]));
+        // Eight queries, each one evaluation; none builds a product.
         for i in 0..8u32 {
-            let query = Query::range(0, 0, 3).and(1, i % 8, 7);
-            db.engine.estimate_mass(tree, &db.factors, &target, &query).unwrap();
+            db.try_estimate(&Query::range(0, 0, 3).and(1, i % 8, 7)).unwrap();
         }
-        let t = db.query_trace();
-        assert_eq!(t.plan_cache_misses, 1, "{t:?}");
-        assert_eq!(t.kernel_hits, 7, "repeats must ride the lowered kernel: {t:?}");
-        assert!(t.kernel_lowered_dense + t.kernel_lowered_sparse >= 1, "{t:?}");
-        assert!(t.clique_loads >= 1);
+        let evaluated = QueryTrace { evaluations: 8, ..QueryTrace::default() };
+        assert_eq!(db.query_trace(), evaluated);
+        // Scratch returns to the pool: the next explained query reuses it.
+        let (_, report) = db.try_estimate_explained(&Query::range(0, 0, 3)).unwrap();
+        assert_eq!(report.scratch_reused, Some(true));
         db.reset_query_trace();
-        assert_eq!(db.query_trace(), crate::plan::QueryTrace::default());
-        // This model's separators are single attributes, so a served
-        // query is one evaluation and touches no plan.
+        assert_eq!(db.query_trace(), QueryTrace::default());
         db.try_estimate(&Query::range(0, 0, 3).and(1, 2, 7)).unwrap();
-        let served = crate::plan::QueryTrace { evaluations: 1, ..Default::default() };
+        let served = QueryTrace { evaluations: 1, ..QueryTrace::default() };
         assert_eq!(db.query_trace(), served);
         // The estimator trait exposes the same counters.
         assert_eq!(db.query_trace(), SelectivityEstimator::query_trace(&db).unwrap());

@@ -45,7 +45,7 @@ pub use bbox::BoundingBox;
 pub use criterion::SplitCriterion;
 pub use error::HistogramError;
 pub use grid::GridHistogram;
-pub use mhist::{IndexLayout, SplitTree, TreeIndex};
+pub use mhist::SplitTree;
 pub use one_dim::OneDimHistogram;
 
 /// Shared fixtures for the builders' cache-consistency tests.

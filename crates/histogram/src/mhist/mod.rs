@@ -14,11 +14,9 @@
 //! the paper's `project` (Fig. 4) and `product` (Fig. 5) operators.
 
 mod build;
-mod index;
 mod ops;
 
 pub use build::MhistBuilder;
-pub use index::{IndexLayout, TreeIndex};
 
 use dbhist_distribution::{AttrId, AttrSet};
 

@@ -4,8 +4,7 @@
 //! representation* of their inputs and output, the paper's headline
 //! implementation contribution. Each is one walk over its operands' node
 //! arenas that pushes the output's nodes straight into the result's arena
-//! in preorder, as [`TreeIndex::lower`](super::TreeIndex::lower) does:
-//! an [`Emitter`] holds the arena and the box of the node being emitted,
+//! in preorder: an [`Emitter`] holds the arena and the box of the node being emitted,
 //! computes a leaf's frequency when it pushes the leaf, and on the way
 //! out of a split whose two children are zero leaves collapses the split
 //! into one zero leaf. A zero bucket estimates zero over every sub-box,

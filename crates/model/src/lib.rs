@@ -57,7 +57,6 @@ pub mod chordal;
 pub mod decomposable;
 pub mod error;
 pub mod graph;
-pub mod ipf;
 pub mod junction;
 pub mod selection;
 pub mod stats;

@@ -37,7 +37,7 @@ pub enum JournalEvent {
         generation: u64,
         /// The estimate returned to the client.
         estimate: f64,
-        /// Resolved path summary, e.g. `"kernel_hit"` or `"plan_compiled"`.
+        /// Resolved path summary, e.g. `"evaluated"` or `"interpreted"`.
         path: String,
     },
     /// A zero-downtime synopsis swap completed.
@@ -316,7 +316,7 @@ mod tests {
         j.publish(JournalEvent::QuerySampled {
             generation: 1,
             estimate: 42.5,
-            path: "kernel_hit".to_string(),
+            path: "evaluated".to_string(),
         });
         j.publish(JournalEvent::GenerationSwap { generation: 2, latency_ns: 1234 });
         j.publish(JournalEvent::Rebuild { rows: 4096, max_drift: 0.25 });
@@ -328,7 +328,7 @@ mod tests {
         let jsonl = j.drain_jsonl();
         assert_eq!(jsonl.lines().count(), 8);
         assert!(jsonl.contains("\"event\":\"query_sampled\""));
-        assert!(jsonl.contains("\"path\":\"kernel_hit\""));
+        assert!(jsonl.contains("\"path\":\"evaluated\""));
         assert!(jsonl.contains("\"event\":\"generation_swap\""));
         assert!(jsonl.contains("\"latency_ns\":1234"));
         assert!(jsonl.contains("\"event\":\"rebuild\""));

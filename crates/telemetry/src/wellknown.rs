@@ -3,11 +3,7 @@
 //! Hot paths (plan execution, cache lookups) must never pay a name hash
 //! or registry lock per event; they go through these handles, resolved
 //! once per process. Names follow the repo convention
-//! `dbhist_<subsystem>_<name>_<unit>`, enforced by `xtask analyze`. The
-//! per-query operation counters (`dbhist_query_products_total`, the
-//! plan-cache and kernel counters, …) are not here: the query engine
-//! declares each once in its `query_counters!` table, which registers
-//! them.
+//! `dbhist_<subsystem>_<name>_<unit>`, enforced by `xtask analyze`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,6 +15,9 @@ use crate::registry::{self, Counter, Gauge, LatencyHistogram};
 pub struct WellKnown {
     // Query path.
     pub query_estimates: Arc<Counter>,
+    /// Estimates answered by range-restricted sum-product (the rest go to
+    /// the Fig. 3 interpreter).
+    pub query_evaluations: Arc<Counter>,
     /// Wall-clock nanoseconds per `estimate_mass` call.
     pub query_latency: Arc<LatencyHistogram>,
 
@@ -80,6 +79,7 @@ pub fn wellknown() -> &'static WellKnown {
         let r = registry::global();
         WellKnown {
             query_estimates: r.counter("dbhist_query_estimates_total"),
+            query_evaluations: r.counter("dbhist_query_evaluations_total"),
             query_latency: r.histogram("dbhist_query_estimate_latency_ns"),
             build_selection_rounds: r.counter("dbhist_build_selection_rounds_total"),
             build_splits_funded: r.counter("dbhist_build_splits_funded_total"),
@@ -128,6 +128,7 @@ mod tests {
         let snap = registry::snapshot();
         for name in [
             "dbhist_query_estimates_total",
+            "dbhist_query_evaluations_total",
             "dbhist_query_estimate_latency_ns",
             "dbhist_build_selection_rounds_total",
             "dbhist_build_splits_funded_total",

@@ -5,10 +5,8 @@
 //! of funded splits, the bucket count of every clique factor, the storage
 //! bytes, a CRC-32 of the saved snapshot bytes, and the bit patterns of
 //! the estimates on a fixed query set, twice: through the Fig. 3
-//! interpreter (`estimate_mass_interpreted`, which `plan_equivalence`
-//! holds bit-identical to the plan engine) and as served (the
-//! range-restricted evaluator for these single-attribute-separator
-//! models).
+//! interpreter (`estimate_mass_interpreted`) and as served (the
+//! range-restricted evaluator).
 //! Any change to split selection, the error bookkeeping that ranks splits,
 //! the allocator's tie-breaking or the factor encodings shows up in the
 //! interpreted estimates; a change to how queries are served shows up in

@@ -1,29 +1,33 @@
 //! The range-restricted evaluator computes Fig. 3's estimate.
 //!
-//! `dbhist::core::evaluate` answers every model whose separators have at
-//! most one attribute by sum-product restricted to the query box, with no
-//! factor product. These tests hold it to the interpreter
+//! `dbhist::core::evaluate` answers every model whose separator blocks
+//! fit `MESSAGE_CELL_BUDGET` by sum-product restricted to the query box,
+//! with no factor product. These tests hold it to the interpreter
 //! (`estimate_mass_interpreted`), the executable specification of Fig. 3:
 //!
-//! * over MHIST, Grid and exact factors on small random models, against
-//!   the interpreter run over exact factors that spread each bucket
-//!   uniformly over its cells. Their products are pointwise and divide by
-//!   the left operand's separator marginal, so this oracle is Fig. 3 with
-//!   neither product truncation nor bucket straddling, and a wrong
-//!   divisor fails it;
+//! * over MHIST, Grid and exact factors on small random models with one-
+//!   and two-attribute separators, against the interpreter run over exact
+//!   factors that spread each bucket uniformly over its cells. Their
+//!   products are pointwise and divide by the left operand's separator
+//!   marginal, so this oracle is Fig. 3 with neither product truncation
+//!   nor bucket straddling, and a wrong divisor fails it;
+//! * over exact factors, against brute-force enumeration of
+//!   `Σ_{x∈box} Π f_C / Π f_S` on tiny domains;
 //! * over Grid, exact and wavelet factors themselves, whose products are
-//!   pointwise already;
-//! * on a Census-1 Grid synopsis, against the plan engine.
+//!   pointwise already, and on a Census-1 Grid synopsis;
+//! * on a Census-1 `k_max = 3` model over exact marginals, against
+//!   junction-tree message passing (`exact_box_mass`).
 //!
-//! Models with a two-attribute separator keep the engine, and explained
-//! and served estimates carry the same bits as plain ones.
+//! A model on each side of `MESSAGE_CELL_BUDGET` is evaluated or
+//! interpreted as its structure says; explained, served, and pooled
+//! estimates carry the same bits as plain ones; and feedback blames the
+//! cliques the explained estimate visits.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
-use dbhist::core::evaluate::{applies, estimate_mass};
+use dbhist::core::evaluate::{estimate_mass, fits, MESSAGE_CELL_BUDGET};
 use dbhist::core::factor::{ExactFactor, Factor};
-use dbhist::core::marginal::estimate_mass_interpreted;
-use dbhist::core::plan::QueryEngine;
+use dbhist::core::marginal::{estimate_mass_interpreted, exact_box_mass};
 use dbhist::core::synopsis::{DbConfig, DbHistogram};
 use dbhist::core::{
     EstimatorService, Query, QueryPath, SelectivityEstimator, ServiceConfig, Synopsis,
@@ -35,6 +39,7 @@ use dbhist::distribution::{AttrId, AttrSet, Distribution, Relation, Schema};
 use dbhist::histogram::grid::GridBuilder;
 use dbhist::histogram::mhist::MhistBuilder;
 use dbhist::histogram::SplitCriterion;
+use dbhist::model::selection::{ForwardSelector, SelectionConfig};
 use dbhist::model::{DecomposableModel, JunctionTree, MarkovGraph};
 use proptest::prelude::*;
 
@@ -81,9 +86,11 @@ fn random_relation(arity: usize, state: &mut u64) -> Relation {
     Relation::from_rows(schema, data).unwrap()
 }
 
-/// A random forest over the attributes, sometimes closing a triangle with
-/// a grandparent: a chordal graph whose cliques have two or three
-/// attributes. Models with a two-attribute separator are rejected.
+/// A random forest over the attributes, often closing a triangle with a
+/// grandparent: a chordal graph whose cliques have two or three
+/// attributes. Siblings that both close a triangle over the same
+/// parent–grandparent edge give triangles sharing an edge, a
+/// two-attribute separator.
 fn random_model(rel: &Relation, state: &mut u64) -> Option<DecomposableModel> {
     let arity = rel.schema().arity();
     let mut parent: Vec<Option<usize>> = vec![None; arity];
@@ -94,15 +101,19 @@ fn random_model(rel: &Relation, state: &mut u64) -> Option<DecomposableModel> {
             parent[i] = Some(p);
             edges.push((p as AttrId, i as AttrId));
             if let Some(gp) = parent[p] {
-                if below(state, 3) == 0 {
+                if below(state, 2) == 0 {
                     edges.push((gp as AttrId, i as AttrId));
                 }
             }
         }
     }
     let graph = MarkovGraph::from_edges(arity, edges).ok()?;
-    let model = DecomposableModel::new(rel.schema().clone(), graph).ok()?;
-    applies(model.junction_tree()).then_some(model)
+    DecomposableModel::new(rel.schema().clone(), graph).ok()
+}
+
+/// `true` when some separator of `tree` has more than one attribute.
+fn has_wide_separator(tree: &JunctionTree) -> bool {
+    tree.separators().any(|s| s.len() > 1)
 }
 
 /// A random query over a random non-empty attribute subset.
@@ -176,8 +187,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The evaluator equals Fig. 3 over uniformly spread buckets, for
-    /// MHIST, Grid and exact factors on random single-attribute-separator
-    /// models of 3–5 attributes with domains of at most 6.
+    /// MHIST, Grid and exact factors on random models of 3–5 attributes
+    /// with domains of at most 6, whose separators have one or two
+    /// attributes.
     #[test]
     fn evaluator_equals_spread_interpreter(
         arity in 3usize..=5,
@@ -202,6 +214,125 @@ proptest! {
         check_against_spread(tree, schema, &grids, &queries)?;
         let exact: Vec<_> = marginals.into_iter().map(ExactFactor).collect();
         check_against_spread(tree, schema, &exact, &queries)?;
+    }
+
+    /// Over exact clique marginals the evaluator equals brute-force
+    /// enumeration of `Σ_{x∈box} Π_C f_C(x_C) / Π_S f_S(x_S)` (Eq. 2
+    /// summed over the box; an empty separator divides by `N`, and a zero
+    /// separator cell contributes zero), on models with one- and
+    /// two-attribute separators over domains of at most 4.
+    #[test]
+    fn evaluator_equals_brute_force_over_exact_factors(
+        arity in 3usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let rel = random_relation(arity, &mut state);
+        let rel = shrink_domains(&rel, 4);
+        let Some(model) = random_model(&rel, &mut state) else { return Ok(()) };
+        let tree = model.junction_tree();
+        let schema = rel.schema();
+        let views = tree.rooted_views();
+        let factors: Vec<ExactFactor> =
+            model.cliques().iter().map(|c| ExactFactor(rel.marginal(c).unwrap())).collect();
+        for _ in 0..12 {
+            let (target, query) = random_query(schema, &mut state);
+            let got = estimate_mass(tree, &views, schema, &factors, &target, &query).unwrap();
+            let want = brute_force(&rel, tree, &factors, &query);
+            prop_assert!(
+                close(got, want),
+                "{} {query:?}: evaluator {got} vs brute force {want}",
+                tree.notation()
+            );
+        }
+    }
+
+    /// Interleaved query shapes on one synopsis (so pooled scratch is
+    /// taken, reused and returned across shapes) give each query the
+    /// bits a fresh clone with an empty pool gives it, over MHIST factors
+    /// on models with one- and two-attribute separators.
+    #[test]
+    fn pooled_scratch_reuse_across_interleaved_queries(
+        arity in 3usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let rel = random_relation(arity, &mut state);
+        let Some(model) = random_model(&rel, &mut state) else { return Ok(()) };
+        let db = DbHistogram::for_model(&rel, model, DbConfig::new(400)).unwrap();
+        let queries: Vec<Query> =
+            (0..5).map(|_| random_query(rel.schema(), &mut state).1).collect();
+        for _ in 0..3 {
+            for query in &queries {
+                let pooled = db.try_estimate(query).unwrap();
+                let fresh = db.clone().try_estimate(query).unwrap();
+                prop_assert_eq!(pooled.to_bits(), fresh.to_bits(), "{:?}", query);
+            }
+        }
+        prop_assert_eq!(db.query_trace().evaluations, 15);
+    }
+}
+
+/// `rel` with every value folded into `0..max` (the rows keep their
+/// dependencies).
+fn shrink_domains(rel: &Relation, max: u32) -> Relation {
+    let schema = Schema::new(
+        rel.schema().iter().map(|(_, attr)| (attr.name.clone(), attr.domain_size.min(max))),
+    )
+    .unwrap();
+    let rows: Vec<Vec<u32>> =
+        (0..rel.row_count()).map(|r| rel.row(r).iter().map(|&v| v % max).collect()).collect();
+    Relation::from_rows(schema, rows).unwrap()
+}
+
+/// Eq. 2 summed over every cell of the query box.
+fn brute_force(rel: &Relation, tree: &JunctionTree, factors: &[ExactFactor], query: &Query) -> f64 {
+    let schema = rel.schema();
+    let n = rel.row_count() as f64;
+    let separators: Vec<(AttrSet, Distribution)> = tree
+        .separators()
+        .filter(|s| !s.is_empty())
+        .map(|s| (s.clone(), rel.marginal(s).unwrap()))
+        .collect();
+    let empty_separators = tree.separators().filter(|s| s.is_empty()).count();
+    let bounds: Vec<(u32, u32)> = schema
+        .iter()
+        .map(|(a, attr)| {
+            query
+                .ranges()
+                .iter()
+                .filter(|r| r.0 == a)
+                .fold((0, attr.domain_size - 1), |b, r| (b.0.max(r.1), b.1.min(r.2)))
+        })
+        .collect();
+    if bounds.iter().any(|b| b.0 > b.1) {
+        return 0.0;
+    }
+    let key = |attrs: &AttrSet, cell: &[u32]| -> Vec<u32> {
+        attrs.iter().map(|a| cell[usize::from(a)]).collect()
+    };
+    let mut cell: Vec<u32> = bounds.iter().map(|b| b.0).collect();
+    let mut sum = 0.0;
+    loop {
+        let mut term: f64 = factors.iter().map(|f| f.0.frequency(&key(f.attrs(), &cell))).product();
+        for (sep, marginal) in &separators {
+            let denominator = marginal.frequency(&key(sep, &cell));
+            term = if denominator > 0.0 { term / denominator } else { 0.0 };
+        }
+        sum += term / n.powi(empty_separators as i32);
+        // Odometer over the box.
+        let mut p = cell.len();
+        loop {
+            if p == 0 {
+                return sum;
+            }
+            p -= 1;
+            if cell[p] < bounds[p].1 {
+                cell[p] += 1;
+                break;
+            }
+            cell[p] = bounds[p].0;
+        }
     }
 }
 
@@ -271,19 +402,19 @@ fn evaluator_equals_interpreter_over_pointwise_factors() {
 
     let wavelet = SynopsisBuilder::new(&rel).budget(600).build_wavelet().unwrap();
     let wtree = wavelet.model().junction_tree();
-    assert!(applies(wtree));
+    assert!(fits(wtree, schema));
     check("wavelet", wtree, &wtree.rooted_views(), schema, wavelet.factors(), &queries);
 }
 
 /// Census-1 Grid synopsis at 3 KB: the served estimate (the evaluator)
-/// equals the plan engine's to 1e-12 relative on 1–3-attribute queries.
+/// equals the interpreter's over the same Grid factors, whose products
+/// are pointwise, to 1e-12 relative on 1–3-attribute queries.
 #[test]
-fn census_1_grid_matches_the_engine() {
+fn census_1_grid_matches_the_interpreter() {
     let rel = census::census_data_set_1_with(20_000, 0x005e_1ec7);
     let db = SynopsisBuilder::new(&rel).budget(3_000).build_grid().unwrap();
     let tree = db.model().junction_tree();
-    assert!(applies(tree));
-    let engine = QueryEngine::new(tree);
+    assert!(fits(tree, rel.schema()));
     for dimensionality in 1..=3 {
         let workload = Workload::generate(
             &rel,
@@ -293,40 +424,161 @@ fn census_1_grid_matches_the_engine() {
             let query = Query::from(q.ranges.as_slice());
             let target = AttrSet::from_ids(q.ranges.iter().map(|r| r.0));
             let served = db.estimate(&query);
-            let planned = engine.estimate_mass(tree, db.factors(), &target, &query).unwrap();
-            let rel_gap = (served - planned).abs() / planned.abs().max(1.0);
-            assert!(rel_gap <= 1e-12, "{query:?}: served {served} vs engine {planned}");
+            let interpreted =
+                estimate_mass_interpreted(tree, db.factors(), &target, &query).unwrap();
+            let rel_gap = (served - interpreted).abs() / interpreted.abs().max(1.0);
+            assert!(rel_gap <= 1e-12, "{query:?}: served {served} vs interpreter {interpreted}");
         }
     }
     assert_eq!(db.query_trace().evaluations, 75);
 }
 
-/// A `k_max = 3` model whose two triangles share the separator {b, c}
-/// is answered by the engine: its EXPLAIN path is a plan path and its
-/// estimates are the engine's.
-#[test]
-fn two_attribute_separator_keeps_the_engine() {
-    let rel = chain_relation();
+/// Two triangles sharing the separator {b, c}: the `k_max = 3` shape.
+fn wide_model(schema: &Schema) -> DecomposableModel {
     let graph = MarkovGraph::from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]).unwrap();
-    let model = DecomposableModel::new(rel.schema().clone(), graph).unwrap();
-    assert!(!applies(model.junction_tree()));
+    DecomposableModel::new(schema.clone(), graph).unwrap()
+}
+
+/// A model whose two triangles share the separator {b, c} is evaluated:
+/// its EXPLAIN path is `evaluated`, explained and plain estimates carry
+/// the same bits, and they equal Fig. 3 over the spread buckets.
+#[test]
+fn two_attribute_separator_is_evaluated() {
+    let rel = chain_relation();
+    let model = wide_model(rel.schema());
+    assert!(has_wide_separator(model.junction_tree()));
+    assert!(fits(model.junction_tree(), rel.schema()));
     let db = DbHistogram::for_model(&rel, model, DbConfig::new(800)).unwrap();
     let tree = db.model().junction_tree();
-    for (target, query) in fixed_queries(&rel) {
-        let (estimate, report) = db.try_estimate_explained(&query).unwrap();
-        assert!(
-            matches!(
-                report.path,
-                QueryPath::PlanCompiled | QueryPath::PlanCacheHit | QueryPath::KernelHit
-            ),
-            "{query:?}: {:?}",
-            report.path
-        );
-        let planned =
-            QueryEngine::new(tree).estimate_mass(tree, db.factors(), &target, &query).unwrap();
-        assert_eq!(estimate.to_bits(), planned.to_bits(), "{query:?}");
+    let spreads: Vec<ExactFactor> = db.factors().iter().map(|f| spread(rel.schema(), f)).collect();
+    let queries = fixed_queries(&rel);
+    for (target, query) in &queries {
+        let plain = db.try_estimate(query).unwrap();
+        let (estimate, report) = db.try_estimate_explained(query).unwrap();
+        assert_eq!(report.path, QueryPath::Evaluated, "{query:?}");
+        assert_eq!(estimate.to_bits(), plain.to_bits(), "{query:?}");
+        let want = estimate_mass_interpreted(tree, &spreads, target, query).unwrap();
+        assert!(close(estimate, want), "{query:?}: {estimate} vs Fig. 3 {want}");
     }
-    assert_eq!(db.query_trace().evaluations, 0);
+    assert_eq!(db.query_trace().evaluations, 2 * queries.len());
+}
+
+/// Census-1 at quick scale with a `k_max = 3` model over exact clique
+/// marginals: the served estimate equals junction-tree message passing
+/// (`exact_box_mass`) to 1e-9 relative on 1–4-attribute queries.
+#[test]
+fn census_1_k_max_3_exact_matches_message_passing() {
+    let rel = census::census_data_set_1_with(12_000, 0x2001_5161);
+    let config = SelectionConfig { k_max: 3, ..SelectionConfig::default() };
+    let model = ForwardSelector::new(&rel, config).run().model;
+    assert!(has_wide_separator(model.junction_tree()), "{}", model.junction_tree().notation());
+    let db = DbHistogram::exact_for_model(&rel, model).unwrap();
+    let tree = db.model().junction_tree();
+    for dimensionality in 1..=4 {
+        let workload = Workload::generate(
+            &rel,
+            WorkloadConfig { dimensionality, queries: 20, min_count: 20, seed: 0x3A3 },
+        );
+        for q in &workload.queries {
+            let served = db.estimate(&Query::from(q.ranges.as_slice()));
+            let exact = exact_box_mass(tree, db.factors(), &q.ranges).unwrap();
+            assert!(close(served, exact), "{:?}: served {served} vs messages {exact}", q.ranges);
+        }
+    }
+    assert_eq!(db.query_trace().evaluations, 80);
+}
+
+/// Two triangles sharing {b, c} with `|b| × |c|` cells in the separator
+/// block; 200 rows spread over a few values so exact marginals stay
+/// small.
+fn budget_relation(side: u32) -> Relation {
+    let schema =
+        Schema::new(vec![("a", 3), ("b", side), ("c", side), ("d", 3), ("e", 2), ("f", 2)])
+            .unwrap();
+    let mut state = 0xB0D6_u64;
+    let rows: Vec<Vec<u32>> = (0..200)
+        .map(|_| {
+            let a = below(&mut state, 3) as u32;
+            let b = (a * 7 + below(&mut state, 5) as u32) % side;
+            let c = (b + below(&mut state, 3) as u32) % side;
+            let d = (c % 3 + below(&mut state, 2) as u32) % 3;
+            vec![a, b, c, d, below(&mut state, 2) as u32, below(&mut state, 2) as u32]
+        })
+        .collect();
+    Relation::from_rows(schema, rows).unwrap()
+}
+
+/// One model on each side of `MESSAGE_CELL_BUDGET`: a 500 × 500 separator
+/// block fits and is evaluated (equal to the interpreter over the same
+/// exact factors), a 600 × 600 one does not and is interpreted bit for
+/// bit, and EXPLAIN names each path.
+#[test]
+fn message_cell_budget_splits_evaluated_from_interpreted() {
+    const { assert!(500 * 500 <= MESSAGE_CELL_BUDGET && 600 * 600 > MESSAGE_CELL_BUDGET) };
+    let queries = [
+        Query::range(0, 0, 1).and(3, 1, 2),
+        Query::range(1, 3, 300).and(3, 0, 0),
+        Query::range(0, 2, 2).and(1, 0, 450).and(2, 10, 499).and(3, 0, 1),
+        Query::range(2, 0, 99),
+    ];
+    for (side, path) in [(500, QueryPath::Evaluated), (600, QueryPath::Interpreted)] {
+        let rel = budget_relation(side);
+        let model = wide_model(rel.schema());
+        assert_eq!(fits(model.junction_tree(), rel.schema()), side == 500);
+        let db = DbHistogram::exact_for_model(&rel, model).unwrap();
+        let tree = db.model().junction_tree();
+        for query in &queries {
+            let target = AttrSet::from_ids(query.ranges().iter().map(|r| r.0));
+            let (estimate, report) = db.try_estimate_explained(query).unwrap();
+            assert_eq!(report.path, path, "side {side}");
+            let interpreted =
+                estimate_mass_interpreted(tree, db.factors(), &target, query).unwrap();
+            if path == QueryPath::Interpreted {
+                assert_eq!(estimate.to_bits(), interpreted.to_bits(), "{query:?}");
+            } else {
+                assert!(close(estimate, interpreted), "{query:?}: {estimate} vs {interpreted}");
+            }
+        }
+        let evaluations = if path == QueryPath::Evaluated { queries.len() } else { 0 };
+        assert_eq!(db.query_trace().evaluations, evaluations, "side {side}");
+    }
+}
+
+/// Feedback blames exactly the cliques the explained estimate visits, on
+/// a narrow (single-attribute separators), a wide (evaluated) and an
+/// over-budget (interpreted) model.
+#[test]
+fn feedback_blames_the_visited_cliques() {
+    fn check<F: Factor>(label: &str, db: &DbHistogram<F>, queries: &[Query]) {
+        for query in queries {
+            let (estimate, report) = db.try_estimate_explained(query).unwrap();
+            let mut visited: Vec<usize> = report
+                .groups
+                .iter()
+                .flat_map(|g| g.steps.iter().filter_map(|s| s.clique))
+                .collect();
+            visited.sort_unstable();
+            visited.dedup();
+            let drift = db.drift_monitor();
+            drift.reset();
+            db.record_feedback(query, estimate + 10.0);
+            let blamed: Vec<usize> = (0..drift.n_cliques())
+                .filter(|&i| drift.error_distribution(i).is_some_and(|h| h.count > 0))
+                .collect();
+            assert!(!blamed.is_empty(), "{label} {query:?}");
+            assert_eq!(blamed, visited, "{label} {query:?}");
+        }
+    }
+    let rel = chain_relation();
+    let queries: Vec<Query> = fixed_queries(&rel).into_iter().map(|(_, q)| q).collect();
+    let narrow = DbHistogram::for_model(&rel, chain_model(&rel), DbConfig::new(700)).unwrap();
+    check("narrow", &narrow, &queries);
+    let wide = DbHistogram::for_model(&rel, wide_model(rel.schema()), DbConfig::new(800)).unwrap();
+    check("wide", &wide, &queries);
+    let rel = budget_relation(600);
+    let over = DbHistogram::exact_for_model(&rel, wide_model(rel.schema())).unwrap();
+    let queries: Vec<Query> = fixed_queries(&rel).into_iter().map(|(_, q)| q).collect();
+    check("interpreted", &over, &queries);
 }
 
 /// `try_estimate_explained` gives `try_estimate`'s bits on all four

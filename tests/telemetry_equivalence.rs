@@ -3,8 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
-use dbhist::core::plan::QueryTrace;
-use dbhist::core::{Query, SelectivityEstimator, SynopsisBuilder};
+use dbhist::core::{Query, QueryTrace, SelectivityEstimator, SynopsisBuilder};
 use dbhist::data::workload::{Workload, WorkloadConfig};
 use dbhist::distribution::{Relation, Schema};
 
@@ -71,26 +70,11 @@ fn telemetry_on_and_off_are_bit_identical() {
     let snap = dbhist::telemetry::snapshot();
     let estimates = snap.counter("dbhist_query_estimates_total").unwrap_or(0);
     assert!(estimates >= 2 * workload.queries.len() as u64, "enabled run did not mirror");
-    // Only the enabled run mirrors, so every per-query counter reads the
-    // engine's own count under its wire name.
-    let t = qtrace_on;
-    for (name, value) in [
-        ("dbhist_query_products_total", t.products),
-        ("dbhist_query_projections_total", t.projections),
-        ("dbhist_query_identity_projections_total", t.identity_projections),
-        ("dbhist_query_sheds_total", t.sheds),
-        ("dbhist_query_sheds_skipped_total", t.sheds_skipped),
-        ("dbhist_query_clique_loads_total", t.clique_loads),
-        ("dbhist_query_plan_cache_hits_total", t.plan_cache_hits),
-        ("dbhist_query_plan_cache_misses_total", t.plan_cache_misses),
-        ("dbhist_query_plans_compiled_total", t.plan_cache_misses),
-        ("dbhist_query_kernel_hits_total", t.kernel_hits),
-        ("dbhist_query_kernel_lowered_dense_total", t.kernel_lowered_dense),
-        ("dbhist_query_kernel_lowered_sparse_total", t.kernel_lowered_sparse),
-        ("dbhist_query_kernel_groups_shared_total", t.kernel_groups_shared),
-        ("dbhist_query_kernel_fallbacks_total", t.kernel_fallbacks),
-        ("dbhist_query_evaluations_total", t.evaluations),
-    ] {
-        assert_eq!(snap.counter(name), Some(value as u64), "{name}");
-    }
+    // Only the enabled run mirrors, so the per-query counter reads the
+    // synopsis's own count under its wire name.
+    assert_eq!(
+        snap.counter("dbhist_query_evaluations_total"),
+        Some(qtrace_on.evaluations as u64),
+        "dbhist_query_evaluations_total"
+    );
 }
