@@ -153,13 +153,6 @@ impl Synopsis {
         delegate!(self, db => db.record_feedback(query, actual));
     }
 
-    /// Worst per-clique rolling mean absolute relative error observed via
-    /// [`Synopsis::record_feedback`].
-    #[must_use]
-    pub fn feedback_drift(&self) -> f64 {
-        delegate!(self, db => db.drift_monitor().max_drift())
-    }
-
     /// Estimates the marginal mass of a conjunctive range predicate,
     /// propagating structural failures instead of panicking.
     ///
@@ -244,26 +237,6 @@ impl SelectivityEstimator for Synopsis {
 
     fn name(&self) -> &str {
         delegate!(self, db => SelectivityEstimator::name(db))
-    }
-
-    fn query_trace(&self) -> Option<QueryTrace> {
-        Some(self.query_trace())
-    }
-
-    fn reset_trace(&self) {
-        self.reset_query_trace();
-    }
-
-    fn build_trace(&self) -> Option<BuildTrace> {
-        Some(self.build_trace())
-    }
-
-    fn record_feedback(&self, query: &Query, actual: f64) {
-        Synopsis::record_feedback(self, query, actual);
-    }
-
-    fn feedback_drift(&self) -> Option<f64> {
-        Some(Synopsis::feedback_drift(self))
     }
 }
 
@@ -527,8 +500,6 @@ mod tests {
         assert!(synopsis.as_grid().is_none());
         assert!(synopsis.as_wavelet().is_none());
         assert!(synopsis.try_estimate(&Query::range(0, 0, 3)).is_ok());
-        assert!(SelectivityEstimator::query_trace(&synopsis).is_some());
-        assert!(SelectivityEstimator::build_trace(&synopsis).is_some());
         assert!(synopsis.clone().into_mhist().is_some());
     }
 }

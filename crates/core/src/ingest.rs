@@ -3,8 +3,10 @@
 //! histogram line of work).
 //!
 //! [`IngestSession`] wraps a [`MaintainedDbHistogram`] and accepts
-//! insert/delete batches ([`WalOp`]) from a continuous stream. Each
-//! batch:
+//! insert/delete batches ([`WalOp`]) from a continuous stream. It is the
+//! one place that decides when to re-split or recommend a rebuild
+//! ([`IngestSession::tune`]) and the one owner of durability: every
+//! snapshot save and WAL write goes through it. Each batch:
 //!
 //! 1. is journaled to a replayable write-ahead log
 //!    ([`dbhist_persist::wal`], fsync'd per batch) **before** it touches
@@ -65,9 +67,10 @@
 //! 3. **Rebuild recommended** — structural drift says the *model* no
 //!    longer fits (or the marginals were dropped to the budget cap /
 //!    lost to a crash, leaving nothing to re-split from). The caller
-//!    runs full re-selection offline and swaps it in via
-//!    [`crate::service::EstimatorService::swap_rebuilt`]; this module
-//!    never blocks the stream on a rebuild.
+//!    builds a fresh [`MaintainedDbHistogram`] from the live table
+//!    offline and swaps it in via
+//!    [`crate::service::EstimatorService::swap`]; this module never
+//!    blocks the stream on a rebuild.
 
 use std::path::{Path, PathBuf};
 
@@ -78,9 +81,15 @@ use dbhist_telemetry::journal::{journal, JournalEvent};
 use dbhist_telemetry::wellknown::wellknown;
 
 use crate::error::SynopsisError;
-use crate::maintenance::{MaintainedDbHistogram, TRIGGER_QUANTILE};
+use crate::maintenance::MaintainedDbHistogram;
 use crate::query::Query;
 use crate::synopsis::DbConfig;
+
+/// Quantile (percentile) of a clique's feedback error distribution that
+/// [`IngestSession::tune`] compares with
+/// [`IngestConfig::resplit_threshold`]: a few catastrophic estimates
+/// hide in a mean but not in the q95.
+const TRIGGER_QUANTILE: f64 = 95.0;
 
 /// Tuning knobs for an [`IngestSession`].
 #[derive(Debug, Clone, PartialEq)]
@@ -129,8 +138,8 @@ pub enum TuneOutcome {
         buckets: usize,
     },
     /// The cheap remedies are exhausted — the caller should schedule a
-    /// full background re-selection (e.g.
-    /// [`crate::service::EstimatorService::swap_rebuilt`]). The session
+    /// full background re-selection (a fresh
+    /// [`MaintainedDbHistogram::build`] over the live table). The session
     /// keeps serving and ingesting meanwhile.
     RebuildRecommended {
         /// The reading that escalated (structural drift, or the tripped
@@ -233,6 +242,14 @@ fn check_ops(schema: &Schema, ops: &[WalOp], parameter: &'static str) -> Result<
     Ok(())
 }
 
+/// The schema's arity as the WAL header's `u16`.
+fn wal_arity(schema: &Schema) -> Result<u16, SynopsisError> {
+    u16::try_from(schema.arity()).map_err(|_| SynopsisError::InvalidConfig {
+        parameter: "schema",
+        reason: format!("arity {} exceeds the WAL's u16 bound", schema.arity()),
+    })
+}
+
 /// Each op's row with its count delta: `+1.0` per insert, `-1.0` per
 /// delete.
 fn signed_rows(ops: &[WalOp]) -> impl Iterator<Item = (&[u32], f64)> {
@@ -252,6 +269,9 @@ pub struct IngestSession {
     /// the budget cap, or after a recovery (the snapshot does not carry
     /// them).
     marginals: Option<Vec<Distribution>>,
+    /// Where [`IngestSession::checkpoint`] saves the snapshot; set
+    /// together with `wal`.
+    snapshot: Option<PathBuf>,
     wal: Option<WalWriter>,
     cfg: IngestConfig,
     batches_applied: u64,
@@ -282,6 +302,7 @@ impl IngestSession {
         let mut session = Self {
             maintained,
             marginals: Some(marginals),
+            snapshot: None,
             wal: None,
             cfg,
             batches_applied: 0,
@@ -293,10 +314,10 @@ impl IngestSession {
     }
 
     /// Attaches durability: persists a snapshot to `snapshot_path`
-    /// immediately (and after every rebuild/re-split) and creates a
-    /// fresh WAL at `wal_path` journaling every subsequent batch. The
-    /// snapshot records WAL position zero — generation 0, no batches —
-    /// so recovery knows the log it sits beside starts from it.
+    /// immediately (and at every checkpoint) and creates a fresh WAL at
+    /// `wal_path` journaling every subsequent batch. The snapshot
+    /// records WAL position zero — generation 0, no batches — so
+    /// recovery knows the log it sits beside starts from it.
     ///
     /// # Errors
     ///
@@ -306,11 +327,14 @@ impl IngestSession {
         snapshot_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
     ) -> Result<Self, SynopsisError> {
-        self.maintained.persist_with(
-            snapshot_path.into(),
+        let snapshot_path = snapshot_path.into();
+        crate::snapshot::save_db(
+            self.maintained.synopsis(),
+            &snapshot_path,
             Some(WalPosition { generation: 0, batches_covered: 0 }),
         )?;
-        let arity = self.arity_u16()?;
+        self.snapshot = Some(snapshot_path);
+        let arity = wal_arity(self.maintained.synopsis().model().schema())?;
         self.wal = Some(WalWriter::create(wal_path.into(), arity)?);
         Ok(self)
     }
@@ -347,7 +371,7 @@ impl IngestSession {
         let wal_path = wal_path.into();
         let mut maintained = MaintainedDbHistogram::from_snapshot(snapshot_path, config)?;
         let snap_pos = crate::snapshot::load_wal_position(snapshot_path)?;
-        let arity = maintained.synopsis().model().schema().arity();
+        let arity = wal_arity(maintained.synopsis().model().schema())?;
         let mut report = RecoveryReport {
             batches_replayed: 0,
             batches_skipped: 0,
@@ -357,7 +381,7 @@ impl IngestSession {
         if wal_path.exists() {
             let bytes = dbhist_persist::read_file(&wal_path)?;
             let recovery = dbhist_persist::wal::recover(&bytes)?;
-            if usize::from(recovery.arity) != arity {
+            if recovery.arity != arity {
                 return Err(SynopsisError::InvalidConfig {
                     parameter: "wal_path",
                     reason: format!(
@@ -378,10 +402,6 @@ impl IngestSession {
             }
             report.tail_discarded = recovery.tail_error;
         }
-        let arity = u16::try_from(arity).map_err(|_| SynopsisError::InvalidConfig {
-            parameter: "schema",
-            reason: format!("arity {arity} exceeds the WAL's u16 bound"),
-        })?;
         // `open` truncates the torn tail (if any) and resumes the
         // sequence right after the last committed batch. A missing log
         // beside a positioned snapshot restarts one generation past the
@@ -398,6 +418,7 @@ impl IngestSession {
         let session = Self {
             maintained,
             marginals: None,
+            snapshot: Some(snapshot_path.to_path_buf()),
             wal: Some(wal),
             cfg,
             batches_applied: report.batches_replayed,
@@ -459,7 +480,7 @@ impl IngestSession {
     /// Feeds an executed query's actual cardinality into the per-clique
     /// drift monitor — the signal [`IngestSession::tune`] acts on.
     pub fn record_feedback(&self, query: &Query, actual: f64) {
-        self.maintained.record_feedback(query, actual);
+        self.maintained.synopsis().record_feedback(query, actual);
     }
 
     /// Runs the re-split decision ladder (see the module docs): `Idle`
@@ -507,29 +528,31 @@ impl IngestSession {
         Ok(TuneOutcome::Resplit { clique: worst, buckets })
     }
 
-    /// Re-persists the snapshot (if durability is attached) with the
-    /// WAL's current position embedded, then atomically truncates the
-    /// WAL to its next generation: the snapshot now embodies every
-    /// applied batch, so the old tail is dead weight. Crash-safe at
+    /// Re-saves the snapshot with the WAL's current position embedded,
+    /// then atomically truncates the WAL to its next generation: the
+    /// snapshot now embodies every applied batch, so the old tail is
+    /// dead weight. Crash-safe at
     /// every step — the position rides inside the snapshot's own
     /// fsync'd atomic write, so a crash *between* the save and the
     /// truncation leaves a snapshot that names exactly the batches it
     /// absorbed and recovery skips them instead of double-applying
     /// (module docs, "Crash recovery"). The save must come first and
-    /// this method does not reorder the two.
+    /// this method does not reorder the two. A no-op on a volatile
+    /// session.
     ///
     /// # Errors
     ///
     /// Propagates snapshot-save and WAL I/O failures.
     pub fn checkpoint(&mut self) -> Result<(), SynopsisError> {
-        self.maintained.refresh_with(self.wal.as_ref().map(WalWriter::position))?;
-        if let Some(wal) = &mut self.wal {
-            let batches = wal.next_seq();
-            wal.truncate()?;
-            journal().publish(JournalEvent::WalTruncate { batches });
-            if dbhist_telemetry::enabled() {
-                wellknown().ingest_wal_bytes.set(0.0);
-            }
+        let (Some(path), Some(wal)) = (&self.snapshot, &mut self.wal) else {
+            return Ok(());
+        };
+        crate::snapshot::save_db(self.maintained.synopsis(), path, Some(wal.position()))?;
+        let batches = wal.next_seq();
+        wal.truncate()?;
+        journal().publish(JournalEvent::WalTruncate { batches });
+        if dbhist_telemetry::enabled() {
+            wellknown().ingest_wal_bytes.set(0.0);
         }
         Ok(())
     }
@@ -540,9 +563,7 @@ impl IngestSession {
         &self.maintained
     }
 
-    /// Consumes the session, returning the maintained synopsis (e.g. to
-    /// hand to [`crate::service::EstimatorService::swap_rebuilt`] after
-    /// a `RebuildRecommended`).
+    /// Consumes the session, returning the maintained synopsis.
     #[must_use]
     pub fn into_inner(self) -> MaintainedDbHistogram {
         self.maintained
@@ -586,14 +607,6 @@ impl IngestSession {
     #[must_use]
     pub fn marginal_cells(&self) -> usize {
         self.marginals.as_ref().map_or(0, |m| m.iter().map(Distribution::support_size).sum())
-    }
-
-    fn arity_u16(&self) -> Result<u16, SynopsisError> {
-        let arity = self.maintained.synopsis().model().schema().arity();
-        u16::try_from(arity).map_err(|_| SynopsisError::InvalidConfig {
-            parameter: "schema",
-            reason: format!("arity {arity} exceeds the WAL's u16 bound"),
-        })
     }
 
     /// Drops marginal tracking once its resident support exceeds the
@@ -837,7 +850,7 @@ mod tests {
         // leave the log untouched. The log now holds 6 batches the
         // snapshot already absorbed.
         let position = s.wal.as_ref().unwrap().position();
-        s.maintained.refresh_with(Some(position)).unwrap();
+        crate::snapshot::save_db(s.maintained.synopsis(), &snap, Some(position)).unwrap();
         // One more batch lands after the interrupted checkpoint.
         s.apply_batch(&[WalOp::Insert(vec![2, 2, 1])]).unwrap();
         let q = Query::equals(0, 2);
@@ -886,9 +899,9 @@ mod tests {
         let snap = temp("nopos.dbhs");
         let wal = temp("nopos.wal");
         let rel = relation(512);
-        let mut m = MaintainedDbHistogram::build(&rel, DbConfig::new(600)).unwrap();
-        // A plain save (service/rebuild path) records no WAL position.
-        m.persist_to(&snap).unwrap();
+        let m = MaintainedDbHistogram::build(&rel, DbConfig::new(600)).unwrap();
+        // A plain save records no WAL position.
+        crate::Synopsis::Mhist(m.synopsis().clone()).save(&snap).unwrap();
         let mut w = WalWriter::create(&wal, 3).unwrap();
         w.append(&[WalOp::Insert(vec![1, 1, 1])]).unwrap();
         drop(w);
@@ -903,6 +916,56 @@ mod tests {
             IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
                 .unwrap();
         assert_eq!(report.batches_replayed, 0);
+        std::fs::remove_file(&snap).ok();
+        std::fs::remove_file(&wal).ok();
+    }
+
+    #[test]
+    fn recovered_session_keeps_the_checkpoint_protocol() {
+        let snap = temp("rechkpt.dbhs");
+        let wal = temp("rechkpt.wal");
+        let queries = [Query::all(), Query::equals(0, 7), Query::range(0, 2, 6).and(2, 0, 1)];
+        let bits = |s: &IngestSession| -> Vec<u64> {
+            queries.iter().map(|q| s.estimator().estimate(q).to_bits()).collect()
+        };
+        let recover = || {
+            IngestSession::recover(&snap, &wal, DbConfig::new(600), IngestConfig::default())
+                .unwrap()
+        };
+        let rel = relation(4096);
+        let m = MaintainedDbHistogram::build(&rel, DbConfig::new(600)).unwrap();
+        let cfg = IngestConfig { min_observations: 16, ..IngestConfig::default() };
+        let mut s =
+            IngestSession::begin(m, &rel, cfg).unwrap().with_durability(&snap, &wal).unwrap();
+        for _ in 0..30 {
+            s.apply_batch(&vec![WalOp::Insert(vec![7, 7, 0]); 50]).unwrap();
+        }
+        for _ in 0..32 {
+            let q = Query::equals(0, 7);
+            let est = s.estimator().estimate(&q).max(1.0);
+            s.record_feedback(&q, est * 10.0);
+        }
+        assert!(matches!(s.tune().unwrap(), TuneOutcome::Resplit { .. }));
+        for i in 0..4u32 {
+            s.apply_batch(&[WalOp::Insert(vec![i, i, 1]), WalOp::Delete(vec![7, 7, 0])]).unwrap();
+        }
+        let live = bits(&s);
+        drop(s);
+        let (mut r, report) = recover();
+        assert_eq!(report.batches_skipped, 0);
+        assert_eq!(report.batches_replayed, 4, "only the post-re-split batches replay");
+        assert_eq!(bits(&r), live, "recovery onto the re-split structure must be bit-identical");
+        for i in 0..3u32 {
+            r.apply_batch(&[WalOp::Insert(vec![i, i, 2])]).unwrap();
+        }
+        r.checkpoint().unwrap();
+        r.apply_batch(&[WalOp::Insert(vec![5, 5, 3])]).unwrap();
+        let live = bits(&r);
+        drop(r);
+        let (r, report) = recover();
+        assert_eq!(report.batches_skipped, 0);
+        assert_eq!(report.batches_replayed, 1, "a recovered session's checkpoint truncates");
+        assert_eq!(bits(&r), live, "second recovery must be bit-identical");
         std::fs::remove_file(&snap).ok();
         std::fs::remove_file(&wal).ok();
     }

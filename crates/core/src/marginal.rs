@@ -76,15 +76,46 @@ impl<'a, F: Factor> Ctx<'a, F> {
         a.product(b)
     }
 
+    /// Projects `factor` onto `attrs` only when the factor is small enough
+    /// for the projection to pay off; otherwise returns it unchanged (its
+    /// attribute set is a superset of what was asked for, which the loose
+    /// recursion tolerates).
+    fn project_if_cheap(&mut self, factor: F, attrs: &AttrSet) -> Result<F, SynopsisError> {
+        if factor.attrs() == attrs || factor.len_hint() > SHED_LIMIT {
+            Ok(factor)
+        } else {
+            self.project(&factor, attrs)
+        }
+    }
+
+    /// Projects a result onto `sq`: strictly, or only when cheap if
+    /// `loose`.
+    fn project_result(&mut self, factor: F, sq: &AttrSet, loose: bool) -> Result<F, SynopsisError> {
+        if loose {
+            self.project_if_cheap(factor, sq)
+        } else {
+            self.project(&factor, sq)
+        }
+    }
+
     /// Fig. 3 recursion: the marginal over `sq` from the subtree rooted at
     /// clique `node`. Precondition: `sq ⊆ cover(node)`.
-    fn go(&mut self, node: usize, sq: &AttrSet) -> Result<F, SynopsisError> {
+    ///
+    /// With `loose`, the result may be a factor over a *superset* of
+    /// `sq`: projections of large intermediates are skipped. Soundness: a
+    /// retained extra attribute always lives in exactly one subtree (by
+    /// the clique-intersection property), so it can never appear on both
+    /// sides of a later product — product separators stay exactly the
+    /// model separators, and `mass_in_box` simply ignores unconstrained
+    /// extra attributes.
+    fn go(&mut self, node: usize, sq: &AttrSet, loose: bool) -> Result<F, SynopsisError> {
         // Copy the `'a` references out of `self` so clique/factor borrows
         // don't conflict with the `&mut self` helper calls below.
         let cliques: &'a [AttrSet] = self.tree.cliques();
         let factors: &'a [F] = self.factors;
         let clique = &cliques[node];
-        // Step 1: the clique alone suffices.
+        // Step 1: the clique alone suffices. Clique factors are small, so
+        // even the loose recursion projects eagerly here.
         if sq.is_subset(clique) {
             return self.project(&factors[node], sq);
         }
@@ -97,13 +128,13 @@ impl<'a, F: Factor> Ctx<'a, F> {
         if let Some(j) = single {
             if int.is_empty() {
                 // Step 5: delegate wholesale.
-                return self.go(j, sq);
+                return self.go(j, sq, loose);
             }
             // Steps 7–9.
             let sij = clique.intersection(&cliques[j]);
-            let h1 = self.go(j, &diff.union(&sij))?;
+            let h1 = self.go(j, &diff.union(&sij), loose)?;
             let prod = self.product(&factors[node], &h1)?;
-            return self.project(&prod, sq);
+            return self.project_result(prod, sq, loose);
         }
 
         // Steps 11–19: split `diff` across the children that cover parts
@@ -129,7 +160,7 @@ impl<'a, F: Factor> Ctx<'a, F> {
         );
         let mut h = factors[node].clone();
         for (idx, (j, part, sij)) in parts.iter().enumerate() {
-            let h1 = self.go(*j, &part.union(sij))?;
+            let h1 = self.go(*j, &part.union(sij), loose)?;
             h = self.product(&h, &h1)?;
             // Variable-elimination optimization: shed attributes that
             // neither the query nor the separators of the remaining
@@ -144,78 +175,7 @@ impl<'a, F: Factor> Ctx<'a, F> {
                 h = self.project_if_cheap(h, &keep)?;
             }
         }
-        self.project(&h, sq)
-    }
-}
-
-impl<'a, F: Factor> Ctx<'a, F> {
-    /// Projects `factor` onto `attrs` only when the factor is small enough
-    /// for the projection to pay off; otherwise returns it unchanged (its
-    /// attribute set is a superset of what was asked for, which the loose
-    /// recursion tolerates).
-    fn project_if_cheap(&mut self, factor: F, attrs: &AttrSet) -> Result<F, SynopsisError> {
-        if factor.attrs() == attrs || factor.len_hint() > SHED_LIMIT {
-            Ok(factor)
-        } else {
-            self.project(&factor, attrs)
-        }
-    }
-
-    /// Like [`Ctx::go`], but may return a factor over a *superset* of
-    /// `sq`, skipping projections on large intermediates. Soundness: a
-    /// retained extra attribute always lives in exactly one subtree (by
-    /// the clique-intersection property), so it can never appear on both
-    /// sides of a later product — product separators stay exactly the
-    /// model separators, and `mass_in_box` simply ignores unconstrained
-    /// extra attributes.
-    fn go_loose(&mut self, node: usize, sq: &AttrSet) -> Result<F, SynopsisError> {
-        let cliques: &'a [AttrSet] = self.tree.cliques();
-        let factors: &'a [F] = self.factors;
-        let clique = &cliques[node];
-        // Clique factors are small; project eagerly as in Fig. 3 step 1.
-        if sq.is_subset(clique) {
-            return self.project(&factors[node], sq);
-        }
-        let int = clique.intersection(sq);
-        let diff = sq.difference(clique);
-        let single = self.children[node].iter().copied().find(|&j| diff.is_subset(&self.cover[j]));
-        if let Some(j) = single {
-            if int.is_empty() {
-                return self.go_loose(j, sq);
-            }
-            let sij = clique.intersection(&cliques[j]);
-            let h1 = self.go_loose(j, &diff.union(&sij))?;
-            let prod = self.product(&factors[node], &h1)?;
-            return self.project_if_cheap(prod, sq);
-        }
-        let parts: Vec<(usize, AttrSet, AttrSet)> = self.children[node]
-            .iter()
-            .copied()
-            .filter_map(|j| {
-                let part = self.cover[j].intersection(&diff);
-                if part.is_empty() {
-                    None
-                } else {
-                    let sij = clique.intersection(&cliques[j]);
-                    Some((j, part, sij))
-                }
-            })
-            .collect();
-        let mut h = factors[node].clone();
-        for (idx, (j, part, sij)) in parts.iter().enumerate() {
-            let h1 = self.go_loose(*j, &part.union(sij))?;
-            h = self.product(&h, &h1)?;
-            // Shed attributes the query and the remaining separators no
-            // longer need — but only while the factor is small.
-            let mut keep = sq.intersection(h.attrs());
-            for (_, _, s) in &parts[idx + 1..] {
-                keep = keep.union(s);
-            }
-            if !keep.is_empty() {
-                h = self.project_if_cheap(h, &keep)?;
-            }
-        }
-        self.project_if_cheap(h, sq)
+        self.project_result(h, sq, loose)
     }
 }
 
@@ -295,7 +255,7 @@ pub fn estimate_mass_interpreted<F: Factor>(
             cover: rooted.cover,
             stats: MarginalStats::default(),
         };
-        let loose = ctx.go_loose(root, group)?;
+        let loose = ctx.go(root, group, true)?;
         let group_mass = loose.mass_in_box(ranges);
         if total > 0.0 {
             mass *= group_mass / total;
@@ -340,7 +300,7 @@ pub fn compute_marginal_with_stats<F: Factor>(
         cover: rooted.cover,
         stats: MarginalStats::default(),
     };
-    let f = ctx.go(root, target)?;
+    let f = ctx.go(root, target, false)?;
     Ok((f, ctx.stats))
 }
 

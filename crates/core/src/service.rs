@@ -5,8 +5,10 @@
 //! ("heavy traffic from millions of users") plugs into. Clients submit
 //! *batches* of range predicates; a pool of worker threads answers them
 //! against an immutable `Arc<`[`Generation`]`>` snapshot of the current
-//! [`Synopsis`]. [`EstimatorService::swap`] installs a replacement —
-//! a drift-triggered rebuild from [`MaintainedDbHistogram`] or a
+//! [`Synopsis`]. [`EstimatorService::swap`] installs a replacement — a
+//! fresh build after [`crate::ingest::IngestSession::tune`] recommends
+//! one, an ingest session's current synopsis
+//! ([`EstimatorService::swap_ingested`]) or a
 //! [`persist` snapshot](crate::snapshot) — without dropping an in-flight
 //! query: workers that already hold the old `Arc` finish their batch on
 //! it, and the old synopsis is retired when the last holder releases it.
@@ -41,7 +43,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dbhist_distribution::Relation;
 use dbhist_telemetry::journal::{journal, JournalEvent};
 use dbhist_telemetry::registry::{Counter, HistogramSnapshot, LatencyHistogram};
 use dbhist_telemetry::wellknown::wellknown;
@@ -51,7 +52,6 @@ use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
 use crate::explain::ExplainReport;
 use crate::lock;
-use crate::maintenance::MaintainedDbHistogram;
 use crate::query::Query;
 
 /// Sampled [`ExplainReport`]s retained for
@@ -331,23 +331,6 @@ impl EstimatorService {
         number
     }
 
-    /// Rebuilds `maintained` from `relation` (re-persisting if it has a
-    /// snapshot path) and swaps the rebuilt synopsis in. Returns the new
-    /// generation number.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rebuild/persist failures; the serving generation is
-    /// untouched on error.
-    pub fn swap_rebuilt(
-        &self,
-        maintained: &mut MaintainedDbHistogram,
-        relation: &Relation,
-    ) -> Result<u64, SynopsisError> {
-        maintained.rebuild(relation)?;
-        Ok(self.swap(Synopsis::Mhist(maintained.synopsis().clone())))
-    }
-
     /// Swaps in a clone of an ingest session's current synopsis, so
     /// readers see every batch applied so far without interrupting the
     /// stream (the session keeps ingesting into its own copy; swap
@@ -493,7 +476,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbhist_distribution::Schema;
+    use dbhist_distribution::{Relation, Schema};
 
     fn relation(seed: u64) -> Relation {
         let schema = Schema::new(vec![("a", 8), ("b", 8), ("c", 4)]).unwrap();

@@ -160,7 +160,7 @@ pub(crate) fn save_db<F: PersistableFactor>(
 
 /// Reads the WAL position a snapshot recorded at checkpoint time, or
 /// `None` for snapshots written outside a durable ingest session (plain
-/// saves, rebuild re-saves). Recovery treats `None` plus a non-empty
+/// [`Synopsis::save`]s). Recovery treats `None` plus a non-empty
 /// WAL as an unprovable state and refuses to replay.
 pub(crate) fn load_wal_position(path: &Path) -> Result<Option<WalPosition>, SynopsisError> {
     let bytes = read_file(path)?;

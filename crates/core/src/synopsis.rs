@@ -375,26 +375,6 @@ impl<F: Factor> SelectivityEstimator for DbHistogram<F> {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn query_trace(&self) -> Option<QueryTrace> {
-        Some(self.metrics.snapshot())
-    }
-
-    fn reset_trace(&self) {
-        self.reset_query_trace();
-    }
-
-    fn build_trace(&self) -> Option<BuildTrace> {
-        Some(self.trace.clone())
-    }
-
-    fn record_feedback(&self, query: &Query, actual: f64) {
-        DbHistogram::record_feedback(self, query, actual);
-    }
-
-    fn feedback_drift(&self) -> Option<f64> {
-        Some(self.drift.max_drift())
-    }
 }
 
 /// Starts one incremental builder per model clique, in clique order.
@@ -726,8 +706,6 @@ mod tests {
         db.try_estimate(&Query::range(0, 0, 3).and(1, 2, 7)).unwrap();
         let served = QueryTrace { evaluations: 1, ..QueryTrace::default() };
         assert_eq!(db.query_trace(), served);
-        // The estimator trait exposes the same counters.
-        assert_eq!(db.query_trace(), SelectivityEstimator::query_trace(&db).unwrap());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A synopsis is built from a snapshot of the data; as the underlying
 //! table changes (or the build sample ages), its estimates *drift* from
 //! the truth. When the serving layer learns a query's actual cardinality
-//! (e.g. after executing it), it feeds
-//! `SelectivityEstimator::record_feedback` — which lands here as one
-//! absolute-relative-error observation attributed to the model cliques
-//! the query touched.
+//! (e.g. after executing it), it feeds the synopsis's `record_feedback`
+//! (`DbHistogram`, `Synopsis` or `IngestSession` in `dbhist-core`) —
+//! which lands here as one absolute-relative-error observation
+//! attributed to the model cliques the estimate visited.
 //!
 //! [`DriftMonitor`] keeps, per clique, both a rolling window of recent
 //! errors (published as the mean gauge
@@ -16,10 +16,10 @@
 //! distribution is exported as per-clique quantile gauges
 //! (`dbhist_estimator_error_q50_ratio{clique="i"}`, likewise `q95`/`q99`)
 //! so a scrape shows the error *shape*, not just its recent mean.
-//! Maintenance policies compare [`DriftMonitor::max_drift`] (and tail
-//! quantiles via [`DriftMonitor::error_quantile`]) against thresholds to
-//! decide rebuilds — a *measured* trigger that complements
-//! churn-fraction heuristics.
+//! The one maintenance policy, `IngestSession::tune` in `dbhist-core`,
+//! compares each clique's tail quantile ([`DriftMonitor::error_quantile`])
+//! against its re-split threshold — a *measured* trigger, not a guess
+//! from how many rows changed.
 //!
 //! Non-finite feedback (`NaN`/`±inf`, e.g. from a zero actual
 //! cardinality) is **dropped, not recorded**: it would poison every

@@ -47,27 +47,6 @@ pub enum JournalEvent {
         /// Wall-clock nanoseconds the swap critical section took.
         latency_ns: u64,
     },
-    /// A maintenance rebuild produced a fresh synopsis.
-    Rebuild {
-        /// Rows the new synopsis was built from.
-        rows: u64,
-        /// Worst per-clique drift at the moment the rebuild triggered.
-        max_drift: f64,
-    },
-    /// A clique's accuracy drift crossed the maintenance threshold.
-    DriftTrip {
-        /// Index of the tripping clique.
-        clique: usize,
-        /// The drift reading that tripped.
-        drift: f64,
-    },
-    /// A bounded cache evicted an entry under capacity pressure.
-    CacheEviction {
-        /// Which cache (`"plan"`, `"marginal"`, `"kernel"`).
-        cache: String,
-        /// Entries resident after the eviction.
-        entries: u64,
-    },
     /// An ingest batch was made durable in the write-ahead log.
     WalAppend {
         /// Sequence number the batch committed at.
@@ -99,9 +78,6 @@ impl JournalEvent {
         match self {
             JournalEvent::QuerySampled { .. } => "query_sampled",
             JournalEvent::GenerationSwap { .. } => "generation_swap",
-            JournalEvent::Rebuild { .. } => "rebuild",
-            JournalEvent::DriftTrip { .. } => "drift_trip",
-            JournalEvent::CacheEviction { .. } => "cache_eviction",
             JournalEvent::WalAppend { .. } => "wal_append",
             JournalEvent::WalTruncate { .. } => "wal_truncate",
             JournalEvent::Resplit { .. } => "resplit",
@@ -124,15 +100,6 @@ impl JournalEvent {
             }
             JournalEvent::GenerationSwap { generation, latency_ns } => {
                 let _ = write!(s, ",\"generation\":{generation},\"latency_ns\":{latency_ns}");
-            }
-            JournalEvent::Rebuild { rows, max_drift } => {
-                let _ = write!(s, ",\"rows\":{rows},\"max_drift\":{}", fmt_f64(*max_drift));
-            }
-            JournalEvent::DriftTrip { clique, drift } => {
-                let _ = write!(s, ",\"clique\":{clique},\"drift\":{}", fmt_f64(*drift));
-            }
-            JournalEvent::CacheEviction { cache, entries } => {
-                let _ = write!(s, ",\"cache\":\"{}\",\"entries\":{entries}", json_escape(cache));
             }
             JournalEvent::WalAppend { seq: batch_seq, ops, bytes } => {
                 let _ = write!(s, ",\"batch_seq\":{batch_seq},\"ops\":{ops},\"bytes\":{bytes}");
@@ -319,21 +286,15 @@ mod tests {
             path: "evaluated".to_string(),
         });
         j.publish(JournalEvent::GenerationSwap { generation: 2, latency_ns: 1234 });
-        j.publish(JournalEvent::Rebuild { rows: 4096, max_drift: 0.25 });
-        j.publish(JournalEvent::DriftTrip { clique: 3, drift: 0.6 });
-        j.publish(JournalEvent::CacheEviction { cache: "plan".to_string(), entries: 64 });
         j.publish(JournalEvent::WalAppend { seq: 9, ops: 128, bytes: 1664 });
         j.publish(JournalEvent::WalTruncate { batches: 10 });
         j.publish(JournalEvent::Resplit { clique: 2, buckets: 48 });
         let jsonl = j.drain_jsonl();
-        assert_eq!(jsonl.lines().count(), 8);
+        assert_eq!(jsonl.lines().count(), 5);
         assert!(jsonl.contains("\"event\":\"query_sampled\""));
         assert!(jsonl.contains("\"path\":\"evaluated\""));
         assert!(jsonl.contains("\"event\":\"generation_swap\""));
         assert!(jsonl.contains("\"latency_ns\":1234"));
-        assert!(jsonl.contains("\"event\":\"rebuild\""));
-        assert!(jsonl.contains("\"event\":\"drift_trip\""));
-        assert!(jsonl.contains("\"event\":\"cache_eviction\""));
         assert!(jsonl.contains("\"event\":\"wal_append\""));
         assert!(jsonl.contains("\"batch_seq\":9"));
         assert!(jsonl.contains("\"event\":\"wal_truncate\""));

@@ -15,29 +15,28 @@
 //!   representation), plus the process-wide [`Registry`] and the global
 //!   [`enabled`] switch.
 //! * [`span`] — the [`span!`] macro: an RAII guard that times a lexical
-//!   scope, maintains a thread-local span *stack* (so nested spans know
-//!   their depth), and records into the registry. With telemetry disabled
+//!   scope and records into the registry (and into a thread's
+//!   [`SpanCollector`], when one is installed). With telemetry disabled
 //!   and no collector installed, entering a span is two relaxed atomic
 //!   loads and no clock read — effectively free.
 //! * [`drift`] — [`DriftMonitor`]: rolling absolute-relative-error
 //!   windows *and* full error distributions per model clique, fed by
 //!   observed cardinalities, exposed as per-clique drift and
-//!   error-quantile gauges that maintenance policies consult.
+//!   error-quantile gauges that the ingest tuner consults.
 //! * [`journal`] — a bounded, mostly-lock-free ring of typed engine
-//!   events (sampled query explains, generation swaps, rebuilds, drift
-//!   trips, cache evictions) drained as JSONL by the observability
+//!   events (sampled query explains, generation swaps, WAL appends and
+//!   truncations, re-splits) drained as JSONL by the observability
 //!   endpoint.
 //! * [`export`] — [`export::to_json`] and [`export::to_prometheus`]
 //!   render the same [`Snapshot`].
 //! * [`wellknown`] — pre-registered handles for the `dbhist_*` metrics
-//!   the engine emits, so hot paths never hash a metric name. The
-//!   per-query operation counters are declared beside the query engine
-//!   instead (`dbhist_core::plan`), one table row each.
+//!   the engine emits, so hot paths never hash a metric name, the
+//!   per-query `dbhist_query_evaluations_total` among them.
 //!
 //! # Naming convention
 //!
 //! Every metric is named `dbhist_<subsystem>_<name>_<unit>` (for example
-//! `dbhist_query_plan_cache_hits_total`,
+//! `dbhist_query_evaluations_total`,
 //! `dbhist_query_estimate_latency_ns`); `cargo run -p xtask -- analyze`
 //! enforces the convention on every literal in library code.
 //!

@@ -1,4 +1,4 @@
-//! RAII span tracing with thread-local span stacks.
+//! RAII span tracing.
 //!
 //! The [`crate::span!`] macro times a lexical scope:
 //!
@@ -12,9 +12,7 @@
 //!
 //! Each call site lazily registers one [`SpanMeter`] (a latency histogram
 //! plus a call counter) in the global registry, so repeated entries never
-//! hash a metric name. While a span is live its name sits on a
-//! thread-local *stack*, so nested spans know their depth and
-//! [`current_span`] identifies what the thread is doing.
+//! hash a metric name.
 //!
 //! Spans are **zero-cost when inert**: if global telemetry is disabled
 //! (see [`crate::set_enabled`]) and no [`SpanCollector`] is installed on
@@ -23,7 +21,7 @@
 //!
 //! [`SpanCollector`] is the subscriber used to *derive* traces: install
 //! one, run an instrumented region, and [`SpanCollector::finish`] returns
-//! every span the thread completed, with durations and nesting depths.
+//! every span the thread completed, with durations, in completion order.
 //! The core crate rebuilds `BuildTrace` from exactly this stream.
 
 use std::cell::RefCell;
@@ -33,8 +31,6 @@ use std::time::{Duration, Instant};
 use crate::registry::{self, Counter, LatencyHistogram};
 
 thread_local! {
-    /// Names of the spans currently live on this thread, innermost last.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     /// Completed-span sink, when a [`SpanCollector`] is installed.
     static COLLECTOR: RefCell<Option<Vec<SpanRecord>>> = const { RefCell::new(None) };
 }
@@ -88,8 +84,6 @@ impl SpanMeter {
 pub struct SpanRecord {
     /// Span name (the literal passed to [`crate::span!`]).
     pub name: &'static str,
-    /// Nesting depth at completion: `0` for a top-level span.
-    pub depth: usize,
     /// Wall-clock time the span was live.
     pub duration: Duration,
 }
@@ -105,13 +99,12 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Enters a span. Inert (no clock read, no stack push) unless global
+    /// Enters a span. Inert (no clock read) unless global
     /// telemetry is enabled or this thread has a collector installed.
     pub fn enter(meter: &'static SpanMeter) -> Self {
         if !registry::enabled() && !collector_installed() {
             return Self { active: None };
         }
-        SPAN_STACK.with(|s| s.borrow_mut().push(meter.name));
         Self { active: Some((meter, Instant::now())) }
     }
 }
@@ -120,32 +113,15 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some((meter, start)) = self.active.take() else { return };
         let elapsed = start.elapsed();
-        let depth = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            stack.pop();
-            stack.len()
-        });
         if registry::enabled() {
             meter.record(elapsed);
         }
         COLLECTOR.with(|c| {
             if let Some(records) = c.borrow_mut().as_mut() {
-                records.push(SpanRecord { name: meter.name, depth, duration: elapsed });
+                records.push(SpanRecord { name: meter.name, duration: elapsed });
             }
         });
     }
-}
-
-/// The innermost live span on this thread, if any.
-#[must_use]
-pub fn current_span() -> Option<&'static str> {
-    SPAN_STACK.with(|s| s.borrow().last().copied())
-}
-
-/// Number of live spans on this thread.
-#[must_use]
-pub fn span_depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
 }
 
 fn collector_installed() -> bool {
@@ -212,11 +188,8 @@ mod tests {
     fn inert_without_subscriber() {
         let _serial = crate::test_support::enabled_flag_lock();
         registry::set_enabled(false);
-        {
-            let _span = crate::span!("dbhist_test_inert_latency_ns");
-            assert_eq!(span_depth(), 0, "inert spans never touch the stack");
-            assert_eq!(current_span(), None);
-        }
+        let span = crate::span!("dbhist_test_inert_latency_ns");
+        assert!(span.active.is_none(), "inert spans never read the clock");
     }
 
     #[test]
@@ -224,22 +197,17 @@ mod tests {
         let collector = SpanCollector::install();
         {
             let _outer = crate::span!("dbhist_test_outer_latency_ns");
-            assert_eq!(current_span(), Some("dbhist_test_outer_latency_ns"));
             {
                 let _inner = crate::span!("dbhist_test_inner_latency_ns");
-                assert_eq!(span_depth(), 2);
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
         let records = collector.finish();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].name, "dbhist_test_inner_latency_ns");
-        assert_eq!(records[0].depth, 1);
         assert_eq!(records[1].name, "dbhist_test_outer_latency_ns");
-        assert_eq!(records[1].depth, 0);
         assert!(records[1].duration >= records[0].duration, "outer contains inner");
         assert!(records[0].duration >= Duration::from_millis(1));
-        assert_eq!(span_depth(), 0);
     }
 
     #[test]
