@@ -20,11 +20,11 @@
 //! and dump the final registry snapshot next to the output file
 //! (`<OUTPUT_PATH>.telemetry.json` / `.prom`).
 //!
-//! An explain section times `try_estimate` (the `NoProbe`
-//! monomorphization) against an identical plain replay and against
-//! `try_estimate_explained`, asserts the off path costs under 2% (the
-//! machinery is compile-time gated) and that recording never changes an
-//! estimate bit.
+//! An explain section times `try_estimate` (the untimed evaluation)
+//! against an identical plain replay and against
+//! `try_estimate_explained`, asserts the off path costs under 2% (it
+//! reads no clock and allocates nothing) and that timing never changes
+//! an estimate bit.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // binaries/examples: abort on a broken build
 
@@ -54,10 +54,10 @@ const INTERPRETER_TRIALS: usize = 3;
 /// assert, so a one-off scheduler burst cannot fail the gate while a
 /// real instrumentation cost (present in every pair) still does.
 const OVERHEAD_TRIALS: usize = 5;
-/// Ceiling on the explain machinery's cost when *disabled*. The probed
-/// body monomorphizes with `NoProbe` to the unprobed code, so the
-/// explain-off replay must track an identical plain replay to within
-/// measurement noise.
+/// Ceiling on the explain machinery's cost when *disabled*. The
+/// explain-off replay is the plain call itself (its evaluation keeps a
+/// record but reads no clock), so it must track an identical plain
+/// replay to within measurement noise.
 const MAX_EXPLAIN_OFF_OVERHEAD: f64 = 0.02;
 
 fn main() {
@@ -170,13 +170,13 @@ fn main() {
         100.0 * MAX_TELEMETRY_OVERHEAD
     );
 
-    // 4. Explain overhead. Off: `try_estimate` (the `NoProbe`
-    //    monomorphization) is interleaved with an identical plain replay;
-    //    min-over-trials on both sides cancels drift, and the ratio
-    //    bounds what the probe costs when explain is off (structurally
-    //    zero — this guards the claim against regression). On:
-    //    `try_estimate_explained` replays the same workload recording
-    //    full reports, and must stay bit-identical. The replay window is
+    // 4. Explain overhead. Off: `try_estimate` (the untimed evaluation)
+    //    is interleaved with an identical plain replay; min-over-trials on
+    //    both sides cancels drift, and the ratio bounds what explain costs
+    //    when off (structurally zero — this guards the claim against
+    //    regression). On: `try_estimate_explained` replays the same
+    //    workload, timing each visit and building full reports from the
+    //    record, and must stay bit-identical. The replay window is
     //    widened over the telemetry section's: the off-vs-baseline ratio
     //    compares structurally identical code, so the asserted ceiling is
     //    pure measurement noise.

@@ -26,8 +26,11 @@
 //!   Fig. 5's `self.project(&shared)` divides by.
 //!
 //! `EvalScratch::select` is that selection on its own: the evaluation
-//! folds the cliques it lists, and feedback attribution and the
-//! interpreter's EXPLAIN report use the same list.
+//! folds the cliques it lists. The scratch keeps the evaluation's record
+//! (each group's mass, and each visit's clique, bucket count and, when
+//! the caller asks for timing, wall-clock nanoseconds), which EXPLAIN
+//! reports and feedback blames; for a model the interpreter answers, the
+//! record is the bare selection.
 //!
 //! Factors are read pointwise: each bucket spreads its frequency
 //! uniformly over its box ([`Factor::for_each_bucket`]). Every visited
@@ -60,7 +63,7 @@ use dbhist_model::JunctionTree;
 use dbhist_telemetry::registry::Counter;
 
 use crate::error::SynopsisError;
-use crate::explain::{ExplainProbe, NoProbe, StepKind};
+use crate::explain::{GroupReport, StepReport};
 use crate::factor::Factor;
 use crate::lock;
 use crate::query::Query;
@@ -247,17 +250,10 @@ impl ScratchPool {
         lock(&self.pool).pop().unwrap_or_default()
     }
 
-    /// [`ScratchPool::acquire`] plus whether the scratch came from the
-    /// pool (`false` = freshly allocated), for EXPLAIN.
-    pub(crate) fn acquire_tracked(&self) -> (EvalScratch, bool) {
-        match lock(&self.pool).pop() {
-            Some(scratch) => (scratch, true),
-            None => (EvalScratch::default(), false),
-        }
-    }
-
-    /// Returns a scratch set to the pool (dropped when the pool is full).
-    pub(crate) fn release(&self, scratch: EvalScratch) {
+    /// Returns a scratch set to the pool (dropped when the pool is full),
+    /// marked as pooled for the next EXPLAIN that takes it.
+    pub(crate) fn release(&self, mut scratch: EvalScratch) {
+        scratch.pooled = true;
         let mut pool = lock(&self.pool);
         if pool.len() < MAX_POOLED {
             pool.push(scratch);
@@ -293,13 +289,17 @@ pub fn estimate_mass<F: Factor>(
         });
     }
     let mut scratch = EvalScratch::default();
-    estimate_mass_with(tree, views, schema, factors, target, query, &mut scratch, &mut NoProbe)
+    estimate_mass_with(tree, views, schema, factors, target, query, &mut scratch, false)
 }
 
-/// Reusable buffers of one evaluation. Every buffer is cleared or
-/// truncated before use, so reuse never carries state between queries.
+/// Reusable buffers of one evaluation, and its record. Every buffer is
+/// cleared or truncated before use, so reuse never carries state between
+/// queries.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
+    /// `true` once the scratch has been returned to a pool (`false` for a
+    /// freshly allocated one), for EXPLAIN.
+    pub(crate) pooled: bool,
     /// The query box per attribute id, clamped to the attribute's domain.
     bounds: Vec<(u32, u32)>,
     /// The component of each target attribute by id, `usize::MAX` for
@@ -308,7 +308,7 @@ pub(crate) struct EvalScratch {
     /// The component of each clique, and the walk stack that labels them.
     comp: Vec<usize>,
     stack: Vec<usize>,
-    /// The selected groups, and their visits in post-order.
+    /// The selected groups, and their visits in post-order: the record.
     groups: Vec<Group>,
     visits: Vec<Visit>,
     /// The visited children whose messages wait for their parent.
@@ -334,20 +334,26 @@ pub(crate) struct EvalScratch {
     grid: Grid,
 }
 
-/// One model component the target touches, with its visits.
+/// One model component the target touches, with its visits and, once
+/// evaluated, its mass inside the box.
 #[derive(Debug, Clone)]
 struct Group {
     component: usize,
     visits: Range<usize>,
+    mass: f64,
 }
 
 /// One visited clique: it follows the visits of its `kids` visited
 /// children, and sends its messages to `parent` (`None` at the root).
+/// The evaluation records the buckets it read and, when timed, the
+/// nanoseconds it took.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     clique: usize,
     parent: Option<usize>,
     kids: usize,
+    size: usize,
+    ns: u64,
 }
 
 /// A visited child whose `M` then `U` sit in the arena at `at`.
@@ -727,6 +733,8 @@ impl EvalScratch {
         arity: usize,
         target: &AttrSet,
     ) -> Result<(), SynopsisError> {
+        self.groups.clear();
+        self.visits.clear();
         // Each target attribute joins the component of the first clique
         // holding it.
         let n_comp = components(tree, &mut self.comp, &mut self.stack);
@@ -738,8 +746,6 @@ impl EvalScratch {
             *self.group_of.get_mut(usize::from(a)).ok_or_else(|| not_covered(a))? =
                 self.comp[clique];
         }
-        self.groups.clear();
-        self.visits.clear();
         for component in 0..n_comp {
             let overlap = |i: usize| {
                 tree.cliques()[i]
@@ -756,7 +762,7 @@ impl EvalScratch {
             };
             let start = self.visits.len();
             self.walk(tree, views.get(tree, root), root, None, component)?;
-            self.groups.push(Group { component, visits: start..self.visits.len() });
+            self.groups.push(Group { component, visits: start..self.visits.len(), mass: 0.0 });
         }
         Ok(())
     }
@@ -788,16 +794,14 @@ impl EvalScratch {
             self.walk(tree, rooted, child, Some(node), component)?;
             kids += 1;
         }
-        self.visits.push(Visit { clique: node, parent, kids });
+        self.visits.push(Visit { clique: node, parent, kids, size: 0, ns: 0 });
         Ok(())
     }
 
-    /// Every clique the last selection visits, sorted.
-    pub(crate) fn cliques(&self) -> Vec<usize> {
-        let mut cliques: Vec<usize> = self.visits.iter().map(|v| v.clique).collect();
-        cliques.sort_unstable();
-        cliques.dedup();
-        cliques
+    /// Every clique the record visits, each once (groups are disjoint
+    /// model components).
+    pub(crate) fn visited(&self) -> impl Iterator<Item = usize> + '_ {
+        self.groups.iter().flat_map(|g| &self.visits[g.visits.clone()]).map(|v| v.clique)
     }
 
     /// The target attributes of `component`.
@@ -807,30 +811,44 @@ impl EvalScratch {
         )
     }
 
-    /// Reports the last selection to `probe`: each group with one visit
-    /// step per clique, sized by the clique's factor.
-    pub(crate) fn explain_selection<F: Factor, P: ExplainProbe>(
+    /// The record as EXPLAIN groups: per group its target attributes and
+    /// one visit step per clique. An evaluated record carries each
+    /// group's mass and each visit's bucket count and nanoseconds; a bare
+    /// selection (`evaluated == false`, the interpreter's) carries no
+    /// mass, untimed steps, and each clique's stored bucket count.
+    pub(crate) fn explain<F: Factor>(
         &self,
         target: &AttrSet,
         factors: &[F],
-        probe: &mut P,
-    ) {
-        for group in &self.groups {
-            probe.group(&self.group_attrs(target, group.component));
-            for visit in &self.visits[group.visits.clone()] {
-                let size = factors.get(visit.clique).map_or(0, Factor::len_hint);
-                probe.step(StepKind::Visit { clique: visit.clique }, 0, size);
-            }
-        }
+        evaluated: bool,
+    ) -> Vec<GroupReport> {
+        let step = |visit: &Visit| StepReport {
+            op: "visit",
+            clique: Some(visit.clique),
+            ns: visit.ns,
+            result_size: if evaluated {
+                visit.size
+            } else {
+                factors.get(visit.clique).map_or(0, Factor::len_hint)
+            },
+        };
+        self.groups
+            .iter()
+            .map(|group| GroupReport {
+                attrs: format!("{}", self.group_attrs(target, group.component)),
+                steps: self.visits[group.visits.clone()].iter().map(step).collect(),
+                mass: evaluated.then_some(group.mass),
+            })
+            .collect()
     }
 }
 
 /// [`estimate_mass`] over caller-owned scratch, for a model the caller
-/// has checked [`fits`], reporting each group and each visited clique to
-/// `probe` (inert for [`NoProbe`]; probes observe only, so an explained
-/// evaluation gives the same bits).
+/// has checked [`fits`], leaving the evaluation's record in `s`. With
+/// `timed`, each visit reads the clock twice; timing never changes the
+/// estimate's bits.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn estimate_mass_with<F: Factor, P: ExplainProbe>(
+pub(crate) fn estimate_mass_with<F: Factor>(
     tree: &JunctionTree,
     views: &RootedViews,
     schema: &Schema,
@@ -838,8 +856,12 @@ pub(crate) fn estimate_mass_with<F: Factor, P: ExplainProbe>(
     target: &AttrSet,
     query: &Query,
     s: &mut EvalScratch,
-    probe: &mut P,
+    timed: bool,
 ) -> Result<f64, SynopsisError> {
+    // A query answered before the selection runs (a contradictory
+    // predicate) leaves an empty record, not the last query's.
+    s.groups.clear();
+    s.visits.clear();
     if factors.len() != tree.len() {
         return Err(SynopsisError::Budget { reason: "one factor per clique is required".into() });
     }
@@ -859,36 +881,33 @@ pub(crate) fn estimate_mass_with<F: Factor, P: ExplainProbe>(
     let total = factors.first().map_or(0.0, Factor::total);
     let mut mass = total;
     for g in 0..s.groups.len() {
-        let Group { component, visits } = s.groups[g].clone();
-        if P::ACTIVE {
-            probe.group(&s.group_attrs(target, component));
-        }
-        let mut eval =
-            Eval { tree, schema, factors, ranges: query.ranges(), s: &mut *s, probe: &mut *probe };
+        let visits = s.groups[g].visits.clone();
+        let mut eval = Eval { tree, schema, factors, ranges: query.ranges(), s: &mut *s, timed };
         let group_mass = eval.run(visits);
-        if P::ACTIVE {
-            probe.group_mass(group_mass);
-        }
+        s.groups[g].mass = group_mass;
         if total > 0.0 {
             mass *= group_mass / total;
         } else {
+            // The groups after this one are never evaluated.
+            s.groups.truncate(g + 1);
             return Ok(0.0);
         }
     }
+    debug_assert!(timed || s.visits.iter().all(|v| v.ns == 0), "an untimed evaluation was timed");
     Ok(mass)
 }
 
 /// One group's evaluation: the factors and the shared scratch.
-struct Eval<'a, F, P> {
+struct Eval<'a, F> {
     tree: &'a JunctionTree,
     schema: &'a Schema,
     factors: &'a [F],
     ranges: &'a [(AttrId, u32, u32)],
     s: &'a mut EvalScratch,
-    probe: &'a mut P,
+    timed: bool,
 }
 
-impl<F: Factor, P: ExplainProbe> Eval<'_, F, P> {
+impl<F: Factor> Eval<'_, F> {
     /// Folds the group's visited cliques in post-order and returns the
     /// root's mass. Each clique below the root leaves its `M` and `U` on
     /// top of the arena, where its parent's fold reads them.
@@ -897,8 +916,8 @@ impl<F: Factor, P: ExplainProbe> Eval<'_, F, P> {
         self.s.arena.clear();
         let mut mass = 0.0;
         for i in visits {
-            let Visit { clique, parent, kids } = self.s.visits[i];
-            let started = if P::ACTIVE { Some(Instant::now()) } else { None };
+            let Visit { clique, parent, kids, .. } = self.s.visits[i];
+            let started = self.timed.then(Instant::now);
             let kids_base = self.s.kids.len() - kids;
             let base = self.s.kids.get(kids_base).map_or(self.s.arena.len(), |k| k.at);
             let size = if parent.is_none() && kids == 0 {
@@ -914,9 +933,10 @@ impl<F: Factor, P: ExplainProbe> Eval<'_, F, P> {
             if parent.is_some() {
                 self.s.kids.push(Kid { clique, at: base });
             }
-            if P::ACTIVE {
-                let ns = started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(0));
-                self.probe.step(StepKind::Visit { clique }, ns, size);
+            let visit = &mut self.s.visits[i];
+            visit.size = size;
+            if let Some(t) = started {
+                visit.ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
         }
         mass

@@ -10,21 +10,21 @@
 //! wall-clock nanoseconds and bucket counts, each group's mass, and
 //! scratch reuse.
 //!
-//! # Zero-cost when off
+//! # The record, not an observer
 //!
-//! Probing is threaded through the evaluator as a *generic* parameter
-//! ([`ExplainProbe`]) with an associated `ACTIVE` constant. The public
-//! non-explain entry points instantiate the probed internals with
-//! [`NoProbe`] (`ACTIVE = false`): every probe call site is guarded by
-//! `if P::ACTIVE`, so the monomorphized non-explain code contains no
-//! clock reads, no recording, and no branches. Explain-on and
-//! explain-off estimates are bit-identical by construction (probes only
-//! observe), pinned by `tests/evaluate_equivalence.rs` and the explain
-//! section of `query_bench`.
+//! The evaluation keeps its own record in its scratch: each group's
+//! mass, and each visit's clique and bucket count. A plain estimate, an
+//! explained one and a feedback observation run the same evaluation;
+//! the explained call asks it for timing, which reads the clock around
+//! each visited clique and nothing else, and builds the report from the
+//! record afterwards. No clock is read and nothing is allocated when not
+//! explaining, and explained estimates carry the plain bits by
+//! construction, pinned by `tests/evaluate_equivalence.rs` and the
+//! explain section of `query_bench`.
 
 use std::fmt::Write as _;
 
-use dbhist_distribution::AttrSet;
+use dbhist_telemetry::export::{fmt_f64, json_escape};
 
 /// How a query was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,65 +54,9 @@ impl QueryPath {
     }
 }
 
-/// One step of a query, as observed by a probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepKind {
-    /// A clique Fig. 3 selects: the evaluator folded its buckets (or, for
-    /// a group one clique answers alone, took its box mass); the
-    /// interpreter reads its factor.
-    Visit {
-        /// The visited clique's index.
-        clique: usize,
-    },
-}
-
-impl StepKind {
-    fn op(self) -> &'static str {
-        match self {
-            StepKind::Visit { .. } => "visit",
-        }
-    }
-}
-
-/// Observer threaded (generically) through the probed evaluator.
-///
-/// Every method has an inert default body, and every call site is guarded
-/// by `if P::ACTIVE`, so implementations only ever see events when they
-/// opt in via `ACTIVE = true`. Probes observe — they can never influence
-/// an estimate.
-pub trait ExplainProbe {
-    /// `true` only for recording probes; gates every probe call site (and
-    /// the clock reads feeding them) at monomorphization time.
-    const ACTIVE: bool;
-
-    /// The query was resolved through `path`.
-    fn resolved_path(&mut self, _path: QueryPath) {}
-
-    /// Execution of the group covering `attrs` begins.
-    fn group(&mut self, _attrs: &AttrSet) {}
-
-    /// The current group produced `mass`.
-    fn group_mass(&mut self, _mass: f64) {}
-
-    /// One step ran in `ns` wall-clock nanoseconds over a factor of
-    /// `result_size` stored buckets.
-    fn step(&mut self, _kind: StepKind, _ns: u64, _result_size: usize) {}
-
-    /// The evaluation acquired scratch; `reused` when it came from the
-    /// pool rather than a fresh allocation.
-    fn scratch(&mut self, _reused: bool) {}
-}
-
-/// The inert probe: `ACTIVE = false` compiles every probe site out of the
-/// non-explain entry points.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoProbe;
-
-impl ExplainProbe for NoProbe {
-    const ACTIVE: bool = false;
-}
-
-/// One step of a [`GroupReport`].
+/// One step of a [`GroupReport`]: a clique Fig. 3 selects, whose buckets
+/// the evaluator folded (or, for a group one clique answers alone, whose
+/// box mass it took), or whose factor the interpreter reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// Operation tag (`visit`).
@@ -122,7 +66,9 @@ pub struct StepReport {
     /// Wall-clock nanoseconds the step took (0 on the interpreted path,
     /// which reports its selection without timing it).
     pub ns: u64,
-    /// Stored buckets of the visited clique's factor.
+    /// Buckets read at the clique: the non-zero buckets the evaluator
+    /// folded, or the buckets its factor stores for a group one clique
+    /// answers alone and on the interpreted path.
     pub result_size: usize,
 }
 
@@ -153,35 +99,6 @@ pub struct ExplainReport {
     pub total_ns: u64,
     /// The estimate itself — bit-identical to the unexplained call.
     pub estimate: f64,
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl ExplainReport {
@@ -228,88 +145,6 @@ impl ExplainReport {
     }
 }
 
-/// The recording probe behind
-/// [`DbHistogram::try_estimate_explained`](crate::synopsis::DbHistogram::try_estimate_explained):
-/// accumulates probe events into an [`ExplainReport`].
-#[derive(Debug)]
-pub struct ExplainRecorder {
-    report: ExplainReport,
-}
-
-impl ExplainRecorder {
-    /// A recorder for a query over `target`, with the path defaulting to
-    /// [`QueryPath::TableTotal`] until the estimate reports otherwise.
-    #[must_use]
-    pub fn new(target: &AttrSet) -> Self {
-        Self {
-            report: ExplainReport {
-                path: QueryPath::TableTotal,
-                target: format!("{target}"),
-                groups: Vec::new(),
-                scratch_reused: None,
-                total_ns: 0,
-                estimate: 0.0,
-            },
-        }
-    }
-
-    /// Finalizes the report with the estimate and end-to-end latency.
-    #[must_use]
-    pub fn finish(mut self, estimate: f64, total_ns: u64) -> ExplainReport {
-        self.report.estimate = estimate;
-        self.report.total_ns = total_ns;
-        self.report
-    }
-}
-
-impl ExplainProbe for ExplainRecorder {
-    const ACTIVE: bool = true;
-
-    fn resolved_path(&mut self, path: QueryPath) {
-        self.report.path = path;
-    }
-
-    fn group(&mut self, attrs: &AttrSet) {
-        self.report.groups.push(GroupReport {
-            attrs: format!("{attrs}"),
-            steps: Vec::new(),
-            mass: None,
-        });
-    }
-
-    fn group_mass(&mut self, mass: f64) {
-        if let Some(g) = self.report.groups.last_mut() {
-            g.mass = Some(mass);
-        }
-    }
-
-    fn step(&mut self, kind: StepKind, ns: u64, result_size: usize) {
-        let record = StepReport {
-            op: kind.op(),
-            clique: match kind {
-                StepKind::Visit { clique } => Some(clique),
-            },
-            ns,
-            result_size,
-        };
-        if let Some(g) = self.report.groups.last_mut() {
-            g.steps.push(record);
-        } else {
-            // A step recorded outside any group lands in an implicit
-            // group.
-            self.report.groups.push(GroupReport {
-                attrs: self.report.target.clone(),
-                steps: vec![record],
-                mass: None,
-            });
-        }
-    }
-
-    fn scratch(&mut self, reused: bool) {
-        self.report.scratch_reused = Some(reused);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,39 +158,30 @@ mod tests {
     }
 
     #[test]
-    fn recorder_assembles_a_report() {
-        let target = AttrSet::from_ids([0, 2]);
-        let mut rec = ExplainRecorder::new(&target);
-        rec.resolved_path(QueryPath::Evaluated);
-        rec.scratch(true);
-        rec.group(&target);
-        rec.step(StepKind::Visit { clique: 1 }, 120, 16);
-        rec.step(StepKind::Visit { clique: 0 }, 40, 9);
-        rec.group_mass(12.5);
-        let report = rec.finish(12.5, 999);
-        assert_eq!(report.path, QueryPath::Evaluated);
-        assert_eq!(report.groups.len(), 1);
-        assert_eq!(report.groups[0].steps.len(), 2);
-        assert_eq!(report.groups[0].steps[0].clique, Some(1));
-        assert_eq!(report.groups[0].steps[1].result_size, 9);
-        assert_eq!(report.groups[0].mass, Some(12.5));
-        assert_eq!(report.scratch_reused, Some(true));
-        assert_eq!(report.total_ns, 999);
+    fn report_renders_as_json() {
+        let step = |clique, ns, result_size| StepReport {
+            op: "visit",
+            clique: Some(clique),
+            ns,
+            result_size,
+        };
+        let report = ExplainReport {
+            path: QueryPath::Evaluated,
+            target: "{0,2}".into(),
+            groups: vec![GroupReport {
+                attrs: "{0,2}".into(),
+                steps: vec![step(1, 120, 16), step(0, 40, 9)],
+                mass: Some(12.5),
+            }],
+            scratch_reused: Some(true),
+            total_ns: 999,
+            estimate: 12.5,
+        };
         let json = report.to_json();
         assert!(json.contains("\"path\":\"evaluated\""));
-        assert!(json.contains("\"op\":\"visit\",\"clique\":1"));
+        assert!(json.contains("\"op\":\"visit\",\"clique\":1,\"ns\":120,\"result_size\":16"));
         assert!(json.contains("\"scratch_reused\":true"));
+        assert!(json.contains("\"mass\":12.5"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn noprobe_is_inert() {
-        // NoProbe's methods are the trait defaults: calling them is a
-        // no-op and ACTIVE gates every real call site.
-        const { assert!(!NoProbe::ACTIVE) };
-        let mut p = NoProbe;
-        p.resolved_path(QueryPath::Evaluated);
-        p.step(StepKind::Visit { clique: 0 }, 1, 1);
-        p.scratch(true);
     }
 }

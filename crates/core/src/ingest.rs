@@ -563,12 +563,6 @@ impl IngestSession {
         &self.maintained
     }
 
-    /// Consumes the session, returning the maintained synopsis.
-    #[must_use]
-    pub fn into_inner(self) -> MaintainedDbHistogram {
-        self.maintained
-    }
-
     /// Batches applied (including replayed ones after a recovery).
     #[must_use]
     pub fn batches_applied(&self) -> u64 {

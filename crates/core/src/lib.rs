@@ -23,7 +23,11 @@
 //!   following Fig. 3's choices, with no factor product built and nothing
 //!   cached. A model whose separators join into a block over
 //!   [`evaluate::MESSAGE_CELL_BUDGET`] cells is answered by the
-//!   interpreter instead; [`evaluate::QueryTrace`] counts evaluations.
+//!   interpreter instead (decided once per synopsis);
+//!   [`evaluate::QueryTrace`] counts evaluations.
+//! * [`explain`] — per-query EXPLAIN, read from the record the evaluation
+//!   keeps (its groups and visited cliques, timed only when explaining);
+//!   feedback blames the cliques of that same record.
 //! * [`alloc`] — storage allocation across clique histograms: the optimal
 //!   pseudo-polynomial dynamic program and the `IncrementalGains` greedy
 //!   (Fig. 2).
@@ -91,10 +95,7 @@ pub use builder::{BuildTrace, FactorKind, Synopsis, SynopsisBuilder};
 pub use error::SynopsisError;
 pub use estimator::SelectivityEstimator;
 pub use evaluate::QueryTrace;
-pub use explain::{
-    ExplainProbe, ExplainRecorder, ExplainReport, GroupReport, NoProbe, QueryPath, StepKind,
-    StepReport,
-};
+pub use explain::{ExplainReport, GroupReport, QueryPath, StepReport};
 pub use factor::{ExactFactor, Factor};
 pub use ingest::{IngestConfig, IngestSession, RecoveryReport, TuneOutcome};
 pub use observe::ObservabilityServer;

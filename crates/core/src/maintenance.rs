@@ -94,12 +94,6 @@ impl MaintainedDbHistogram {
         &self.synopsis
     }
 
-    /// The build configuration (criterion, budget, selection knobs).
-    #[must_use]
-    pub fn config(&self) -> &DbConfig {
-        &self.config
-    }
-
     /// Tuples currently represented.
     #[must_use]
     pub fn row_count(&self) -> f64 {

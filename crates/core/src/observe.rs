@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dbhist_telemetry::export::fmt_f64;
 use dbhist_telemetry::journal::journal;
 
 use crate::error::SynopsisError;
@@ -195,21 +196,6 @@ fn parse_get_path(request_line: &str) -> Option<&str> {
     }
     let target = parts.next()?;
     Some(target.split('?').next().unwrap_or(target))
-}
-
-/// JSON rendering of `f64` matching the telemetry exporter: always a
-/// valid JSON number, `null` for non-finite values.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 fn health_json(shared: &Arc<Shared>) -> String {

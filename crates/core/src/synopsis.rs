@@ -20,23 +20,24 @@
 //! structure and schema make that choice. [`DbHistogram::query_trace`]
 //! counts the evaluations.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dbhist_distribution::{AttrSet, Distribution, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
 use dbhist_model::junction::RootedViews;
 use dbhist_model::selection::{ForwardSelector, SelectionConfig, SelectionResult};
 use dbhist_model::DecomposableModel;
-use dbhist_telemetry::span::SpanRecord;
-use dbhist_telemetry::{DriftMonitor, SpanCollector};
+use dbhist_telemetry::DriftMonitor;
 
 use crate::alloc::{apply_allocation, error_curve, incremental_gains, optimal_dp};
 use crate::build::{GridCliqueBuilder, IncrementalBuilder, MhistCliqueBuilder};
 use crate::builder::BuildTrace;
 use crate::error::SynopsisError;
 use crate::estimator::SelectivityEstimator;
-use crate::evaluate::{estimate_mass_with, fits, QueryMetrics, QueryTrace, ScratchPool};
-use crate::explain::{ExplainProbe, ExplainRecorder, ExplainReport, NoProbe, QueryPath};
+use crate::evaluate::{
+    estimate_mass_with, fits, EvalScratch, QueryMetrics, QueryTrace, ScratchPool,
+};
+use crate::explain::{ExplainReport, QueryPath};
 use crate::factor::{ExactFactor, Factor};
 use crate::marginal::{compute_marginal_with_stats, estimate_mass_interpreted};
 use crate::query::Query;
@@ -91,6 +92,10 @@ pub struct DbHistogram<F: Factor> {
     name: String,
     /// The junction tree's rooted views, derived once per root.
     views: RootedViews,
+    /// Whether the model [`fits`] the evaluator (else the interpreter
+    /// answers); structure and schema decide it, so it is fixed at
+    /// assembly.
+    evaluated: bool,
     /// Pooled evaluation buffers.
     scratch: ScratchPool,
     metrics: QueryMetrics,
@@ -181,40 +186,31 @@ impl<F: Factor> DbHistogram<F> {
 
     /// The one way a constrained query is answered: range-restricted
     /// sum-product ([`crate::evaluate`]) with pooled scratch, or the Fig. 3
-    /// interpreter when the model does not [`fits`]. The model's
-    /// structure and schema make the choice. Reports the path, the
-    /// scratch reuse and the visited cliques to `probe`.
-    fn estimate_probed<P: ExplainProbe>(
+    /// interpreter when the model does not [`fits`]. Returns the estimate
+    /// and the scratch holding the evaluation's record (for the
+    /// interpreter, Fig. 3's selection); the caller reads the record and
+    /// releases the scratch. With `timed`, the record carries each visit's
+    /// nanoseconds.
+    fn evaluate(
         &self,
         target: &AttrSet,
         query: &Query,
-        probe: &mut P,
-    ) -> Result<f64, SynopsisError> {
-        // Inert unless telemetry is on (or a span collector is installed).
+        timed: bool,
+    ) -> (Result<f64, SynopsisError>, EvalScratch) {
+        // Inert unless telemetry is on.
         let _span = dbhist_telemetry::span!("dbhist_query_estimate_latency_ns");
         if dbhist_telemetry::enabled() {
             dbhist_telemetry::wellknown::wellknown().query_estimates.increment();
         }
         let (tree, schema) = (self.model.junction_tree(), self.model.schema());
-        if !fits(tree, schema) {
-            if P::ACTIVE {
-                probe.resolved_path(QueryPath::Interpreted);
-                let mut scratch = self.scratch.acquire();
-                if scratch.select(tree, &self.views, schema.arity(), target).is_ok() {
-                    scratch.explain_selection(target, &self.factors, probe);
-                }
-                self.scratch.release(scratch);
-            }
-            return estimate_mass_interpreted(tree, &self.factors, target, query);
+        let mut scratch = self.scratch.acquire();
+        if !self.evaluated {
+            let mass = estimate_mass_interpreted(tree, &self.factors, target, query);
+            // Fig. 3's selection is the record. `select` clears it first,
+            // so even a failed one never lists an earlier query's cliques.
+            let _ = scratch.select(tree, &self.views, schema.arity(), target);
+            return (mass, scratch);
         }
-        let mut scratch = if P::ACTIVE {
-            probe.resolved_path(QueryPath::Evaluated);
-            let (tracked, reused) = self.scratch.acquire_tracked();
-            probe.scratch(reused);
-            tracked
-        } else {
-            self.scratch.acquire()
-        };
         let mass = estimate_mass_with(
             tree,
             &self.views,
@@ -223,23 +219,10 @@ impl<F: Factor> DbHistogram<F> {
             target,
             query,
             &mut scratch,
-            probe,
+            timed,
         );
-        self.scratch.release(scratch);
         self.metrics.evaluated();
-        mass
-    }
-
-    /// The cliques an estimate over `target` reads: Fig. 3's selection
-    /// (`EvalScratch::select`), with pooled scratch.
-    fn visited_cliques(&self, target: &AttrSet) -> Result<Vec<usize>, SynopsisError> {
-        let mut scratch = self.scratch.acquire();
-        let schema = self.model.schema();
-        let selected =
-            scratch.select(self.model.junction_tree(), &self.views, schema.arity(), target);
-        let cliques = selected.map(|()| scratch.cliques());
-        self.scratch.release(scratch);
-        cliques
+        (mass, scratch)
     }
 
     /// Estimates the selectivity of a conjunctive range predicate,
@@ -254,13 +237,15 @@ impl<F: Factor> DbHistogram<F> {
             // No constrained attribute: the estimate is the table size.
             return Ok(self.factors.first().map_or(0.0, Factor::total));
         }
-        self.estimate_probed(&target, query, &mut NoProbe)
+        let (mass, scratch) = self.evaluate(&target, query, false);
+        self.scratch.release(scratch);
+        mass
     }
 
     /// [`DbHistogram::try_estimate`] plus a per-query [`ExplainReport`]
-    /// describing how it was resolved. The estimate is bit-identical to
-    /// the unexplained call (probes only observe; see
-    /// [`crate::explain`]).
+    /// describing how it was resolved, read from the same evaluation's
+    /// record. The estimate is bit-identical to the unexplained call:
+    /// timing only reads the clock around each visit.
     ///
     /// # Errors
     ///
@@ -271,25 +256,36 @@ impl<F: Factor> DbHistogram<F> {
     ) -> Result<(f64, ExplainReport), SynopsisError> {
         let started = Instant::now();
         let target = self.target(query);
-        let mut recorder = ExplainRecorder::new(&target);
-        let estimate = if target.is_empty() {
+        let mut report = ExplainReport {
+            path: QueryPath::TableTotal,
+            target: format!("{target}"),
+            groups: Vec::new(),
+            scratch_reused: None,
+            total_ns: 0,
             // No constrained attribute: the estimate is the table size and
             // nothing else runs — the report says exactly that.
-            self.factors.first().map_or(0.0, Factor::total)
-        } else {
-            self.estimate_probed(&target, query, &mut recorder)?
+            estimate: self.factors.first().map_or(0.0, Factor::total),
         };
-        let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Ok((estimate, recorder.finish(estimate, total_ns)))
+        if !target.is_empty() {
+            let (mass, scratch) = self.evaluate(&target, query, true);
+            report.path =
+                if self.evaluated { QueryPath::Evaluated } else { QueryPath::Interpreted };
+            report.groups = scratch.explain(&target, &self.factors, self.evaluated);
+            report.scratch_reused = self.evaluated.then_some(scratch.pooled);
+            self.scratch.release(scratch);
+            report.estimate = mass?;
+        }
+        report.total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        Ok((report.estimate, report))
     }
 
     /// Feeds an observed cardinality back into the synopsis's
-    /// accuracy-drift monitor: the query is re-estimated, the absolute
+    /// accuracy-drift monitor: the query is estimated, the absolute
     /// relative error `|estimate − actual| / actual` is computed (via
     /// [`dbhist_data::metrics::relative_error`]), and the observation is
-    /// attributed to the cliques the estimate reads (Fig. 3's selection,
-    /// which the evaluator walks and the interpreter's EXPLAIN lists) —
-    /// blame lands on the factors that produced the estimate, so
+    /// attributed to the cliques that same evaluation visited (Fig. 3's
+    /// selection, which the evaluator walks and the interpreter's EXPLAIN
+    /// lists) — blame lands on the factors that produced the estimate, so
     /// feedback-driven re-splitting
     /// ([`crate::ingest::IngestSession::tune`]) targets a clique whose
     /// boundaries the failing queries actually consult. With cliques
@@ -304,13 +300,18 @@ impl<F: Factor> DbHistogram<F> {
         if actual <= 0.0 || !actual.is_finite() {
             return;
         }
-        let Ok(est) = self.try_estimate(query) else { return };
-        let err = dbhist_data::metrics::relative_error(est, actual);
-        let attrs = self.target(query);
-        if !attrs.is_empty() {
-            // `try_estimate` succeeded, so the selection covers `attrs`.
-            for i in self.visited_cliques(&attrs).unwrap_or_default() {
-                self.drift.record(i, err);
+        let target = self.target(query);
+        if !target.is_empty() {
+            let (mass, scratch) = self.evaluate(&target, query, false);
+            let blamed = mass.map(|estimate| {
+                let err = dbhist_data::metrics::relative_error(estimate, actual);
+                for clique in scratch.visited() {
+                    self.drift.record(clique, err);
+                }
+            });
+            self.scratch.release(scratch);
+            if blamed.is_err() {
+                return;
             }
         }
         if dbhist_telemetry::enabled() {
@@ -330,8 +331,9 @@ impl<F: Factor> DbHistogram<F> {
     }
 
     /// Assembles a synopsis from a model and its aligned factors: rooted
-    /// views fill lazily, the scratch pool and counters start empty, and
-    /// the build trace is all-zero until the builder sets it. The
+    /// views fill lazily, the evaluator-or-interpreter choice is made, the
+    /// scratch pool and counters start empty, and the build trace is
+    /// all-zero until the builder sets it. The
     /// snapshot loader calls this after validating that `factors` aligns
     /// one-to-one with the model's cliques.
     pub(crate) fn assemble(
@@ -341,6 +343,7 @@ impl<F: Factor> DbHistogram<F> {
         name: String,
     ) -> Self {
         let views = model.junction_tree().rooted_views();
+        let evaluated = fits(model.junction_tree(), model.schema());
         let drift = DriftMonitor::new(model.cliques().len(), DRIFT_WINDOW);
         Self {
             model,
@@ -348,6 +351,7 @@ impl<F: Factor> DbHistogram<F> {
             bytes,
             name,
             views,
+            evaluated,
             scratch: ScratchPool::default(),
             metrics: QueryMetrics::default(),
             trace: BuildTrace::default(),
@@ -400,16 +404,12 @@ where
     F: Factor,
 {
     config.selection.validate()?;
-    // Phase wall times are derived from the span stream rather than
-    // hand-threaded `Instant` pairs: a thread-local collector captures
-    // every span this thread emits, and the `BuildTrace` is assembled
-    // from the records afterwards.
-    let collector = SpanCollector::install();
+    let started = Instant::now();
     let selection = {
         let _span = dbhist_telemetry::span!("dbhist_build_selection_latency_us");
         ForwardSelector::new(relation, config.selection).run()
     };
-    let selection_time = span_total(&collector.finish(), "dbhist_build_selection_latency_us");
+    let selection_time = started.elapsed();
     let mut synopsis = build_for_model(relation, selection.model.clone(), config, start)?;
     let mut trace = synopsis.build_trace();
     trace.selection = selection_time;
@@ -419,11 +419,6 @@ where
     trace.entropy_computations = selection.entropy_computations;
     synopsis.set_trace(trace);
     Ok((synopsis, selection))
-}
-
-/// Sums the durations of every collected span named `name`.
-fn span_total(records: &[SpanRecord], name: &str) -> Duration {
-    records.iter().filter(|r| r.name == name).map(|r| r.duration).sum()
 }
 
 /// Builds the clique-histogram collection for an already-selected model.
@@ -437,13 +432,14 @@ where
     B: IncrementalBuilder<Histogram = F>,
     F: Factor,
 {
-    let collector = SpanCollector::install();
-
+    let started = Instant::now();
     let mut builders: Vec<B> = {
         let _span = dbhist_telemetry::span!("dbhist_build_construction_latency_us");
         start_builders(relation, &model, &start)?
     };
+    let construction = started.elapsed();
 
+    let started = Instant::now();
     let splits_funded = {
         let _span = dbhist_telemetry::span!("dbhist_build_allocation_latency_us");
         match config.allocation {
@@ -463,18 +459,16 @@ where
             }
         }
     };
+    let allocation = started.elapsed();
 
+    let started = Instant::now();
     let mut synopsis = {
         let _span = dbhist_telemetry::span!("dbhist_build_assembly_latency_us");
         let bytes = builders.iter().map(IncrementalBuilder::storage_bytes).sum();
         let factors: Vec<F> = builders.iter().map(IncrementalBuilder::finish).collect();
         DbHistogram::assemble(model, factors, bytes, "DB".into())
     };
-
-    let records = collector.finish();
-    let construction = span_total(&records, "dbhist_build_construction_latency_us");
-    let allocation = span_total(&records, "dbhist_build_allocation_latency_us");
-    let assembly = span_total(&records, "dbhist_build_assembly_latency_us");
+    let assembly = started.elapsed();
 
     if dbhist_telemetry::enabled() {
         let w = dbhist_telemetry::wellknown::wellknown();

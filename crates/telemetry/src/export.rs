@@ -19,8 +19,10 @@ fn split_labels(name: &str) -> (&str, &str) {
 }
 
 /// Renders an `f64` so it round-trips and stays valid JSON (no `NaN` /
-/// `inf` literals). Shared with the journal's JSONL rendering.
-pub(crate) fn fmt_f64(v: f64) -> String {
+/// `inf` literals). Shared with the journal's JSONL rendering and the
+/// core crate's `/health` and `/explain` bodies.
+#[must_use]
+pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
         // `{}` prints integral floats without a dot; keep a decimal point
@@ -35,7 +37,10 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
-pub(crate) fn json_escape(text: &str) -> String {
+/// Escapes `text` for use inside a JSON string literal: quotes,
+/// backslashes, newlines and other control characters.
+#[must_use]
+pub fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {

@@ -15,10 +15,9 @@
 //!   representation), plus the process-wide [`Registry`] and the global
 //!   [`enabled`] switch.
 //! * [`span`] — the [`span!`] macro: an RAII guard that times a lexical
-//!   scope and records into the registry (and into a thread's
-//!   [`SpanCollector`], when one is installed). With telemetry disabled
-//!   and no collector installed, entering a span is two relaxed atomic
-//!   loads and no clock read — effectively free.
+//!   scope and records into the registry. With telemetry disabled,
+//!   entering a span is one relaxed atomic load and no clock read —
+//!   effectively free.
 //! * [`drift`] — [`DriftMonitor`]: rolling absolute-relative-error
 //!   windows *and* full error distributions per model clique, fed by
 //!   observed cardinalities, exposed as per-clique drift and
@@ -28,7 +27,9 @@
 //!   truncations, re-splits) drained as JSONL by the observability
 //!   endpoint.
 //! * [`export`] — [`export::to_json`] and [`export::to_prometheus`]
-//!   render the same [`Snapshot`].
+//!   render the same [`Snapshot`]; [`export::fmt_f64`] and
+//!   [`export::json_escape`] format every JSON number and string the
+//!   workspace emits (journal lines, `/health`, `/explain`).
 //! * [`wellknown`] — pre-registered handles for the `dbhist_*` metrics
 //!   the engine emits, so hot paths never hash a metric name, the
 //!   per-query `dbhist_query_evaluations_total` among them.
@@ -75,7 +76,7 @@ pub use registry::{
     enabled, global, set_enabled, snapshot, Counter, Gauge, HistogramSnapshot, LatencyHistogram,
     MetricSnapshot, MetricValue, Registry, Snapshot,
 };
-pub use span::{SpanCollector, SpanGuard, SpanMeter, SpanRecord};
+pub use span::{SpanGuard, SpanMeter};
 
 /// Serializes tests that flip the process-wide [`enabled`] flag.
 #[cfg(test)]

@@ -15,25 +15,15 @@
 //! hash a metric name.
 //!
 //! Spans are **zero-cost when inert**: if global telemetry is disabled
-//! (see [`crate::set_enabled`]) and no [`SpanCollector`] is installed on
-//! the thread, entering a span performs one relaxed atomic load plus one
-//! thread-local read and never touches the clock.
-//!
-//! [`SpanCollector`] is the subscriber used to *derive* traces: install
-//! one, run an instrumented region, and [`SpanCollector::finish`] returns
-//! every span the thread completed, with durations, in completion order.
-//! The core crate rebuilds `BuildTrace` from exactly this stream.
+//! (see [`crate::set_enabled`]), entering a span performs one relaxed
+//! atomic load and never touches the clock. Spans feed the registry
+//! only; a caller that needs a duration for itself (the core crate's
+//! `BuildTrace`) times it with its own `Instant` pair.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::registry::{self, Counter, LatencyHistogram};
-
-thread_local! {
-    /// Completed-span sink, when a [`SpanCollector`] is installed.
-    static COLLECTOR: RefCell<Option<Vec<SpanRecord>>> = const { RefCell::new(None) };
-}
 
 /// The per-call-site instruments behind one [`crate::span!`] site: a
 /// latency histogram named after the span and a derived
@@ -79,19 +69,9 @@ impl SpanMeter {
     }
 }
 
-/// One completed span, as seen by a [`SpanCollector`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span name (the literal passed to [`crate::span!`]).
-    pub name: &'static str,
-    /// Wall-clock time the span was live.
-    pub duration: Duration,
-}
-
 /// RAII guard produced by [`crate::span!`]. Dropping it records the
 /// elapsed time into the meter's histogram (when global telemetry is
-/// enabled) and into the thread's [`SpanCollector`] (when one is
-/// installed).
+/// enabled).
 #[derive(Debug)]
 #[must_use = "a span guard times its enclosing scope; dropping it immediately records ~0"]
 pub struct SpanGuard {
@@ -99,10 +79,10 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Enters a span. Inert (no clock read) unless global
-    /// telemetry is enabled or this thread has a collector installed.
+    /// Enters a span. Inert (no clock read) unless global telemetry is
+    /// enabled.
     pub fn enter(meter: &'static SpanMeter) -> Self {
-        if !registry::enabled() && !collector_installed() {
+        if !registry::enabled() {
             return Self { active: None };
         }
         Self { active: Some((meter, Instant::now())) }
@@ -116,51 +96,6 @@ impl Drop for SpanGuard {
         if registry::enabled() {
             meter.record(elapsed);
         }
-        COLLECTOR.with(|c| {
-            if let Some(records) = c.borrow_mut().as_mut() {
-                records.push(SpanRecord { name: meter.name, duration: elapsed });
-            }
-        });
-    }
-}
-
-fn collector_installed() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
-}
-
-/// A thread-local subscriber that captures every span completed on this
-/// thread between [`SpanCollector::install`] and
-/// [`SpanCollector::finish`] (or drop). Installing a collector activates
-/// spans on this thread even when global telemetry is disabled — this is
-/// how build-time traces stay exact without turning on process-wide
-/// metrics. Not re-entrant: installing a second collector on the same
-/// thread replaces the first.
-#[derive(Debug)]
-pub struct SpanCollector {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl SpanCollector {
-    /// Starts collecting completed spans on the current thread.
-    #[must_use]
-    pub fn install() -> Self {
-        COLLECTOR.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        Self { _not_send: std::marker::PhantomData }
-    }
-
-    /// Stops collecting and returns the completed spans in completion
-    /// order (inner spans precede the outer spans that contain them).
-    #[must_use]
-    pub fn finish(self) -> Vec<SpanRecord> {
-        COLLECTOR.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
-}
-
-impl Drop for SpanCollector {
-    fn drop(&mut self) {
-        COLLECTOR.with(|c| {
-            c.borrow_mut().take();
-        });
     }
 }
 
@@ -193,24 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn collector_captures_nesting_and_durations() {
-        let collector = SpanCollector::install();
-        {
-            let _outer = crate::span!("dbhist_test_outer_latency_ns");
-            {
-                let _inner = crate::span!("dbhist_test_inner_latency_ns");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let records = collector.finish();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].name, "dbhist_test_inner_latency_ns");
-        assert_eq!(records[1].name, "dbhist_test_outer_latency_ns");
-        assert!(records[1].duration >= records[0].duration, "outer contains inner");
-        assert!(records[0].duration >= Duration::from_millis(1));
-    }
-
-    #[test]
     fn enabled_spans_record_into_registry() {
         let _serial = crate::test_support::enabled_flag_lock();
         registry::set_enabled(true);
@@ -223,15 +140,6 @@ mod tests {
         assert!(calls >= 1, "span call counter must tick");
         let hist = snap.histogram("dbhist_test_recorded_latency_ns");
         assert!(hist.is_some_and(|h| h.count >= 1), "span latency must be recorded");
-    }
-
-    #[test]
-    fn dropped_collector_uninstalls() {
-        {
-            let _collector = SpanCollector::install();
-            let _span = crate::span!("dbhist_test_dropped_latency_ns");
-        }
-        assert!(!collector_installed());
     }
 
     #[test]

@@ -30,8 +30,8 @@ use dbhist::core::factor::{ExactFactor, Factor};
 use dbhist::core::marginal::{estimate_mass_interpreted, exact_box_mass};
 use dbhist::core::synopsis::{DbConfig, DbHistogram};
 use dbhist::core::{
-    EstimatorService, Query, QueryPath, SelectivityEstimator, ServiceConfig, Synopsis,
-    SynopsisBuilder,
+    EstimatorService, ExplainReport, Query, QueryPath, SelectivityEstimator, ServiceConfig,
+    Synopsis, SynopsisBuilder,
 };
 use dbhist::data::census;
 use dbhist::data::workload::{Workload, WorkloadConfig};
@@ -247,10 +247,13 @@ proptest! {
         }
     }
 
-    /// Interleaved query shapes on one synopsis (so pooled scratch is
-    /// taken, reused and returned across shapes) give each query the
-    /// bits a fresh clone with an empty pool gives it, over MHIST factors
-    /// on models with one- and two-attribute separators.
+    /// Interleaved plain, explained and feedback calls on one synopsis
+    /// (so pooled scratch is taken, reused and returned across shapes and
+    /// across the three entry points) give each query the bits, and each
+    /// explained query the report, that a fresh clone with an empty pool
+    /// gives it, over MHIST factors on models with one- and
+    /// two-attribute separators. Reports are compared with their timings
+    /// zeroed; only pooled scratch reports `scratch_reused`.
     #[test]
     fn pooled_scratch_reuse_across_interleaved_queries(
         arity in 3usize..=5,
@@ -262,14 +265,32 @@ proptest! {
         let db = DbHistogram::for_model(&rel, model, DbConfig::new(400)).unwrap();
         let queries: Vec<Query> =
             (0..5).map(|_| random_query(rel.schema(), &mut state).1).collect();
+        let untimed = |mut report: ExplainReport| {
+            report.total_ns = 0;
+            for step in report.groups.iter_mut().flat_map(|g| &mut g.steps) {
+                step.ns = 0;
+            }
+            report
+        };
         for _ in 0..3 {
             for query in &queries {
                 let pooled = db.try_estimate(query).unwrap();
                 let fresh = db.clone().try_estimate(query).unwrap();
                 prop_assert_eq!(pooled.to_bits(), fresh.to_bits(), "{:?}", query);
+
+                let (explained, report) = db.try_estimate_explained(query).unwrap();
+                let (fresh, fresh_report) = db.clone().try_estimate_explained(query).unwrap();
+                prop_assert_eq!(explained.to_bits(), pooled.to_bits(), "{:?}", query);
+                prop_assert_eq!(fresh.to_bits(), pooled.to_bits(), "{:?}", query);
+                prop_assert_eq!(report.scratch_reused, Some(true));
+                prop_assert_eq!(fresh_report.scratch_reused, Some(false));
+                let fresh_report = ExplainReport { scratch_reused: Some(true), ..fresh_report };
+                prop_assert_eq!(untimed(report), untimed(fresh_report), "{:?}", query);
+
+                db.record_feedback(query, pooled + 1.0);
             }
         }
-        prop_assert_eq!(db.query_trace().evaluations, 15);
+        prop_assert_eq!(db.query_trace().evaluations, 45);
     }
 }
 
