@@ -19,10 +19,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dbhist::core::builder::{FactorKind, SynopsisBuilder};
 use dbhist::core::marginal::estimate_mass_interpreted;
+use dbhist::core::synopsis::AllocationStrategy;
 use dbhist::core::{Query, SelectivityEstimator, Synopsis};
 use dbhist::data::census;
 use dbhist::data::workload::{Workload, WorkloadConfig};
 use dbhist::distribution::{AttrSet, Relation, Schema};
+use dbhist::histogram::SplitCriterion;
 use dbhist::persist::crc32;
 
 /// What one build is pinned to.
@@ -76,7 +78,12 @@ fn interpreted(synopsis: &Synopsis, query: &Query) -> f64 {
 }
 
 fn pin(rel: &Relation, kind: FactorKind, budget: usize) -> Pin {
-    let synopsis = SynopsisBuilder::new(rel).budget(budget).factor(kind).build().unwrap();
+    pin_built(rel, SynopsisBuilder::new(rel).budget(budget).factor(kind))
+}
+
+/// The pin of whatever `builder` builds over `rel`.
+fn pin_built(rel: &Relation, builder: SynopsisBuilder<'_>) -> Pin {
+    let synopsis = builder.build().unwrap();
     let buckets = match &synopsis {
         Synopsis::Mhist(db) => db.factors().iter().map(|f| f.bucket_count()).collect(),
         Synopsis::Grid(db) => db.factors().iter().map(|f| f.bucket_count()).collect(),
@@ -254,6 +261,161 @@ fn census_2_mhist_20kb_is_pinned() {
             ],
         },
     );
+}
+
+/// Census-2 at 20 KB under V-Optimal splits: the MHIST builder's second
+/// criterion, through the same split search as the MaxDiff pin above.
+#[test]
+fn census_2_voptimal_20kb_is_pinned() {
+    let rel = census::census_data_set_2_with(15_000, 0x005e_1ec8);
+    let builder = SynopsisBuilder::new(&rel).budget(20_000).criterion(SplitCriterion::VOptimal);
+    let expected = Pin {
+        splits_funded: 2211,
+        buckets: vec![20, 65, 286, 292, 176, 276, 256, 249, 196, 44, 362],
+        storage_bytes: 19998,
+        snapshot_crc: 0xe44b_2ddd,
+        estimates: vec![
+            0x40c8_5980_0000_0000,
+            0x40cc_2c80_0000_0000,
+            0x40cc_2a80_0000_0000,
+            0x40cc_31d7_9435_e50e,
+            0x40c6_0100_0000_0000,
+            0x40be_7983_be8f_4775,
+            0x40b7_bae2_5da3_b508,
+            0x40c8_2c00_0000_0000,
+            0x40b8_9400_0000_0000,
+            0x40c6_384e_d5bb_1daa,
+            0x40c3_ee0d_6fb6_ec26,
+            0x40bd_4004_7847_8478,
+            0x40b3_e79d_da69_03da,
+            0x4088_4966_90e6_3477,
+            0x4089_d88b_8908_bea8,
+            0x4053_d000_0000_0000,
+            0x4083_9898_3082_c11b,
+            0x4098_61d6_16bb_9800,
+            0x409b_adc6_56be_18cd,
+            0x40a0_9abc_c1e0_98eb,
+            0x40bc_c340_91cb_1c91,
+            0x4095_b348_1157_34c5,
+            0x40a9_4746_239c_e33c,
+            0x40cd_4c00_0000_0000,
+        ],
+        served: vec![
+            0x40c8_5980_0000_0000,
+            0x40cc_2c80_0000_0000,
+            0x40cc_2a80_0000_0000,
+            0x40cc_31d7_9435_e50e,
+            0x40c6_0100_0000_0000,
+            0x40be_7983_be8f_4775,
+            0x40b7_bae2_5da3_b508,
+            0x40c8_2c00_0000_0000,
+            0x40b8_9400_0000_0000,
+            0x40c6_384e_d5bb_1daa,
+            0x40c3_ee0d_6fb6_ec26,
+            0x40bd_4004_7847_8478,
+            0x40b3_e79d_da69_03db,
+            0x4088_4966_90e6_3476,
+            0x4089_d88b_8908_bea9,
+            0x4053_d000_0000_0000,
+            0x4083_9899_d6c7_8234,
+            0x4098_61d7_f849_ea15,
+            0x409b_adc6_56be_18cc,
+            0x40a0_9abc_c1e0_98eb,
+            0x40bc_c910_6709_de7a,
+            0x4095_b348_1157_34c5,
+            0x40aa_08de_87f8_4430,
+            0x40cd_4c00_0000_0002,
+        ],
+    };
+    assert_eq!(pin_built(&rel, builder), expected);
+}
+
+/// Census-1 with three-attribute cliques: their marginals are counted
+/// through the code path for sets of more than two attributes.
+#[test]
+fn census_1_k_max_3_mhist_3kb_is_pinned() {
+    let rel = census::census_data_set_1_with(20_000, 0x005e_1ec7);
+    let builder = SynopsisBuilder::new(&rel).budget(3_000).k_max(3);
+    let expected = Pin {
+        splits_funded: 329,
+        buckets: vec![43, 83, 117, 90],
+        storage_bytes: 2997,
+        snapshot_crc: 0x97d0_c331,
+        estimates: vec![
+            0x40d0_48d5_5555_5555,
+            0x40d1_ee87_b23b_ca5f,
+            0x40d2_5658_1b9c_182c,
+            0x40d2_9e87_514a_56de,
+            0x40cd_4b00_0000_0000,
+            0x40c3_f980_0000_0000,
+            0x40b7_3eb9_3ad2_9790,
+            0x408f_884f_72d4_4b34,
+            0x4089_fb2b_1af0_115d,
+            0x4063_0d3a_c7b8_e3ed,
+            0x4088_c3c5_d638_8659,
+            0x40d3_87ff_e1d2_f6d1,
+        ],
+        served: vec![
+            0x40d0_48d5_5555_5556,
+            0x40d1_ee87_b23b_ca5f,
+            0x40d2_5658_1b9c_182c,
+            0x40d2_9e87_514a_56de,
+            0x40cd_4b00_0000_0000,
+            0x40c3_f980_0000_0000,
+            0x40b7_3eb9_3ad2_9790,
+            0x408f_884f_72d4_4b1c,
+            0x4089_fb2c_fd56_2aa9,
+            0x4063_0d3a_c7b8_e3ee,
+            0x4088_c3c5_d638_8659,
+            0x40d3_87ff_ffff_ffff,
+        ],
+    };
+    assert_eq!(pin_built(&rel, builder), expected);
+}
+
+/// A small budget under the optimal DP: measuring its error curves drives
+/// every clique builder as far as the budget allows before the funded
+/// builders are built again.
+#[test]
+fn census_1_optimal_dp_1kb_is_pinned() {
+    let rel = census::census_data_set_1_with(20_000, 0x005e_1ec7);
+    let builder =
+        SynopsisBuilder::new(&rel).budget(1_000).allocation(AllocationStrategy::OptimalDp);
+    let expected = Pin {
+        splits_funded: 106,
+        buckets: vec![14, 21, 28, 25, 23],
+        storage_bytes: 999,
+        snapshot_crc: 0x716b_4cae,
+        estimates: vec![
+            0x40d0_4700_0000_0000,
+            0x40d2_060f_9a77_0e3f,
+            0x40d2_23ca_b660_b59b,
+            0x40d2_2b07_59db_e86f,
+            0x40cd_4b00_0000_0000,
+            0x40c4_0b50_0000_0000,
+            0x40b7_5900_4449_ddfa,
+            0x4091_0fb9_58bc_ebfc,
+            0x4090_70bd_b39b_0842,
+            0x4064_a786_fb58_6fb5,
+            0x4089_171b_573e_ab37,
+            0x40d3_8800_0000_0000,
+        ],
+        served: vec![
+            0x40d0_4700_0000_0000,
+            0x40d2_060f_9a77_0e3f,
+            0x40d2_23ca_b660_b59b,
+            0x40d2_2b07_59db_e86f,
+            0x40cd_4b00_0000_0000,
+            0x40c4_0b50_0000_0000,
+            0x40b7_5900_4449_ddfb,
+            0x4091_0fb9_58bc_ebfb,
+            0x4090_7079_c0a3_2fc6,
+            0x4064_a786_fb58_6fb5,
+            0x4089_171b_573e_ab37,
+            0x40d3_8800_0000_0000,
+        ],
+    };
+    assert_eq!(pin_built(&rel, builder), expected);
 }
 
 fn xorshift(state: &mut u64) -> u64 {
