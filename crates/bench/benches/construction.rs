@@ -3,14 +3,19 @@
 //! * forward model selection: naive vs. the efficient separator-based
 //!   algorithm (the paper's novel contribution), including the number of
 //!   marginal-entropy computations each needs;
-//! * clique-histogram construction (MHIST builder) at several budgets;
-//! * end-to-end DB-histogram construction.
+//! * clique-histogram construction (MHIST builder) at several budgets,
+//!   and driven to saturation as `OptimalDp`'s error curves drive it;
+//! * end-to-end DB-histogram construction, including the paper-scale
+//!   Census-2 20 KB build (`dbbench serve-wide`'s set-up).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // bench drivers: abort on a broken build
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dbhist_bench::experiments::Scale;
+use dbhist_core::alloc::error_curve;
+use dbhist_core::build::MhistCliqueBuilder;
 use dbhist_core::SynopsisBuilder;
+use dbhist_data::census;
 use dbhist_distribution::AttrSet;
 use dbhist_histogram::mhist::MhistBuilder;
 use dbhist_histogram::SplitCriterion;
@@ -59,6 +64,19 @@ fn bench_mhist_build(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // `OptimalDp` measures every clique's error curve by splitting its
+    // builder until the budget or the cells run out; an unbounded budget
+    // runs the builder to saturation (one bucket per cell).
+    let mut group = c.benchmark_group("mhist_saturation");
+    group.sample_size(10);
+    group.bench_function("country_mother", |b| {
+        b.iter(|| {
+            let mut builder = MhistCliqueBuilder::start(&pair, SplitCriterion::MaxDiff).unwrap();
+            error_curve(&mut builder, usize::MAX).len()
+        });
+    });
+    group.finish();
 }
 
 fn bench_db_build(c: &mut Criterion) {
@@ -71,6 +89,12 @@ fn bench_db_build(c: &mut Criterion) {
             b.iter(|| SynopsisBuilder::new(&rel).budget(kb * 1024).build_mhist().unwrap());
         });
     }
+    // Paper scale: Census-2 (83,566 rows x 12) at 20 KB, as
+    // `dbbench serve-wide` builds it.
+    let census_2 = census::census_data_set_2();
+    group.bench_function("census2_20kb", |b| {
+        b.iter(|| SynopsisBuilder::new(&census_2).budget(20_000).build_mhist().unwrap());
+    });
     group.finish();
 }
 

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use dbhist_distribution::{AttrSet, Distribution, Relation};
+use dbhist_distribution::{AttrSet, Columns, Distribution, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
 use dbhist_model::junction::RootedViews;
 use dbhist_model::selection::{ForwardSelector, SelectionConfig, SelectionResult};
@@ -381,13 +381,14 @@ impl<F: Factor> SelectivityEstimator for DbHistogram<F> {
     }
 }
 
-/// Starts one incremental builder per model clique, in clique order.
+/// Starts one incremental builder per model clique, in clique order,
+/// each over its marginal counted from `columns`.
 fn start_builders<B>(
-    relation: &Relation,
+    columns: &Columns<'_>,
     model: &DecomposableModel,
     start: &impl Fn(&Distribution) -> Result<B, SynopsisError>,
 ) -> Result<Vec<B>, SynopsisError> {
-    model.cliques().iter().map(|c| start(&relation.marginal(c)?)).collect()
+    model.cliques().iter().map(|c| start(&columns.marginal(c)?)).collect()
 }
 
 /// Shared construction pipeline: select a model, then build the clique
@@ -400,17 +401,21 @@ fn build_generic<B, F>(
     start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
 ) -> Result<(DbHistogram<F>, SelectionResult), SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F>,
+    B: IncrementalBuilder<Histogram = F> + Clone,
     F: Factor,
 {
     config.selection.validate()?;
     let started = Instant::now();
-    let selection = {
+    // One column copy counts selection's entropies and then the chosen
+    // model's clique marginals.
+    let (columns, selection) = {
         let _span = dbhist_telemetry::span!("dbhist_build_selection_latency_us");
-        ForwardSelector::new(relation, config.selection).run()
+        let columns = Columns::new(relation);
+        let selection = ForwardSelector::with_columns(&columns, config.selection).run();
+        (columns, selection)
     };
     let selection_time = started.elapsed();
-    let mut synopsis = build_for_model(relation, selection.model.clone(), config, start)?;
+    let mut synopsis = build_for_model(columns, selection.model.clone(), config, start)?;
     let mut trace = synopsis.build_trace();
     trace.selection = selection_time;
     trace.total = selection_time + trace.total;
@@ -421,21 +426,25 @@ where
     Ok((synopsis, selection))
 }
 
-/// Builds the clique-histogram collection for an already-selected model.
+/// Builds the clique-histogram collection for an already-selected model,
+/// counting its clique marginals from `columns`, which it drops before
+/// allocation starts.
 fn build_for_model<B, F>(
-    relation: &Relation,
+    columns: Columns<'_>,
     model: DecomposableModel,
     config: &DbConfig,
     start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
 ) -> Result<DbHistogram<F>, SynopsisError>
 where
-    B: IncrementalBuilder<Histogram = F>,
+    B: IncrementalBuilder<Histogram = F> + Clone,
     F: Factor,
 {
     let started = Instant::now();
     let mut builders: Vec<B> = {
         let _span = dbhist_telemetry::span!("dbhist_build_construction_latency_us");
-        start_builders(relation, &model, &start)?
+        let builders = start_builders(&columns, &model, &start)?;
+        drop(columns);
+        builders
     };
     let construction = started.elapsed();
 
@@ -447,12 +456,13 @@ where
                 incremental_gains(&mut builders, config.budget_bytes)?.splits
             }
             AllocationStrategy::OptimalDp => {
-                // Measuring the error curves drives the builders to
-                // saturation; fresh builders are created below for the
-                // actual allocation.
+                // Measuring the error curves drives the builders as far
+                // as the budget allows; copies of the fresh builders take
+                // the actual allocation.
+                let mut measured = builders.clone();
                 let curves: Vec<_> =
-                    builders.iter_mut().map(|b| error_curve(b, config.budget_bytes)).collect();
-                builders = start_builders(relation, &model, &start)?;
+                    measured.iter_mut().map(|b| error_curve(b, config.budget_bytes)).collect();
+                drop(measured);
                 let picks = optimal_dp(&curves, config.budget_bytes)?;
                 apply_allocation(&mut builders, &picks);
                 picks.iter().map(|p| p.buckets.saturating_sub(1)).sum()
@@ -540,7 +550,7 @@ impl DbHistogram<SplitTree> {
         model: DecomposableModel,
         config: DbConfig,
     ) -> Result<Self, SynopsisError> {
-        build_for_model(relation, model, &config, |marginal| {
+        build_for_model(Columns::new(relation), model, &config, |marginal| {
             MhistCliqueBuilder::start(marginal, config.criterion)
         })
     }

@@ -11,13 +11,16 @@
 //!
 //! Each computation counts packed codes and sums `f·ln f` over the ordered
 //! counts, without materializing the marginal as a [`Distribution`], and
-//! is bit-identical to [`Relation::marginal_entropy`]. When every domain
-//! fits a byte (both Census sets), the cache keeps a column-major byte copy
-//! of the relation, so the one- and two-attribute marginals that dominate
-//! selection read only their own columns. That keeps the cost of each
-//! calculation low as well as their number.
+//! is bit-identical to [`Relation::marginal_entropy`]. The cache counts
+//! through a [`Columns`] copy of the relation, so each marginal reads only
+//! its own attributes' byte columns. That keeps the cost of each
+//! calculation low as well as their number. A synopsis build lends the
+//! cache the [`Columns`] it later counts the clique marginals from
+//! ([`EntropyCache::with_columns`]).
 //!
 //! [`Distribution`]: crate::Distribution
+
+use std::borrow::Cow;
 
 use crate::attr::AttrSet;
 use crate::count::Columns;
@@ -27,31 +30,34 @@ use crate::relation::Relation;
 /// Memoizes `E(f_S)` for attribute subsets `S` of a fixed relation.
 #[derive(Debug)]
 pub struct EntropyCache<'a> {
-    relation: &'a Relation,
-    columns: Option<Columns<'a>>,
+    columns: Cow<'a, Columns<'a>>,
     entropies: FxHashMap<AttrSet, f64>,
     computed: usize,
     hits: usize,
 }
 
 impl<'a> EntropyCache<'a> {
-    /// Creates an empty cache over `relation`, copying its values
-    /// column-major when every domain fits a byte.
+    /// Creates an empty cache over `relation`, with a [`Columns`] copy of
+    /// its own.
     #[must_use]
     pub fn new(relation: &'a Relation) -> Self {
-        Self {
-            relation,
-            columns: Columns::new(relation),
-            entropies: FxHashMap::default(),
-            computed: 0,
-            hits: 0,
-        }
+        Self::over(Cow::Owned(Columns::new(relation)))
+    }
+
+    /// Creates an empty cache that counts from `columns`.
+    #[must_use]
+    pub fn with_columns(columns: &'a Columns<'a>) -> Self {
+        Self::over(Cow::Borrowed(columns))
+    }
+
+    fn over(columns: Cow<'a, Columns<'a>>) -> Self {
+        Self { columns, entropies: FxHashMap::default(), computed: 0, hits: 0 }
     }
 
     /// The relation the cache computes entropies from.
     #[must_use]
     pub fn relation(&self) -> &'a Relation {
-        self.relation
+        self.columns.relation()
     }
 
     /// Entropy `E(f_S)` of the marginal over `attrs`, computing and caching
@@ -67,11 +73,7 @@ impl<'a> EntropyCache<'a> {
         let h = if attrs.is_empty() {
             0.0
         } else {
-            match &self.columns {
-                Some(columns) => columns.marginal_entropy(attrs),
-                None => self.relation.marginal_entropy(attrs),
-            }
-            .unwrap_or(0.0)
+            self.columns.marginal_entropy(attrs).unwrap_or(0.0)
         };
         self.computed += 1;
         self.entropies.insert(attrs.clone(), h);

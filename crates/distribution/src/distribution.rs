@@ -63,7 +63,12 @@ impl Distribution {
     /// Returns [`DistributionError::UnknownAttr`] if `attrs` references an
     /// attribute outside the relation's schema.
     pub fn from_relation(rel: &Relation, attrs: &AttrSet) -> Result<Self, DistributionError> {
-        let counts = CellCounts::new(rel, attrs)?;
+        Ok(Self::from_counts(rel, attrs, CellCounts::new(rel, attrs, None)?))
+    }
+
+    /// The marginal of `rel` over `attrs` whose cells `counts` counted;
+    /// `total` is the row count.
+    pub(crate) fn from_counts(rel: &Relation, attrs: &AttrSet, counts: CellCounts<'_>) -> Self {
         let mut cells = Vec::with_capacity(counts.cell_count());
         cells.extend(counts.cells().map(|(code, count)| (counts.key(code), count as f64)));
         // Free the counts first: the map's sort buffer and nodes can then
@@ -79,7 +84,7 @@ impl Distribution {
         if let Err(violation) = dist.validate() {
             panic!("distribution invariant violated: {violation}"); // lint:allow(panic-surface): debug-only invariant validator
         }
-        Ok(dist)
+        dist
     }
 
     /// Structural invariant check (see DESIGN.md, "Invariants & lint

@@ -25,6 +25,9 @@
 //! * [`EntropyCache`] — memoized marginal entropies, the workhorse of
 //!   forward model selection (each candidate edge is scored from four
 //!   marginal entropies).
+//! * [`Columns`] — a byte-per-value column-major copy of a relation that
+//!   counts many marginals and entropies of it, each from its own
+//!   columns; a synopsis build counts selection and construction from one.
 //! * [`fxhash`] — a small, fast, non-cryptographic hasher used for tuple
 //!   keys throughout the workspace (built in-repo to keep the dependency
 //!   surface minimal).
@@ -63,6 +66,7 @@ pub mod relation;
 
 pub use attr::{Attr, AttrId, AttrSet, Schema};
 pub use cache::EntropyCache;
+pub use count::Columns;
 pub use distribution::Distribution;
 pub use error::DistributionError;
 pub use relation::Relation;

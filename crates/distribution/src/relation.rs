@@ -7,7 +7,7 @@
 
 use crate::attr::{AttrId, AttrSet, Schema};
 use crate::count::CellCounts;
-use crate::distribution::{entropy, Distribution};
+use crate::distribution::Distribution;
 use crate::error::DistributionError;
 
 /// A materialized table of integer-coded tuples.
@@ -121,8 +121,7 @@ impl Relation {
     /// Returns [`DistributionError::UnknownAttr`] if `attrs` mentions an
     /// attribute not in the schema.
     pub fn marginal_entropy(&self, attrs: &AttrSet) -> Result<f64, DistributionError> {
-        let counts = CellCounts::new(self, attrs)?;
-        Ok(entropy(self.row_count() as f64, counts.cells().map(|(_, count)| count as f64)))
+        Ok(CellCounts::new(self, attrs, None)?.entropy())
     }
 
     /// Counts the tuples matching a conjunction of per-attribute inclusive

@@ -3,19 +3,20 @@
 //!
 //! The reference below is the counter the packed-code kernel replaced: it
 //! projects each row onto the attribute set and bumps a `BTreeMap` entry.
-//! `Distribution::from_relation` must reproduce its cells, counts, total
-//! and entropy bits, and `Relation::marginal_entropy` and `EntropyCache`
-//! (which counts small sets from a column-major copy) its entropy bits, on
+//! `Distribution::from_relation` and `Columns::marginal` (the byte-column
+//! counter a synopsis build uses) must reproduce its cells, counts, total
+//! and entropy bits, and `Relation::marginal_entropy`,
+//! `Columns::marginal_entropy` and `EntropyCache` its entropy bits, on
 //! random schemas chosen to reach every path of the kernel: dense and
-//! sorted counting on both sides of the boundary, rank compression of code
-//! spaces above 2^64, domain-size-1 attributes, zero rows and single
-//! attributes.
+//! sorted counting on both sides of the boundary, `u128` codes for code
+//! spaces above 2^64, rank compression of code spaces above 2^128,
+//! domain-size-1 attributes, zero rows and single attributes.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
 use std::collections::BTreeMap;
 
-use dbhist_distribution::{AttrId, AttrSet, Distribution, EntropyCache, Relation, Schema};
+use dbhist_distribution::{AttrId, AttrSet, Columns, Distribution, EntropyCache, Relation, Schema};
 use proptest::prelude::*;
 
 /// Per-row `BTreeMap` counts of `rel` projected onto `attrs`.
@@ -68,6 +69,17 @@ fn check_subset(rel: &Relation, attrs: &AttrSet) -> Result<(), String> {
     let cached = EntropyCache::new(rel).entropy(attrs);
     if !attrs.is_empty() && cached.to_bits() != h.to_bits() {
         return Err(format!("EntropyCache::entropy {cached} != {h} over {attrs:?}"));
+    }
+    let columns = Columns::new(rel);
+    let counted = columns.marginal(attrs).map_err(|e| e.to_string())?;
+    let counted_cells: Vec<(Vec<u32>, f64)> =
+        counted.iter().map(|(k, f)| (k.to_vec(), f)).collect();
+    if counted_cells != expected || counted.total().to_bits() != total.to_bits() {
+        return Err(format!("Columns::marginal differs over {attrs:?}"));
+    }
+    let from_columns = columns.marginal_entropy(attrs).map_err(|e| e.to_string())?;
+    if from_columns.to_bits() != h.to_bits() {
+        return Err(format!("Columns::marginal_entropy {from_columns} != {h} over {attrs:?}"));
     }
     Ok(())
 }
@@ -187,8 +199,9 @@ fn byte_columns_cover_domains_up_to_256() {
     }
 }
 
-/// Code spaces above 2^64 fold their leading attributes into dense ranks,
-/// once or several times, and still count and decode exactly.
+/// Code spaces above 2^64 count as `u128` codes, and the full set's,
+/// above 2^128, folds its leading attributes into dense ranks; both count
+/// and decode exactly.
 #[test]
 fn rank_compression_preserves_cells_and_order() {
     let domains = [u32::MAX, 1, 7, u32::MAX - 1, u32::MAX, 2, u32::MAX, 13];
@@ -216,7 +229,7 @@ fn rank_compression_preserves_cells_and_order() {
 }
 
 /// All 12 singletons, all 66 pairs and the 12-attribute joint (65.2 bits
-/// of code space, one compression step) of a Census-2 sample.
+/// of code space, counted as `u128` codes) of a Census-2 sample.
 #[test]
 fn census_2_singletons_pairs_and_joint() {
     let rel = dbhist_data::census::census_data_set_2_with(5_000, 0x00C0_0217);

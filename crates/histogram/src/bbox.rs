@@ -81,6 +81,24 @@ impl BoundingBox {
         Some((left, right))
     }
 
+    /// The volumes of [`BoundingBox::halves`]`(a, split)` without building
+    /// the halves: each is the same saturating product `volume` takes.
+    pub(crate) fn halves_volumes(&self, a: AttrId, split: u32) -> Option<[u64; 2]> {
+        let p = self.attrs.position(a)?;
+        let (lo, hi) = self.ranges[p];
+        if split <= lo || split > hi {
+            return None;
+        }
+        let volume = |cut: (u32, u32)| {
+            let ranges = self.ranges.iter().enumerate();
+            ranges
+                .map(|(i, &range)| if i == p { cut } else { range })
+                .map(|(lo, hi)| u64::from(hi - lo) + 1)
+                .fold(1u64, u64::saturating_mul)
+        };
+        Some([volume((lo, split - 1)), volume((split, hi))])
+    }
+
     /// Number of integer points in the box (`Π (hi − lo + 1)`), saturating.
     #[must_use]
     pub fn volume(&self) -> u64 {

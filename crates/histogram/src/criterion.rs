@@ -52,27 +52,27 @@ pub fn best_split(values: &[(u32, f64)], criterion: SplitCriterion) -> Option<Sp
             Some(best)
         }
         SplitCriterion::VOptimal => {
-            // Prefix sums of f and f² give O(1) SSE for any prefix/suffix.
+            // SSE of a run from its sums of f and f²; the prefix sums are
+            // carried along the scan and the suffix sums are the totals
+            // less the prefix, so nothing is allocated.
+            let sse = |sum: f64, sum_sq: f64, k: usize| sum_sq - sum * sum / k as f64;
+            let (sum, sum_sq) =
+                values.iter().fold((0.0, 0.0), |(s, q), &(_, f)| (s + f, q + f * f));
             let n = values.len();
-            let mut sum = vec![0.0; n + 1];
-            let mut sum_sq = vec![0.0; n + 1];
-            for (i, &(_, f)) in values.iter().enumerate() {
-                sum[i + 1] = sum[i] + f;
-                sum_sq[i + 1] = sum_sq[i] + f * f;
-            }
-            let sse = |lo: usize, hi: usize| -> f64 {
-                // SSE of values[lo..hi].
-                let k = (hi - lo) as f64;
-                let s = sum[hi] - sum[lo];
-                (sum_sq[hi] - sum_sq[lo]) - s * s / k
-            };
-            let total = sse(0, n);
+            let total = sse(sum, sum_sq, n);
             let mut best = SplitChoice { value: values[1].0, score: f64::NEG_INFINITY };
-            for (i, &(value, _)) in values.iter().enumerate().skip(1) {
-                let score = total - sse(0, i) - sse(i, n);
-                if score > best.score {
-                    best = SplitChoice { value, score };
+            let (mut prefix, mut prefix_sq) = (0.0, 0.0);
+            for (i, &(value, f)) in values.iter().enumerate() {
+                if i > 0 {
+                    let score = total
+                        - sse(prefix, prefix_sq, i)
+                        - sse(sum - prefix, sum_sq - prefix_sq, n - i);
+                    if score > best.score {
+                        best = SplitChoice { value, score };
+                    }
                 }
+                prefix += f;
+                prefix_sq += f * f;
             }
             Some(best)
         }
@@ -107,24 +107,26 @@ pub fn best_split_bounded(
         SplitCriterion::MaxDiff => f,
         SplitCriterion::VOptimal => f * f,
     };
-    let mut candidates: Vec<(u32, f64)> = Vec::new();
+    // Candidates in a fixed order (leading margin, trailing margin, then
+    // interior gaps left to right); the first of equal scores wins.
+    let mut consider = |value: u32, f: f64| {
+        let score = gap_score(f);
+        if value > lo && value <= hi && best.is_none_or(|b| score > b.score) {
+            best = Some(SplitChoice { value, score });
+        }
+    };
     let first = values[0];
     let last = values[values.len() - 1];
     if first.0 > lo {
-        candidates.push((first.0, gap_score(first.1)));
+        consider(first.0, first.1);
     }
     if last.0 < hi {
-        candidates.push((last.0 + 1, gap_score(last.1)));
+        consider(last.0 + 1, last.1);
     }
     for w in values.windows(2) {
         if w[1].0 > w[0].0 + 1 {
-            candidates.push((w[0].0 + 1, gap_score(w[0].1)));
-            candidates.push((w[1].0, gap_score(w[1].1)));
-        }
-    }
-    for (value, score) in candidates {
-        if value > lo && value <= hi && best.is_none_or(|b| score > b.score) {
-            best = Some(SplitChoice { value, score });
+            consider(w[0].0 + 1, w[0].1);
+            consider(w[1].0, w[1].1);
         }
     }
     best

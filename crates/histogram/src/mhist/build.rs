@@ -14,6 +14,20 @@
 //! would produce, and the builder caches the index of the bucket it would
 //! split next, so `peek_gain` is a read, `error` sums cached bucket SSEs,
 //! and `split_once` refreshes only the two new buckets.
+//!
+//! All cells live in one arena, in the distribution's key order, and a
+//! bucket is a contiguous range of it. The arena is column-major: one
+//! column of frequencies and one per dimension holding each cell's value
+//! as its rank, its position among the values some cell holds along that
+//! dimension. A split partitions its bucket's range of every column in
+//! place and stably through reused spill buffers, so every bucket's cells
+//! stay in key order, and each child takes the SSE its parent cached for
+//! that half. Split search sums each dimension's frequencies into a dense
+//! array indexed by rank instead of sorting, and both halves' SSE come
+//! from two passes over the bucket's cells. Apart from the tree's own
+//! nodes and boxes, a split allocates nothing.
+
+use std::ops::Range;
 
 use dbhist_distribution::{AttrId, AttrSet, Distribution};
 
@@ -39,11 +53,8 @@ struct BestSplit {
 /// A bucket under construction: its cells, box, and cached best split.
 #[derive(Debug, Clone)]
 struct BucketState {
-    /// Keys of the bucket's non-zero cells, flattened: cell `i`'s key
-    /// (aligned with the builder's attrs) is `keys[i * arity..][..arity]`.
-    keys: Vec<u32>,
-    /// Frequencies of the cells, in the same order as `keys`.
-    freqs: Vec<f64>,
+    /// The bucket's cells: a range of the builder's cell arena.
+    cells: Range<usize>,
     bbox: BoundingBox,
     /// Arena id of the leaf node representing this bucket.
     node: NodeId,
@@ -53,10 +64,76 @@ struct BucketState {
     best: Option<BestSplit>,
 }
 
+/// The distribution's cells, which the buckets partition, column by
+/// column.
+#[derive(Debug, Clone)]
+struct Cells {
+    /// Per dimension, the distinct values cells hold along it, ascending.
+    values: Vec<Vec<u32>>,
+    /// Per dimension, each cell's rank into `values`. Ranks order like the
+    /// values they stand for.
+    ranks: Vec<Vec<u32>>,
+    /// Each cell's frequency.
+    freqs: Vec<f64>,
+}
+
+impl Cells {
+    fn new(dist: &Distribution) -> Self {
+        let arity = dist.attrs().len();
+        let mut ranks: Vec<Vec<u32>> =
+            (0..arity).map(|_| Vec::with_capacity(dist.support_size())).collect();
+        let mut freqs = Vec::with_capacity(dist.support_size());
+        for (key, f) in dist.iter() {
+            for (column, &v) in ranks.iter_mut().zip(key) {
+                column.push(v);
+            }
+            freqs.push(f);
+        }
+        // Replace each value by its rank among the values held along its
+        // dimension.
+        let values = ranks
+            .iter_mut()
+            .map(|column| {
+                let mut along = column.clone();
+                along.sort_unstable();
+                along.dedup();
+                for value in column.iter_mut() {
+                    *value = rank(&along, *value);
+                }
+                along
+            })
+            .collect();
+        Self { values, ranks, freqs }
+    }
+}
+
+/// The rank `value` would take among the ascending `values`: the number
+/// below it.
+fn rank(values: &[u32], value: u32) -> u32 {
+    // lint:allow-next-line(as-narrowing): at most `value` distinct `u32`s lie below `value`
+    values.partition_point(|&v| v < value) as u32
+}
+
+/// Buffers reused across splits.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per-rank frequency sums along one dimension of a bucket, `None`
+    /// for a value no cell of the bucket holds. All `None` between uses:
+    /// split search resets the entries it filled.
+    sums: Vec<Option<f64>>,
+    /// The bucket's values along that dimension as `(value, sum)`,
+    /// ascending.
+    along: Vec<(u32, f64)>,
+    /// Whether each cell of a bucket being split goes left.
+    sides: Vec<bool>,
+    /// One column's right-half entries while a split partitions it.
+    spill_ranks: Vec<u32>,
+    spill_freqs: Vec<f64>,
+}
+
 /// Volume-aware SSE of a bucket of `volume` cells holding `freqs`: cells
-/// not listed count as zeroes. Both the bucket's own SSE and the cached
-/// SSE of each half go through this one fold, in cell order, so a half's
-/// prediction and the child's own value are the same bits.
+/// not listed count as zeroes. The root bucket's SSE comes from here;
+/// [`halves_sse`] computes the same folds for both halves of a split.
 fn volume_sse(freqs: impl Iterator<Item = f64> + Clone, volume: u64) -> f64 {
     let volume = volume as f64;
     let total: f64 = freqs.clone().sum();
@@ -66,6 +143,58 @@ fn volume_sse(freqs: impl Iterator<Item = f64> + Clone, volume: u64) -> f64 {
     nonzero_sse + (volume - nnz) * mean * mean
 }
 
+/// [`volume_sse`] of both halves of cutting `cells` of `arena` at rank
+/// `cut` along position `pos`: the cells ranked below `cut` in a box of
+/// `volumes[0]` points and the rest in one of `volumes[1]`. One pass sums
+/// and counts each half, a second sums its squared deviations. Each
+/// accumulator starts where `f64`'s `Sum` does (`-0.0`) and adds its
+/// half's cells in order; a cell of the other half adds `-0.0`, which
+/// leaves every `f64` as it is. So both results are the bits
+/// `volume_sse` over that half gives, without a branch per cell.
+fn halves_sse(
+    arena: &Cells,
+    cells: &Range<usize>,
+    pos: usize,
+    cut: u32,
+    volumes: [u64; 2],
+) -> [f64; 2] {
+    let (ranks, freqs) = (&arena.ranks[pos][cells.clone()], &arena.freqs[cells.clone()]);
+    let sides = || ranks.iter().map(|&r| r < cut).zip(freqs);
+    let only = |keep: bool, x: f64| if keep { x } else { -0.0 };
+    let (mut left, mut right) = ((-0.0f64, 0usize), (-0.0f64, 0usize));
+    for (is_left, &f) in sides() {
+        left = (left.0 + only(is_left, f), left.1 + usize::from(is_left));
+        right = (right.0 + only(!is_left, f), right.1 + usize::from(!is_left));
+    }
+    let [lvol, rvol] = volumes.map(|v| v as f64);
+    let (lmean, rmean) = (left.0 / lvol, right.0 / rvol);
+    let (mut lsq, mut rsq) = (-0.0f64, -0.0f64);
+    for (is_left, &f) in sides() {
+        lsq += only(is_left, (f - lmean).powi(2));
+        rsq += only(!is_left, (f - rmean).powi(2));
+    }
+    [lsq + (lvol - left.1 as f64) * lmean * lmean, rsq + (rvol - right.1 as f64) * rmean * rmean]
+}
+
+/// Stably moves the entries of `column` whose `sides` flag is set to the
+/// front and the rest behind them, through `spill`. Every entry is
+/// written to both places and each side's cursor advances by its flag,
+/// so the loop does not branch on the side.
+fn partition_column<T: Copy + Default>(column: &mut [T], sides: &[bool], spill: &mut Vec<T>) {
+    if spill.len() < column.len() {
+        spill.resize(column.len(), T::default());
+    }
+    let (mut mid, mut spilled) = (0, 0);
+    for (i, &left) in sides.iter().enumerate() {
+        let x = column[i];
+        column[mid] = x;
+        spill[spilled] = x;
+        mid += usize::from(left);
+        spilled += usize::from(!left);
+    }
+    column[mid..].copy_from_slice(&spill[..spilled]);
+}
+
 /// Incremental MHIST-2 builder over a marginal [`Distribution`].
 #[derive(Debug, Clone)]
 pub struct MhistBuilder {
@@ -73,9 +202,11 @@ pub struct MhistBuilder {
     domain: BoundingBox,
     criterion: SplitCriterion,
     nodes: Vec<Node>,
+    cells: Cells,
     buckets: Vec<BucketState>,
     /// Index of the bucket the next split applies to.
     next: Option<usize>,
+    scratch: Scratch,
 }
 
 impl MhistBuilder {
@@ -101,23 +232,27 @@ impl MhistBuilder {
         let ranges: Vec<(u32, u32)> =
             attrs.iter().map(|a| (0, dist.schema().domain_size(a) - 1)).collect();
         let domain = BoundingBox::new(attrs.clone(), ranges);
-        let mut keys = Vec::with_capacity(dist.support_size() * attrs.len());
-        let mut freqs = Vec::with_capacity(dist.support_size());
-        for (k, f) in dist.iter() {
-            keys.extend_from_slice(k);
-            freqs.push(f);
-        }
-        let nodes = vec![Node::Leaf { freq: dist.total() }];
+        let cells = Cells::new(dist);
+        let widest = cells.values.iter().map(Vec::len).max().unwrap_or(0);
+        let scratch = Scratch { sums: vec![None; widest], ..Scratch::default() };
+        let root = BucketState {
+            cells: 0..cells.freqs.len(),
+            sse: volume_sse(cells.freqs.iter().copied(), domain.volume()),
+            bbox: domain.clone(),
+            node: 0,
+            best: None,
+        };
         let mut builder = Self {
             attrs,
-            domain: domain.clone(),
+            domain,
             criterion,
-            nodes,
+            nodes: vec![Node::Leaf { freq: dist.total() }],
+            cells,
             buckets: Vec::new(),
             next: None,
+            scratch,
         };
-        let bucket = builder.bucket(keys, freqs, domain);
-        builder.buckets.push(bucket);
+        builder.place(root, None);
         builder.next = builder.scan_next();
         Ok(builder)
     }
@@ -142,72 +277,21 @@ impl MhistBuilder {
         Ok(b.finish())
     }
 
-    /// A bucket over `keys`/`freqs` inside `bbox`, with its SSE and best
-    /// split computed (node id unassigned).
-    fn bucket(&self, keys: Vec<u32>, freqs: Vec<f64>, bbox: BoundingBox) -> BucketState {
-        let sse = volume_sse(freqs.iter().copied(), bbox.volume());
-        let mut bucket = BucketState { keys, freqs, bbox, node: 0, sse, best: None };
-        bucket.best = self.best_split(&bucket);
-        bucket
-    }
-
-    /// The best split of `bucket` across dimensions by the partitioning
-    /// constraint, with the SSE of both halves.
-    fn best_split(&self, bucket: &BucketState) -> Option<BestSplit> {
-        let arity = self.attrs.len();
-        let mut best: Option<(usize, AttrId, u32, f64)> = None;
-        let mut tmp: Vec<(u32, f64)> = Vec::with_capacity(bucket.freqs.len());
-        let mut agg: Vec<(u32, f64)> = Vec::with_capacity(bucket.freqs.len());
-        for (pos, attr) in self.attrs.iter().enumerate() {
-            // Aggregate cell frequencies along this dimension.
-            tmp.clear();
-            tmp.extend(
-                bucket
-                    .keys
-                    .iter()
-                    .skip(pos)
-                    .step_by(arity)
-                    .copied()
-                    .zip(bucket.freqs.iter().copied()),
-            );
-            tmp.sort_unstable_by_key(|&(v, _)| v);
-            agg.clear();
-            for &(v, f) in &tmp {
-                match agg.last_mut() {
-                    Some(last) if last.0 == v => last.1 += f,
-                    _ => agg.push((v, f)),
-                }
-            }
-            // Bucket boxes cover every histogram attribute by
-            // construction; skip the dimension if this one is corrupt.
-            let Some((lo, hi)) = bucket.bbox.range(attr) else {
-                continue;
-            };
-            if let Some(choice) = best_split_bounded(&agg, lo, hi, self.criterion) {
-                if best.is_none_or(|(_, _, _, s)| choice.score > s) {
-                    best = Some((pos, attr, choice.value, choice.score));
-                }
-            }
+    /// Computes `bucket`'s best split and stores the bucket at `slot`, or
+    /// appends it when `slot` is `None`.
+    fn place(&mut self, mut bucket: BucketState, slot: Option<usize>) {
+        bucket.best = best_split(
+            &self.attrs,
+            self.criterion,
+            &self.cells,
+            &bucket.cells,
+            &bucket.bbox,
+            &mut self.scratch,
+        );
+        match slot {
+            Some(idx) => self.buckets[idx] = bucket,
+            None => self.buckets.push(bucket),
         }
-        let (pos, attr, value, score) = best?;
-        let (lbox, rbox) = bucket.bbox.halves(attr, value)?;
-        let side = |left: bool| {
-            bucket
-                .keys
-                .iter()
-                .skip(pos)
-                .step_by(arity)
-                .zip(&bucket.freqs)
-                .filter(move |&(&k, _)| (k < value) == left)
-                .map(|(_, &f)| f)
-        };
-        Some(BestSplit {
-            attr,
-            value,
-            score,
-            left_sse: volume_sse(side(true), lbox.volume()),
-            right_sse: volume_sse(side(false), rbox.volume()),
-        })
     }
 
     /// The bucket with the highest best-split score; the last one wins
@@ -260,24 +344,8 @@ impl MhistBuilder {
         let Some((lbox, rbox)) = parent.bbox.halves(best.attr, best.value) else {
             return false;
         };
-        // Partition the cells, keeping their relative order.
-        let arity = self.attrs.len();
-        let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
-        let (mut left_freqs, mut right_freqs) = (Vec::new(), Vec::new());
-        for (key, &f) in parent.keys.chunks_exact(arity).zip(&parent.freqs) {
-            if key[pos] < best.value {
-                left_keys.extend_from_slice(key);
-                left_freqs.push(f);
-            } else {
-                right_keys.extend_from_slice(key);
-                right_freqs.push(f);
-            }
-        }
-        let mut left = self.bucket(left_keys, left_freqs, lbox);
-        let mut right = self.bucket(right_keys, right_freqs, rbox);
-        debug_assert_eq!(left.sse.to_bits(), best.left_sse.to_bits(), "cached left-half SSE");
-        debug_assert_eq!(right.sse.to_bits(), best.right_sse.to_bits(), "cached right-half SSE");
-        let leaf = self.buckets[idx].node;
+        let (cells, leaf) = (parent.cells.clone(), parent.node);
+        let mid = self.partition(cells.clone(), pos, rank(&self.cells.values[pos], best.value));
         // The old leaf becomes an internal node with two fresh leaves.
         let left_id = self.nodes.len() as NodeId;
         self.nodes.push(Node::Leaf { freq: 0.0 });
@@ -285,12 +353,47 @@ impl MhistBuilder {
         self.nodes.push(Node::Leaf { freq: 0.0 });
         self.nodes[leaf as usize] =
             Node::Internal { attr: best.attr, split: best.value, left: left_id, right: right_id };
-        left.node = left_id;
-        right.node = right_id;
-        self.buckets[idx] = left;
-        self.buckets.push(right);
+        // Each child takes the SSE its parent cached for that half.
+        let left = BucketState {
+            cells: cells.start..mid,
+            bbox: lbox,
+            node: left_id,
+            sse: best.left_sse,
+            best: None,
+        };
+        let right = BucketState {
+            cells: mid..cells.end,
+            bbox: rbox,
+            node: right_id,
+            sse: best.right_sse,
+            best: None,
+        };
+        #[cfg(debug_assertions)]
+        for child in [&left, &right] {
+            let freqs = &self.cells.freqs[child.cells.clone()];
+            debug_assert_eq!(
+                child.sse.to_bits(),
+                volume_sse(freqs.iter().copied(), child.bbox.volume()).to_bits(),
+                "cached half SSE"
+            );
+        }
+        self.place(left, Some(idx));
+        self.place(right, None);
         self.next = self.scan_next();
         true
+    }
+
+    /// Stably partitions `cells` into those ranked below `cut` at `pos`,
+    /// then the rest, column by column, and returns where the rest start.
+    fn partition(&mut self, cells: Range<usize>, pos: usize, cut: u32) -> usize {
+        let Scratch { sides, spill_ranks, spill_freqs, .. } = &mut self.scratch;
+        sides.clear();
+        sides.extend(self.cells.ranks[pos][cells.clone()].iter().map(|&r| r < cut));
+        for column in &mut self.cells.ranks {
+            partition_column(&mut column[cells.clone()], sides, spill_ranks);
+        }
+        partition_column(&mut self.cells.freqs[cells.clone()], sides, spill_freqs);
+        cells.start + sides.iter().filter(|&&left| left).count()
     }
 
     /// Materializes the split tree.
@@ -298,11 +401,56 @@ impl MhistBuilder {
     pub fn finish(&self) -> SplitTree {
         let mut nodes = self.nodes.clone();
         for bucket in &self.buckets {
-            let freq: f64 = bucket.freqs.iter().sum();
+            let freq: f64 = self.cells.freqs[bucket.cells.clone()].iter().sum();
             nodes[bucket.node as usize] = Node::Leaf { freq };
         }
         SplitTree::from_parts(self.attrs.clone(), self.domain.clone(), nodes)
     }
+}
+
+/// The best split of the bucket holding `cells` inside `bbox` across
+/// dimensions by the partitioning constraint, with the SSE of both
+/// halves.
+fn best_split(
+    attrs: &AttrSet,
+    criterion: SplitCriterion,
+    arena: &Cells,
+    cells: &Range<usize>,
+    bbox: &BoundingBox,
+    scratch: &mut Scratch,
+) -> Option<BestSplit> {
+    let freqs = &arena.freqs[cells.clone()];
+    let mut best: Option<(usize, AttrId, u32, f64)> = None;
+    for ((pos, attr), &(lo, hi)) in attrs.iter().enumerate().zip(bbox.ranges()) {
+        // Sum the cells' frequencies per value along this dimension, each
+        // sum folded in cell order, and note the ranks they span.
+        let (sums, values) = (&mut scratch.sums, &arena.values[pos]);
+        let mut span = (u32::MAX, 0);
+        for (&r, &f) in arena.ranks[pos][cells.clone()].iter().zip(freqs) {
+            match &mut sums[r as usize] {
+                Some(sum) => *sum += f,
+                empty => *empty = Some(f),
+            }
+            span = (span.0.min(r), span.1.max(r));
+        }
+        // Read the present values in order, resetting what was filled.
+        scratch.along.clear();
+        for r in span.0 as usize..=span.1 as usize {
+            if let Some(sum) = sums[r].take() {
+                scratch.along.push((values[r], sum));
+            }
+        }
+        if let Some(choice) = best_split_bounded(&scratch.along, lo, hi, criterion) {
+            if best.is_none_or(|(_, _, _, s)| choice.score > s) {
+                best = Some((pos, attr, choice.value, choice.score));
+            }
+        }
+    }
+    let (pos, attr, value, score) = best?;
+    let volumes = bbox.halves_volumes(attr, value)?;
+    let [left_sse, right_sse] =
+        halves_sse(arena, cells, pos, rank(&arena.values[pos], value), volumes);
+    Some(BestSplit { attr, value, score, left_sse, right_sse })
 }
 
 #[cfg(test)]
@@ -330,13 +478,30 @@ mod tests {
                 keys.extend_from_slice(k);
                 freqs.push(f);
             }
-            assert_eq!(bucket.keys, keys, "bucket {i} cells");
-            assert_eq!(bucket.freqs, freqs, "bucket {i} frequencies");
-            let fresh = b.bucket(keys, freqs, bucket.bbox.clone());
-            assert_eq!(bucket.sse.to_bits(), fresh.sse.to_bits(), "bucket {i} SSE");
-            assert_eq!(bucket.best.map(bits), fresh.best.map(bits), "bucket {i} best split");
-            error.push(fresh.sse);
-            if let Some(s) = fresh.best {
+            let held = &b.cells.freqs[bucket.cells.clone()];
+            let values = bucket.cells.clone().flat_map(|i| {
+                b.cells
+                    .ranks
+                    .iter()
+                    .zip(&b.cells.values)
+                    .map(move |(column, along)| along[column[i] as usize])
+            });
+            assert_eq!(values.collect::<Vec<_>>(), keys, "bucket {i} cells");
+            assert_eq!(held, freqs, "bucket {i} frequencies");
+            let sse = volume_sse(freqs.iter().copied(), bucket.bbox.volume());
+            let mut scratch = Scratch { sums: b.scratch.sums.clone(), ..Scratch::default() };
+            let best = best_split(
+                &b.attrs,
+                b.criterion,
+                &b.cells,
+                &bucket.cells,
+                &bucket.bbox,
+                &mut scratch,
+            );
+            assert_eq!(bucket.sse.to_bits(), sse.to_bits(), "bucket {i} SSE");
+            assert_eq!(bucket.best.map(bits), best.map(bits), "bucket {i} best split");
+            error.push(sse);
+            if let Some(s) = best {
                 if next.is_none_or(|(_, top)| s.score >= top) {
                     next = Some((i, s.score));
                 }

@@ -18,9 +18,20 @@ mod ops;
 
 pub use build::MhistBuilder;
 
+use std::cell::RefCell;
+
 use dbhist_distribution::{AttrId, AttrSet};
 
 use crate::bbox::BoundingBox;
+
+/// The node box and the query box [`SplitTree::mass_within`] walks with.
+type BoxBuffers = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+thread_local! {
+    /// One pair of box buffers per thread, so a mass query allocates
+    /// nothing once its thread has run one.
+    static BOX_BUFFERS: RefCell<BoxBuffers> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Index of a node within a [`SplitTree`] arena.
 pub type NodeId = u32;
@@ -178,10 +189,11 @@ impl SplitTree {
     /// attributes intersect), under intra-bucket uniformity.
     ///
     /// This is exactly the paper's estimator: each bucket contributes its
-    /// frequency scaled by the fraction of its volume inside the box.
+    /// frequency scaled by the fraction of its volume inside the box. It
+    /// walks with its thread's box buffers and allocates nothing.
     #[must_use]
     pub fn mass_in_box(&self, ranges: &[(AttrId, u32, u32)]) -> f64 {
-        self.mass_within(ranges.iter().copied(), &mut Vec::new(), &mut Vec::new())
+        self.mass_pooled(ranges.iter().copied())
     }
 
     /// Calls `visit(ranges, frequency)` for every bucket in arena
@@ -222,7 +234,14 @@ impl SplitTree {
     #[must_use]
     pub fn mass_in_bounding_box(&self, bbox: &BoundingBox) -> f64 {
         let ranges = bbox.attrs().iter().zip(bbox.ranges()).map(|(a, &(lo, hi))| (a, lo, hi));
-        self.mass_within(ranges, &mut Vec::new(), &mut Vec::new())
+        self.mass_pooled(ranges)
+    }
+
+    /// [`SplitTree::mass_within`] over this thread's box buffers. The
+    /// walk calls out to nothing, so the buffers are never borrowed twice.
+    fn mass_pooled(&self, ranges: impl IntoIterator<Item = (AttrId, u32, u32)>) -> f64 {
+        BOX_BUFFERS
+            .with_borrow_mut(|(bounds, constraint)| self.mass_within(ranges, bounds, constraint))
     }
 
     /// The one entry point of every mass query: `ranges` intersected with
@@ -519,6 +538,28 @@ mod tests {
         assert!((t.mass_in_box(&[(9, 0, 0)]) - 72.0).abs() < 1e-12);
         // Empty constraint.
         assert_eq!(t.mass_in_box(&[(0, 4, 7), (0, 0, 3)]), 0.0);
+    }
+
+    /// Mass queries share their thread's box buffers across trees of
+    /// different arity and still give the bits of a walk over fresh ones.
+    #[test]
+    fn pooled_buffers_give_fresh_bits() {
+        let wide = manual_tree();
+        let dist = grid_relation().marginal(&AttrSet::singleton(1)).unwrap();
+        let narrow = MhistBuilder::build(&dist, 3, crate::SplitCriterion::MaxDiff).unwrap();
+        let fresh = |tree: &SplitTree, ranges: &[(AttrId, u32, u32)]| {
+            tree.mass_within(ranges.iter().copied(), &mut Vec::new(), &mut Vec::new())
+        };
+        for lo in 0..8 {
+            for (tree, ranges) in [
+                (&wide, vec![(0, lo, 7), (1, 1, lo.max(1))]),
+                (&narrow, vec![(1, lo, 6)]),
+                (&wide, vec![(1, 0, lo), (0, 2, 5), (1, lo / 2, 7)]),
+            ] {
+                let pooled = tree.mass_in_box(&ranges);
+                assert_eq!(pooled.to_bits(), fresh(tree, &ranges).to_bits(), "{ranges:?}");
+            }
+        }
     }
 
     #[test]

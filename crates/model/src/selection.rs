@@ -25,7 +25,7 @@
 //!   minimal separator `S`, requiring just four (memoized) marginal
 //!   entropies per candidate instead of a full model evaluation.
 
-use dbhist_distribution::{measures, AttrId, AttrSet, EntropyCache, Relation};
+use dbhist_distribution::{measures, AttrId, AttrSet, Columns, EntropyCache, Relation};
 
 use crate::chordal::addable_edge_separator;
 use crate::decomposable::DecomposableModel;
@@ -206,10 +206,26 @@ impl<'a> ForwardSelector<'a> {
     /// check untrusted configurations first.
     #[must_use]
     pub fn new(relation: &'a Relation, config: SelectionConfig) -> Self {
+        Self::with_cache(EntropyCache::new(relation), config)
+    }
+
+    /// Like [`ForwardSelector::new`], counting every entropy from
+    /// `columns`: a synopsis build lends the selector the copy it then
+    /// counts the clique marginals from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid.
+    #[must_use]
+    pub fn with_columns(columns: &'a Columns<'a>, config: SelectionConfig) -> Self {
+        Self::with_cache(EntropyCache::with_columns(columns), config)
+    }
+
+    fn with_cache(mut cache: EntropyCache<'a>, config: SelectionConfig) -> Self {
         #[allow(clippy::expect_used)]
         config.validate().expect("invalid selection config"); // lint:allow(panic-surface): documented panic contract on invalid config
+        let relation = cache.relation();
         let n = relation.schema().arity();
-        let mut cache = EntropyCache::new(relation);
         let graph = MarkovGraph::empty(n);
         let divergence = Self::graph_divergence(&graph, relation, &mut cache);
         Self { cache, config, graph, divergence, peak_candidates: 0 }
