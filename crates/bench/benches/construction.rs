@@ -2,11 +2,13 @@
 //!
 //! * forward model selection: naive vs. the efficient separator-based
 //!   algorithm (the paper's novel contribution), including the number of
-//!   marginal-entropy computations each needs;
+//!   marginal-entropy computations each needs, and the build's entry
+//!   (`select`, which counts no full-joint entropy) next to `run`;
 //! * clique-histogram construction (MHIST builder) at several budgets,
 //!   and driven to saturation as `OptimalDp`'s error curves drive it;
 //! * end-to-end DB-histogram construction, including the paper-scale
-//!   Census-2 20 KB build (`dbbench serve-wide`'s set-up).
+//!   Census-1 3 KB and Census-2 20 KB builds (`dbbench serve-hot`'s and
+//!   `serve-wide`'s set-ups).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // bench drivers: abort on a broken build
 
@@ -38,6 +40,11 @@ fn bench_selection(c: &mut Criterion) {
             },
         );
     }
+    // The build's entry: the same loop as `run`, without the divergence
+    // report and so without the full-joint entropy.
+    group.bench_function(BenchmarkId::new("census1_select", "Efficient"), |b| {
+        b.iter(|| ForwardSelector::new(&rel, SelectionConfig::default()).select());
+    });
     group.finish();
 
     // Report the entropy-computation counts once (the paper's cost metric).
@@ -89,11 +96,16 @@ fn bench_db_build(c: &mut Criterion) {
             b.iter(|| SynopsisBuilder::new(&rel).budget(kb * 1024).build_mhist().unwrap());
         });
     }
-    // Paper scale: Census-2 (83,566 rows x 12) at 20 KB, as
+    // Paper scale: Census-1 (125k rows x 6) at 3 KB, as `dbbench
+    // serve-hot` builds it, and Census-2 (83,566 rows x 12) at 20 KB, as
     // `dbbench serve-wide` builds it.
+    let census_1 = census::census_data_set_1();
+    group.bench_function("census1_3kb_paper", |b| {
+        b.iter(|| SynopsisBuilder::new(&census_1).budget(3 * 1024).build_mhist().unwrap());
+    });
     let census_2 = census::census_data_set_2();
     group.bench_function("census2_20kb", |b| {
-        b.iter(|| SynopsisBuilder::new(&census_2).budget(20_000).build_mhist().unwrap());
+        b.iter(|| SynopsisBuilder::new(&census_2).budget(20 * 1024).build_mhist().unwrap());
     });
     group.finish();
 }

@@ -25,7 +25,7 @@ use std::time::Instant;
 use dbhist_distribution::{AttrSet, Columns, Distribution, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
 use dbhist_model::junction::RootedViews;
-use dbhist_model::selection::{ForwardSelector, SelectionConfig, SelectionResult};
+use dbhist_model::selection::{ForwardSelector, SelectionConfig};
 use dbhist_model::DecomposableModel;
 use dbhist_telemetry::DriftMonitor;
 
@@ -399,7 +399,7 @@ fn build_generic<B, F>(
     relation: &Relation,
     config: &DbConfig,
     start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
-) -> Result<(DbHistogram<F>, SelectionResult), SynopsisError>
+) -> Result<DbHistogram<F>, SynopsisError>
 where
     B: IncrementalBuilder<Histogram = F> + Clone,
     F: Factor,
@@ -407,23 +407,24 @@ where
     config.selection.validate()?;
     let started = Instant::now();
     // One column copy counts selection's entropies and then the chosen
-    // model's clique marginals.
+    // model's clique marginals. Selection reports no divergence, so the
+    // full joint `H(V)` is never counted.
     let (columns, selection) = {
         let _span = dbhist_telemetry::span!("dbhist_build_selection_latency_us");
         let columns = Columns::new(relation);
-        let selection = ForwardSelector::with_columns(&columns, config.selection).run();
+        let selection = ForwardSelector::with_columns(&columns, config.selection).select();
         (columns, selection)
     };
     let selection_time = started.elapsed();
-    let mut synopsis = build_for_model(columns, selection.model.clone(), config, start)?;
+    let mut synopsis = build_for_model(columns, selection.model, config, start)?;
     let mut trace = synopsis.build_trace();
     trace.selection = selection_time;
     trace.total = selection_time + trace.total;
-    trace.selection_steps = selection.steps.len();
+    trace.selection_steps = selection.steps;
     trace.peak_candidates = selection.peak_candidates;
     trace.entropy_computations = selection.entropy_computations;
     synopsis.set_trace(trace);
-    Ok((synopsis, selection))
+    Ok(synopsis)
 }
 
 /// Builds the clique-histogram collection for an already-selected model,
@@ -504,7 +505,7 @@ pub(crate) fn build_mhist_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<SplitTree>, SynopsisError> {
-    let (mut synopsis, _selection) = build_generic(relation, config, |marginal| {
+    let mut synopsis = build_generic(relation, config, |marginal| {
         MhistCliqueBuilder::start(marginal, config.criterion)
     })?;
     synopsis.set_name(match config.selection.heuristic {
@@ -519,7 +520,7 @@ pub(crate) fn build_grid_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<GridHistogram>, SynopsisError> {
-    let (mut synopsis, _) = build_generic(relation, config, |marginal| {
+    let mut synopsis = build_generic(relation, config, |marginal| {
         GridCliqueBuilder::start(marginal, config.criterion)
     })?;
     synopsis.set_name("DB-grid");
@@ -531,7 +532,7 @@ pub(crate) fn build_wavelet_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<crate::wavelet_factor::WaveletFactor>, SynopsisError> {
-    let (mut synopsis, _) = build_generic(relation, config, |marginal| {
+    let mut synopsis = build_generic(relation, config, |marginal| {
         crate::wavelet_factor::WaveletCliqueBuilder::start(marginal)
     })?;
     synopsis.set_name("DB-wavelet");

@@ -15,7 +15,8 @@
 //! lexicographic key order a [`Distribution`] iterates in.
 //!
 //! Codes are counted into a dense `Vec<u32>` when the code space is small
-//! (at most `max(rows, 2^16)` cells) and by sorting plus run-length
+//! (at most `max(rows, 2^16)` cells), through four interleaved count
+//! lanes per cell (see [`tally`]), and by sorting plus run-length
 //! otherwise: as `u64` codes when the space fits them, as `u128` codes
 //! when it fits those (Census-2's 12-attribute joint needs 65.2 bits).
 //! Past `u128`, the `u64` codes so far are replaced by their dense ranks
@@ -223,36 +224,36 @@ impl Source<'_> {
     /// Counts every row's code over `digits` into a dense array of
     /// `space` counts.
     fn dense_counts(self, digits: &[(usize, u64)], space: usize, rows: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; space];
         match self {
-            Source::Rows(rel) => {
-                for row in rel.rows() {
-                    let code = digits
+            Source::Rows(rel) => tally(
+                space,
+                rel.rows().map(|row| {
+                    digits
                         .iter()
-                        .fold(0, |code, &(col, radix)| code * radix as usize + row[col] as usize);
-                    counts[code] += 1;
-                }
-            }
+                        .fold(0, |code, &(col, radix)| code * radix as usize + row[col] as usize)
+                }),
+            ),
             // Selection's singletons and pairs, the hottest counts, read
             // their one or two columns in lockstep.
             Source::Bytes(bytes) => match *digits {
-                [(a, _)] => bytes[a].iter().for_each(|&x| counts[usize::from(x)] += 1),
-                [(a, _), (b, radix)] => {
-                    for (&x, &y) in bytes[a].iter().zip(&bytes[b]) {
-                        counts[usize::from(x) * radix as usize + usize::from(y)] += 1;
-                    }
-                }
-                _ => {
-                    let codes = (0..rows).map(|i| {
+                [(a, _)] => tally(space, bytes[a].iter().map(|&x| usize::from(x))),
+                [(a, _), (b, radix)] => tally(
+                    space,
+                    bytes[a]
+                        .iter()
+                        .zip(&bytes[b])
+                        .map(|(&x, &y)| usize::from(x) * radix as usize + usize::from(y)),
+                ),
+                _ => tally(
+                    space,
+                    (0..rows).map(|i| {
                         digits.iter().fold(0, |code, &(col, radix)| {
                             code * radix as usize + usize::from(bytes[col][i])
                         })
-                    });
-                    codes.for_each(|code| counts[code] += 1);
-                }
+                    }),
+                ),
             },
         }
-        counts
     }
 
     /// Appends column `col`'s value, in base `radix`, to every row's code.
@@ -351,6 +352,22 @@ impl<'a> Columns<'a> {
     }
 }
 
+/// Rows counted into interleaved lanes: row `i` goes to lane `i % LANES`.
+const LANES: usize = 4;
+
+/// Counts `codes` (each below `space`) into a dense array. Consecutive
+/// rows go round-robin into [`LANES`] interleaved counters per cell,
+/// summed at the end: rows that hit the same dominant cell then update
+/// different words instead of each waiting on the previous row's
+/// store. The sums are the same integers one array would hold.
+fn tally(space: usize, codes: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut lanes = vec![[0u32; LANES]; space];
+    for (i, code) in codes.enumerate() {
+        lanes[code][i % LANES] += 1;
+    }
+    lanes.iter().map(|cell| cell.iter().sum()).collect()
+}
+
 /// Entropy of `rows` rows counted into cells of `counts`, in the order
 /// given (zero counts are empty cells). A count of 1 adds exactly `0.0`
 /// (`1 · ln 1`) to the sum, which never holds `-0.0`, so it is skipped
@@ -441,6 +458,58 @@ mod tests {
             |d: &Distribution| d.iter().map(|(k, f)| (k.to_vec(), f.to_bits())).collect::<Vec<_>>();
         assert_eq!(cells(&from_columns), cells(&from_rows), "cells over {attrs:?}");
         assert_eq!(from_columns.total().to_bits(), from_rows.total().to_bits());
+    }
+
+    /// `rows` rows over domains 3, 5 and 7 in which the cell `(1, 2, 3)`
+    /// holds every row but each fifth: consecutive rows hit one cell.
+    fn skewed(rows: usize) -> Relation {
+        let schema = Schema::new([("a", 3), ("b", 5), ("c", 7)]).unwrap();
+        let values: Vec<Vec<u32>> = (0..rows as u32)
+            .map(|i| if i % 5 == 4 { vec![i % 3, i % 5, i % 7] } else { vec![1, 2, 3] })
+            .collect();
+        Relation::from_rows(schema, values).unwrap()
+    }
+
+    /// The lanes of `tally` sum to the counts of one array bumped row by
+    /// row, bit for bit in cells and entropy, from both sources, for
+    /// every arity, for row counts that leave each possible tail (`4k + 3`
+    /// included) and for a relation whose rows pile into one cell.
+    /// Dropping the rows past the last full group of four, or one lane
+    /// from the fold, fails it.
+    #[test]
+    fn dense_lanes_match_one_array() {
+        for rows in [0, 1, 3, 4, 5, 4 * 50 + 3] {
+            for rel in [relation(&[3, 5, 7], rows), skewed(rows)] {
+                let columns = Columns::new(&rel);
+                for ids in [&[1][..], &[0, 2], &[0, 1, 2]] {
+                    let attrs = AttrSet::from_ids(ids.iter().copied());
+                    let radices: Vec<usize> = ids.iter().map(|&a| [3, 5, 7][a as usize]).collect();
+                    let mut reference = vec![0u32; radices.iter().product()];
+                    for row in rel.rows() {
+                        let code = ids
+                            .iter()
+                            .zip(&radices)
+                            .fold(0, |code, (&a, &radix)| code * radix + row[a as usize] as usize);
+                        reference[code] += 1;
+                    }
+                    let cells = reference.iter().filter(|&&count| count > 0);
+                    let expected = entropy(rows as f64, cells.map(|&count| f64::from(count)));
+                    for bytes in [None, columns.bytes.as_deref()] {
+                        let counted = CellCounts::new(&rel, &attrs, bytes).unwrap();
+                        let Counts::Dense(dense) = &counted.counts else {
+                            panic!("{attrs:?} is counted densely")
+                        };
+                        let source = if bytes.is_some() { "bytes" } else { "rows" };
+                        assert_eq!(dense, &reference, "{rows} rows, {attrs:?}, {source}");
+                        assert_eq!(
+                            counted.entropy().to_bits(),
+                            expected.to_bits(),
+                            "{rows} rows, {attrs:?}, {source}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,19 @@
 //!   as the conditional mutual information `I(u; v | S)` over the unique
 //!   minimal separator `S`, requiring just four (memoized) marginal
 //!   entropies per candidate instead of a full model evaluation.
+//!
+//! The divergence `D = Σ H(cliques) − Σ H(separators) − H(V)` (§2.2) has
+//! one term, the full joint's entropy `H(V)`, that no choice depends on:
+//! it cancels out of every local score. The selector carries only the
+//! model entropy `Σ H(cliques) − Σ H(separators)` through its steps and
+//! subtracts `H(V)` where a divergence is read: [`ForwardSelector::run`],
+//! [`ForwardSelector::step`], [`ForwardSelector::divergence`] and the
+//! Naive scorer. `(m − H(V))` is the same left-to-right sum as
+//! [`measures::decomposable_divergence`], so every reported divergence
+//! has the same bits either way. [`ForwardSelector::select`], a synopsis
+//! build's entry, reads no divergence, so with the Efficient algorithm it
+//! never counts `H(V)`: the one marginal over every attribute, and the
+//! only one that sorts all the rows.
 
 use dbhist_distribution::{measures, AttrId, AttrSet, Columns, EntropyCache, Relation};
 
@@ -187,13 +200,35 @@ pub struct SelectionResult {
     pub peak_candidates: usize,
 }
 
+/// What [`ForwardSelector::select`] chose: the model and the run's
+/// counters, without divergences. Its counters count no `H(V)`, so
+/// `entropy_computations` is one lower than [`SelectionResult`]'s for the
+/// Efficient algorithm.
+#[derive(Debug, Clone)]
+pub struct Selection {
+    /// The final model.
+    pub model: DecomposableModel,
+    /// Number of accepted steps.
+    pub steps: usize,
+    /// Number of marginal-entropy computations performed (cache misses).
+    pub entropy_computations: usize,
+    /// Largest number of scored candidates seen in any single round.
+    pub peak_candidates: usize,
+}
+
+/// An accepted step before `H(V)` is subtracted: the candidate, the model
+/// entropy after it, and the model.
+type Accepted = (EdgeCandidate, f64, DecomposableModel);
+
 /// Greedy forward selector over decomposable models.
 #[derive(Debug)]
 pub struct ForwardSelector<'a> {
     cache: EntropyCache<'a>,
     config: SelectionConfig,
     graph: MarkovGraph,
-    divergence: f64,
+    /// `Σ H(cliques) − Σ H(separators)` of `graph`: its divergence plus
+    /// `H(V)`.
+    model_entropy: f64,
     peak_candidates: usize,
 }
 
@@ -224,34 +259,35 @@ impl<'a> ForwardSelector<'a> {
     fn with_cache(mut cache: EntropyCache<'a>, config: SelectionConfig) -> Self {
         #[allow(clippy::expect_used)]
         config.validate().expect("invalid selection config"); // lint:allow(panic-surface): documented panic contract on invalid config
-        let relation = cache.relation();
-        let n = relation.schema().arity();
-        let graph = MarkovGraph::empty(n);
-        let divergence = Self::graph_divergence(&graph, relation, &mut cache);
-        Self { cache, config, graph, divergence, peak_candidates: 0 }
+        let graph = MarkovGraph::empty(cache.relation().schema().arity());
+        let model_entropy = Self::model_entropy(&graph, &mut cache);
+        Self { cache, config, graph, model_entropy, peak_candidates: 0 }
     }
 
-    fn graph_divergence(
-        graph: &MarkovGraph,
-        relation: &Relation,
-        cache: &mut EntropyCache<'_>,
-    ) -> f64 {
+    /// `Σ H(cliques) − Σ H(separators)` of `graph`, summed as
+    /// [`measures::decomposable_divergence`] sums them.
+    fn model_entropy(graph: &MarkovGraph, cache: &mut EntropyCache<'_>) -> f64 {
         // Selection only proposes chordality-preserving edges; a build
         // failure means the graph is unusable, so poison the score with an
         // infinite divergence instead of aborting.
         let Ok(jt) = JunctionTree::build(graph) else {
             return f64::INFINITY;
         };
-        let clique_entropies: Vec<f64> = jt.cliques().iter().map(|c| cache.entropy(c)).collect();
-        let sep_entropies: Vec<f64> = jt.separators().map(|s| cache.entropy(s)).collect();
-        let joint = cache.entropy(&relation.schema().all_attrs());
-        measures::decomposable_divergence(joint, &clique_entropies, &sep_entropies)
+        let cliques: f64 = jt.cliques().iter().map(|c| cache.entropy(c)).sum();
+        let separators: f64 = jt.separators().map(|s| cache.entropy(s)).sum();
+        cliques - separators
     }
 
-    /// Current model divergence.
+    /// `H(V)`, the entropy of the full joint, counted on first use.
+    fn joint_entropy(&mut self) -> f64 {
+        let all = self.cache.relation().schema().all_attrs();
+        self.cache.entropy(&all)
+    }
+
+    /// Current model divergence. The first divergence read counts `H(V)`.
     #[must_use]
-    pub fn divergence(&self) -> f64 {
-        self.divergence
+    pub fn divergence(&mut self) -> f64 {
+        self.model_entropy - self.joint_entropy()
     }
 
     /// Current interaction graph.
@@ -282,8 +318,9 @@ impl<'a> ForwardSelector<'a> {
                 // is never picked.
                 let mut augmented = self.graph.clone();
                 if augmented.add_edge(u, v).is_ok() {
-                    let new_d = Self::graph_divergence(&augmented, relation, &mut self.cache);
-                    self.divergence - new_d
+                    let joint = self.joint_entropy();
+                    let new_d = Self::model_entropy(&augmented, &mut self.cache) - joint;
+                    (self.model_entropy - joint) - new_d
                 } else {
                     0.0
                 }
@@ -338,9 +375,16 @@ impl<'a> ForwardSelector<'a> {
     }
 
     /// Performs one greedy step: scores all candidates, accepts the best
-    /// one passing the significance threshold, and returns it. Returns
+    /// one passing the significance threshold, and returns it with the
+    /// divergence after it (counting `H(V)` on the first step). Returns
     /// `None` when selection has converged.
     pub fn step(&mut self) -> Option<SelectionStep> {
+        let (candidate, _, model) = self.advance()?;
+        Some(SelectionStep { candidate, divergence_after: self.divergence(), model })
+    }
+
+    /// [`ForwardSelector::step`] without the divergence.
+    fn advance(&mut self) -> Option<Accepted> {
         let heuristic = self.config.heuristic;
         let candidates = self.candidates();
         self.peak_candidates = self.peak_candidates.max(candidates.len());
@@ -358,51 +402,86 @@ impl<'a> ForwardSelector<'a> {
         // addable and chordality-preserving; if either check disagrees,
         // stop selecting rather than abort.
         self.graph.add_edge(best.u, best.v).ok()?;
-        let relation = self.cache.relation();
-        self.divergence = Self::graph_divergence(&self.graph, relation, &mut self.cache);
-        let model = DecomposableModel::new(relation.schema().clone(), self.graph.clone()).ok()?;
-        Some(SelectionStep { candidate: best, divergence_after: self.divergence, model })
+        self.model_entropy = Self::model_entropy(&self.graph, &mut self.cache);
+        let schema = self.cache.relation().schema().clone();
+        let model = DecomposableModel::new(schema, self.graph.clone()).ok()?;
+        Some((best, self.model_entropy, model))
     }
 
     /// Runs selection to convergence (or `max_edges`) and returns the
-    /// result, including per-step snapshots.
+    /// result, including per-step snapshots. `H(V)` is counted once,
+    /// before the first step.
     #[must_use]
     pub fn run(mut self) -> SelectionResult {
-        let initial_divergence = self.divergence;
-        let mut steps = Vec::new();
-        let mut rounds = 0usize;
-        let max_edges = self.config.max_edges.unwrap_or(usize::MAX);
-        while steps.len() < max_edges {
-            let round = {
-                let _span = dbhist_telemetry::span!("dbhist_model_selection_round_latency_us");
-                self.step()
-            };
-            rounds += 1;
-            match round {
-                Some(step) => steps.push(step),
-                None => break,
-            }
-        }
-        let relation = self.cache.relation();
-        let model = steps.last().map_or_else(
-            || DecomposableModel::independence(relation.schema().clone()),
-            |s| s.model.clone(),
-        );
-        let result = SelectionResult {
-            model,
+        let joint = self.joint_entropy();
+        let initial_divergence = self.model_entropy - joint;
+        let accepted = self.converge();
+        let steps: Vec<SelectionStep> = accepted
+            .into_iter()
+            .map(|(candidate, model_entropy, model)| SelectionStep {
+                candidate,
+                divergence_after: model_entropy - joint,
+                model,
+            })
+            .collect();
+        SelectionResult {
+            model: self.final_model(steps.last().map(|s| &s.model)),
             initial_divergence,
             steps,
             entropy_computations: self.cache.computations(),
             entropy_cache_hits: self.cache.hits(),
             peak_candidates: self.peak_candidates,
-        };
+        }
+    }
+
+    /// Runs selection to convergence (or `max_edges`) like
+    /// [`ForwardSelector::run`], through the same loop, and returns the
+    /// chosen model and the run's counters. It reads no divergence, so
+    /// with the Efficient algorithm it never counts `H(V)`: a synopsis
+    /// build's entry.
+    #[must_use]
+    pub fn select(mut self) -> Selection {
+        let accepted = self.converge();
+        Selection {
+            model: self.final_model(accepted.last().map(|(_, _, model)| model)),
+            steps: accepted.len(),
+            entropy_computations: self.cache.computations(),
+            peak_candidates: self.peak_candidates,
+        }
+    }
+
+    /// The selection loop of [`ForwardSelector::run`] and
+    /// [`ForwardSelector::select`]: accepts edges until convergence or
+    /// `max_edges`, then mirrors the run's counters into telemetry.
+    fn converge(&mut self) -> Vec<Accepted> {
+        let mut accepted = Vec::new();
+        let mut rounds = 0usize;
+        let max_edges = self.config.max_edges.unwrap_or(usize::MAX);
+        while accepted.len() < max_edges {
+            let round = {
+                let _span = dbhist_telemetry::span!("dbhist_model_selection_round_latency_us");
+                self.advance()
+            };
+            rounds += 1;
+            match round {
+                Some(step) => accepted.push(step),
+                None => break,
+            }
+        }
         if dbhist_telemetry::enabled() {
             let w = dbhist_telemetry::wellknown::wellknown();
             w.build_selection_rounds.add(to_u64(rounds));
-            w.model_entropy_computations.add(to_u64(result.entropy_computations));
-            w.model_entropy_cache_hits.add(to_u64(result.entropy_cache_hits));
+            w.model_entropy_computations.add(to_u64(self.cache.computations()));
+            w.model_entropy_cache_hits.add(to_u64(self.cache.hits()));
         }
-        result
+        accepted
+    }
+
+    /// The last accepted model, or full independence if none was.
+    fn final_model(&self, last: Option<&DecomposableModel>) -> DecomposableModel {
+        last.cloned().unwrap_or_else(|| {
+            DecomposableModel::independence(self.cache.relation().schema().clone())
+        })
     }
 }
 
