@@ -3,7 +3,8 @@
 //! * forward model selection: naive vs. the efficient separator-based
 //!   algorithm (the paper's novel contribution), including the number of
 //!   marginal-entropy computations each needs, and the build's entry
-//!   (`select`, which counts no full-joint entropy) next to `run`;
+//!   (`select`, which counts no full-joint entropy) next to `run`, and
+//!   `select` on paper-scale Census-2;
 //! * clique-histogram construction (MHIST builder) at several budgets,
 //!   and driven to saturation as `OptimalDp`'s error curves drive it;
 //! * end-to-end DB-histogram construction, including the paper-scale
@@ -44,6 +45,12 @@ fn bench_selection(c: &mut Criterion) {
     // report and so without the full-joint entropy.
     group.bench_function(BenchmarkId::new("census1_select", "Efficient"), |b| {
         b.iter(|| ForwardSelector::new(&rel, SelectionConfig::default()).select());
+    });
+    // Paper scale: Census-2 (83,566 rows x 12), whose 66 pair tables are
+    // `dbbench serve-wide`'s selection phase.
+    let census_2 = census::census_data_set_2();
+    group.bench_function(BenchmarkId::new("census2_select", "Efficient"), |b| {
+        b.iter(|| ForwardSelector::new(&census_2, SelectionConfig::default()).select());
     });
     group.finish();
 

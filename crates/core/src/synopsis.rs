@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use dbhist_distribution::{AttrSet, Columns, Distribution, Relation};
+use dbhist_distribution::{AttrSet, Columns, Relation};
 use dbhist_histogram::{GridHistogram, SplitCriterion, SplitTree};
 use dbhist_model::junction::RootedViews;
 use dbhist_model::selection::{ForwardSelector, SelectionConfig};
@@ -382,13 +382,15 @@ impl<F: Factor> SelectivityEstimator for DbHistogram<F> {
 }
 
 /// Starts one incremental builder per model clique, in clique order,
-/// each over its marginal counted from `columns`.
+/// each over its marginal counted from `columns`: MHIST takes the
+/// clique's counted cells column by column ([`Columns::cell_columns`]),
+/// the other families its marginal ([`Columns::marginal`]).
 fn start_builders<B>(
     columns: &Columns<'_>,
     model: &DecomposableModel,
-    start: &impl Fn(&Distribution) -> Result<B, SynopsisError>,
+    start: &impl Fn(&Columns<'_>, &AttrSet) -> Result<B, SynopsisError>,
 ) -> Result<Vec<B>, SynopsisError> {
-    model.cliques().iter().map(|c| start(&columns.marginal(c)?)).collect()
+    model.cliques().iter().map(|c| start(columns, c)).collect()
 }
 
 /// Shared construction pipeline: select a model, then build the clique
@@ -398,7 +400,7 @@ fn start_builders<B>(
 fn build_generic<B, F>(
     relation: &Relation,
     config: &DbConfig,
-    start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
+    start: impl Fn(&Columns<'_>, &AttrSet) -> Result<B, SynopsisError>,
 ) -> Result<DbHistogram<F>, SynopsisError>
 where
     B: IncrementalBuilder<Histogram = F> + Clone,
@@ -434,7 +436,7 @@ fn build_for_model<B, F>(
     columns: Columns<'_>,
     model: DecomposableModel,
     config: &DbConfig,
-    start: impl Fn(&Distribution) -> Result<B, SynopsisError>,
+    start: impl Fn(&Columns<'_>, &AttrSet) -> Result<B, SynopsisError>,
 ) -> Result<DbHistogram<F>, SynopsisError>
 where
     B: IncrementalBuilder<Histogram = F> + Clone,
@@ -499,15 +501,20 @@ where
     Ok(synopsis)
 }
 
+/// Starts an MHIST clique builder from the clique's counted cells.
+fn mhist_start(
+    criterion: SplitCriterion,
+) -> impl Fn(&Columns<'_>, &AttrSet) -> Result<MhistCliqueBuilder, SynopsisError> {
+    move |columns, clique| MhistCliqueBuilder::from_cells(columns.cell_columns(clique)?, criterion)
+}
+
 /// Internal entry for MHIST synopses; [`crate::builder::SynopsisBuilder`]
 /// and incremental maintenance funnel through here.
 pub(crate) fn build_mhist_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<SplitTree>, SynopsisError> {
-    let mut synopsis = build_generic(relation, config, |marginal| {
-        MhistCliqueBuilder::start(marginal, config.criterion)
-    })?;
+    let mut synopsis = build_generic(relation, config, mhist_start(config.criterion))?;
     synopsis.set_name(match config.selection.heuristic {
         dbhist_model::selection::EdgeHeuristic::Db1 => "DB1",
         dbhist_model::selection::EdgeHeuristic::Db2 => "DB2",
@@ -520,8 +527,8 @@ pub(crate) fn build_grid_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<GridHistogram>, SynopsisError> {
-    let mut synopsis = build_generic(relation, config, |marginal| {
-        GridCliqueBuilder::start(marginal, config.criterion)
+    let mut synopsis = build_generic(relation, config, |columns, clique| {
+        GridCliqueBuilder::start(&columns.marginal(clique)?, config.criterion)
     })?;
     synopsis.set_name("DB-grid");
     Ok(synopsis)
@@ -532,8 +539,8 @@ pub(crate) fn build_wavelet_pipeline(
     relation: &Relation,
     config: &DbConfig,
 ) -> Result<DbHistogram<crate::wavelet_factor::WaveletFactor>, SynopsisError> {
-    let mut synopsis = build_generic(relation, config, |marginal| {
-        crate::wavelet_factor::WaveletCliqueBuilder::start(marginal)
+    let mut synopsis = build_generic(relation, config, |columns, clique| {
+        crate::wavelet_factor::WaveletCliqueBuilder::start(&columns.marginal(clique)?)
     })?;
     synopsis.set_name("DB-wavelet");
     Ok(synopsis)
@@ -551,9 +558,7 @@ impl DbHistogram<SplitTree> {
         model: DecomposableModel,
         config: DbConfig,
     ) -> Result<Self, SynopsisError> {
-        build_for_model(Columns::new(relation), model, &config, |marginal| {
-            MhistCliqueBuilder::start(marginal, config.criterion)
-        })
+        build_for_model(Columns::new(relation), model, &config, mhist_start(config.criterion))
     }
 }
 

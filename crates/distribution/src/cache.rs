@@ -18,6 +18,14 @@
 //! cache the [`Columns`] it later counts the clique marginals from
 //! ([`EntropyCache::with_columns`]).
 //!
+//! Selection's first round scores every pair of attributes, and a pair's
+//! table already holds both attributes' own counts. Before that round,
+//! [`EntropyCache::count_pairs`] counts each pair once
+//! ([`Columns::pair_entropies`]) and keeps the entropies aside. Each set
+//! counted that way is one computation, and its first read is neither a
+//! computation nor a hit, so once the round has read them the counters
+//! are what counting each set on its first read gives.
+//!
 //! [`Distribution`]: crate::Distribution
 
 use std::borrow::Cow;
@@ -32,6 +40,9 @@ use crate::relation::Relation;
 pub struct EntropyCache<'a> {
     columns: Cow<'a, Columns<'a>>,
     entropies: FxHashMap<AttrSet, f64>,
+    /// Entropies counted, and counted as computations, ahead of their
+    /// first read ([`EntropyCache::count_pairs`]).
+    counted: FxHashMap<AttrSet, f64>,
     computed: usize,
     hits: usize,
 }
@@ -51,7 +62,27 @@ impl<'a> EntropyCache<'a> {
     }
 
     fn over(columns: Cow<'a, Columns<'a>>) -> Self {
-        Self { columns, entropies: FxHashMap::default(), computed: 0, hits: 0 }
+        Self {
+            columns,
+            entropies: FxHashMap::default(),
+            counted: FxHashMap::default(),
+            computed: 0,
+            hits: 0,
+        }
+    }
+
+    /// Counts every pair of attributes once, ahead of a selection round
+    /// that reads them all, together with each attribute's own entropy
+    /// from the first pair table that holds it ([`Columns::pair_entropies`]).
+    /// Each such set not cached yet is one computation now, and its first
+    /// read is neither a computation nor a hit. A relation without byte
+    /// columns counts nothing here: its sets are counted on first read.
+    pub fn count_pairs(&mut self) {
+        for (attrs, h) in self.columns.pair_entropies() {
+            if !self.entropies.contains_key(&attrs) && self.counted.insert(attrs, h).is_none() {
+                self.computed += 1;
+            }
+        }
     }
 
     /// The relation the cache computes entropies from.
@@ -70,12 +101,16 @@ impl<'a> EntropyCache<'a> {
             self.hits += 1;
             return h;
         }
-        let h = if attrs.is_empty() {
-            0.0
+        let h = if let Some(h) = self.counted.remove(attrs) {
+            h
         } else {
-            self.columns.marginal_entropy(attrs).unwrap_or(0.0)
+            self.computed += 1;
+            if attrs.is_empty() {
+                0.0
+            } else {
+                self.columns.marginal_entropy(attrs).unwrap_or(0.0)
+            }
         };
-        self.computed += 1;
         self.entropies.insert(attrs.clone(), h);
         h
     }

@@ -14,11 +14,12 @@
 //! attribute's domain size. Ascending code order is then exactly the
 //! lexicographic key order a [`Distribution`] iterates in.
 //!
-//! Codes are counted into a dense `Vec<u32>` when the code space is small
-//! (at most `max(rows, 2^16)` cells), through four interleaved count
-//! lanes per cell (see [`tally`]), and by sorting plus run-length
-//! otherwise: as `u64` codes when the space fits them, as `u128` codes
-//! when it fits those (Census-2's 12-attribute joint needs 65.2 bits).
+//! Codes are counted into a dense array when the code space is small (at
+//! most `max(rows, 2^16)` cells), four interleaved count lanes per cell
+//! (see [`tally`]) that every reader sums per cell as it goes, and by
+//! sorting plus run-length otherwise: as `u64` codes when the space fits
+//! them, as `u128` codes when it fits those (Census-2's 12-attribute
+//! joint needs 65.2 bits).
 //! Past `u128`, the `u64` codes so far are replaced by their dense ranks
 //! whenever the next radix would overflow, which preserves their order;
 //! a representative row per rank recovers the ranked attributes' values
@@ -28,19 +29,56 @@
 //! codes are compacted to the distinct cells before a caller builds
 //! anything per cell.
 //!
+//! Forward selection scores every pair of attributes, so
+//! [`Columns::pair_entropies`] counts each pair's table once and also
+//! reads each attribute's own counts off the first table that holds it,
+//! as its row or column sums. Entropies take `c · ln c` for small counts
+//! from a table ([`C_LN_C`]) that holds the very products
+//! [`crate::distribution::entropy`] would compute.
+//!
 //! [`Distribution`]: crate::Distribution
 //! [`Distribution::from_relation`]: crate::Distribution::from_relation
 
 use std::ops::{Add, Div, Mul, Rem};
+use std::sync::LazyLock;
 
 use crate::attr::AttrSet;
-use crate::distribution::{entropy, Distribution};
+use crate::distribution::{entropy_from_terms, Distribution};
 use crate::error::DistributionError;
 use crate::relation::Relation;
 
 /// Code spaces up to this many cells are always counted densely, however
 /// few rows the relation has.
 const DENSE_FLOOR: usize = 1 << 16;
+
+/// Whether a code space of `space` cells over `rows` rows is counted
+/// densely.
+fn is_dense(space: u128, rows: usize) -> bool {
+    space <= rows.max(DENSE_FLOOR) as u128
+}
+
+/// Rows counted into interleaved lanes: row `i` goes to lane `i % LANES`.
+const LANES: usize = 4;
+
+/// One dense cell's count, split over its lanes.
+type Lanes = [u32; LANES];
+
+/// Counts below this take `c · ln c` from [`C_LN_C`].
+const C_LN_C_LEN: usize = 1 << 12;
+
+/// `c · ln c` for every count `c` below [`C_LN_C_LEN`], the exact product
+/// [`crate::distribution::entropy`] forms from `c as f64` (`+0.0` for an
+/// empty cell, and for `c = 1`).
+static C_LN_C: LazyLock<[f64; C_LN_C_LEN]> = LazyLock::new(|| {
+    std::array::from_fn(|c| {
+        let f = c as f64;
+        if c == 0 {
+            0.0
+        } else {
+            f * f.ln()
+        }
+    })
+});
 
 /// The distinct cells of a relation's projection onto an attribute set,
 /// with exact counts, in ascending key order.
@@ -59,8 +97,8 @@ pub(crate) struct CellCounts<'a> {
 
 #[derive(Debug)]
 enum Counts {
-    /// The count of every code in the space, indexed by code.
-    Dense(Vec<u32>),
+    /// The count of every code in the space, indexed by code, in lanes.
+    Dense(Vec<Lanes>),
     /// The distinct `u64` codes, ascending, and the count of each.
     Sorted(Vec<u64>, Vec<u32>),
     /// The same for a code space past `u64`.
@@ -94,7 +132,7 @@ impl<'a> CellCounts<'a> {
         let space = digits.iter().try_fold(1u128, |s, &(_, radix)| s.checked_mul(radix.into()));
         let (mut ranked, mut reps) = (0, Vec::new());
         let counts = match space {
-            Some(space) if space <= rows.max(DENSE_FLOOR) as u128 => {
+            Some(space) if is_dense(space, rows) => {
                 // The space is at most a row count (or 2^16), so it fits
                 // `usize` and the codes index the counts directly without
                 // being materialized.
@@ -141,7 +179,7 @@ impl<'a> CellCounts<'a> {
     /// Number of distinct cells.
     pub(crate) fn cell_count(&self) -> usize {
         match &self.counts {
-            Counts::Dense(counts) => counts.iter().filter(|&&count| count > 0).count(),
+            Counts::Dense(lanes) => lanes.iter().filter(|&cell| total(cell) > 0).count(),
             Counts::Sorted(_, counts) | Counts::Wide(_, counts) => counts.len(),
         }
     }
@@ -151,7 +189,7 @@ impl<'a> CellCounts<'a> {
     pub(crate) fn entropy(&self) -> f64 {
         let rows = self.rel.row_count();
         match &self.counts {
-            Counts::Dense(counts) => count_entropy(rows, counts.iter().map(|&c| u64::from(c))),
+            Counts::Dense(lanes) => count_entropy(rows, lanes.iter().map(total)),
             Counts::Sorted(_, counts) | Counts::Wide(_, counts) => {
                 count_entropy(rows, counts.iter().map(|&c| u64::from(c)))
             }
@@ -167,9 +205,9 @@ impl<'a> CellCounts<'a> {
             Counts::Sorted(codes, counts) => sorted = Some((codes, counts)),
             Counts::Wide(codes, counts) => wide = Some((codes, counts)),
         }
-        let dense = dense.into_iter().flat_map(|counts| {
-            let cells = counts.iter().enumerate().filter(|&(_, &count)| count > 0);
-            cells.map(|(code, &count)| (code as u128, u64::from(count)))
+        let dense = dense.into_iter().flat_map(|lanes| {
+            let cells = lanes.iter().map(total).enumerate().filter(|&(_, count)| count > 0);
+            cells.map(|(code, count)| (code as u128, count))
         });
         let sorted = sorted.into_iter().flat_map(|(codes, counts)| {
             codes.iter().zip(counts).map(|(&code, &count)| (code.into(), u64::from(count)))
@@ -182,18 +220,63 @@ impl<'a> CellCounts<'a> {
 
     /// The cell key (values in ascending attribute order) of `code`.
     pub(crate) fn key(&self, code: u128) -> Box<[u32]> {
+        let mut key = vec![0u32; self.digits.len()];
+        self.decode_into(code, &mut key);
+        key.into_boxed_slice()
+    }
+
+    /// The counted cells column by column, in ascending key order: per
+    /// attribute each cell's value, and each cell's count as a frequency.
+    fn into_columns(self, attrs: &AttrSet) -> CellColumns {
+        let schema = self.rel.schema();
+        let cells = self.cell_count();
+        let mut values: Vec<Vec<u32>> =
+            self.digits.iter().map(|_| Vec::with_capacity(cells)).collect();
+        let mut freqs = Vec::with_capacity(cells);
+        if let Counts::Dense(lanes) = &self.counts {
+            // A dense space has no ranked digits and fits `usize`.
+            for (code, cell) in lanes.iter().enumerate() {
+                let count = total(cell);
+                if count == 0 {
+                    continue;
+                }
+                let mut code = code;
+                for (column, &(_, radix)) in values.iter_mut().zip(&self.digits).rev() {
+                    let radix = radix as usize;
+                    // The remainder is below the radix, a `u32` domain size.
+                    column.push((code % radix) as u32);
+                    code /= radix;
+                }
+                freqs.push(count as f64);
+            }
+        } else {
+            let mut key = vec![0u32; self.digits.len()];
+            for (code, count) in self.cells() {
+                self.decode_into(code, &mut key);
+                for (column, &value) in values.iter_mut().zip(&key) {
+                    column.push(value);
+                }
+                freqs.push(count as f64);
+            }
+        }
+        let domains = attrs.iter().map(|a| schema.domain_size(a)).collect();
+        let total = self.rel.row_count() as f64;
+        CellColumns { attrs: attrs.clone(), domains, values, freqs, total }
+    }
+
+    /// Writes the cell key of `code` into `key`.
+    fn decode_into(&self, code: u128, key: &mut [u32]) {
         // Only a space past `u64` needs `u128` arithmetic.
         match u64::try_from(code) {
-            Ok(code) => self.decode(code),
-            Err(_) => self.decode(code),
+            Ok(code) => self.decode(code, key),
+            Err(_) => self.decode(code, key),
         }
     }
 
-    fn decode<T>(&self, mut code: T) -> Box<[u32]>
+    fn decode<T>(&self, mut code: T, key: &mut [u32])
     where
         T: Copy + From<u64> + Rem<Output = T> + Div<Output = T> + TryInto<u32> + TryInto<usize>,
     {
-        let mut key = vec![0u32; self.digits.len()];
         let (prefix, suffix) = key.split_at_mut(self.ranked);
         for (value, &(_, radix)) in suffix.iter_mut().zip(&self.digits[self.ranked..]).rev() {
             // The remainder is below the radix, a `u32` domain size.
@@ -207,8 +290,24 @@ impl<'a> CellCounts<'a> {
                 *value = row[col];
             }
         }
-        key.into_boxed_slice()
     }
+}
+
+/// A marginal's distinct cells column by column, in ascending key order:
+/// the form an MHIST builder's cell arena starts from, without a
+/// [`Distribution`]'s map in between.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellColumns {
+    /// The marginal's attributes.
+    pub attrs: AttrSet,
+    /// Each attribute's domain size, in the order of `attrs`.
+    pub domains: Vec<u32>,
+    /// Per attribute, in the order of `attrs`, each cell's value.
+    pub values: Vec<Vec<u32>>,
+    /// Each cell's frequency.
+    pub freqs: Vec<f64>,
+    /// The marginal's total frequency.
+    pub total: f64,
 }
 
 /// Where [`CellCounts`] reads attribute values.
@@ -222,8 +321,8 @@ enum Source<'a> {
 
 impl Source<'_> {
     /// Counts every row's code over `digits` into a dense array of
-    /// `space` counts.
-    fn dense_counts(self, digits: &[(usize, u64)], space: usize, rows: usize) -> Vec<u32> {
+    /// `space` cells.
+    fn dense_counts(self, digits: &[(usize, u64)], space: usize, rows: usize) -> Vec<Lanes> {
         match self {
             Source::Rows(rel) => tally(
                 space,
@@ -237,13 +336,7 @@ impl Source<'_> {
             // their one or two columns in lockstep.
             Source::Bytes(bytes) => match *digits {
                 [(a, _)] => tally(space, bytes[a].iter().map(|&x| usize::from(x))),
-                [(a, _), (b, radix)] => tally(
-                    space,
-                    bytes[a]
-                        .iter()
-                        .zip(&bytes[b])
-                        .map(|(&x, &y)| usize::from(x) * radix as usize + usize::from(y)),
-                ),
+                [(a, _), (b, radix)] => tally_pair(space, &bytes[a], &bytes[b], radix as usize),
                 _ => tally(
                     space,
                     (0..rows).map(|i| {
@@ -350,30 +443,122 @@ impl<'a> Columns<'a> {
     pub fn marginal(&self, attrs: &AttrSet) -> Result<Distribution, DistributionError> {
         Ok(Distribution::from_counts(self.rel, attrs, self.count(attrs)?))
     }
+
+    /// The cells of the marginal over `attrs` column by column, equal
+    /// cell for cell and bit for bit to [`Distribution::cell_columns`] of
+    /// [`Columns::marginal`], taken straight from the counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistributionError::UnknownAttr`] if `attrs` references an
+    /// attribute outside the relation's schema.
+    pub fn cell_columns(&self, attrs: &AttrSet) -> Result<CellColumns, DistributionError> {
+        Ok(self.count(attrs)?.into_columns(attrs))
+    }
+
+    /// The entropy of every pair of attributes, each pair's table counted
+    /// once from the byte columns, and of every attribute: its counts are
+    /// the row (first attribute of the pair) or column (second) sums of
+    /// the first pair table that holds it. Each entropy is bit-identical
+    /// to [`Columns::marginal_entropy`] of its set. A relation without
+    /// byte columns gives none. Each table is dropped once its entropies
+    /// are read.
+    pub(crate) fn pair_entropies(&self) -> Vec<(AttrSet, f64)> {
+        let Some(bytes) = &self.bytes else {
+            return Vec::new();
+        };
+        let rows = self.rel.row_count();
+        // Byte columns exist only when every domain has at most 256
+        // values, so every pair's space (at most 2^16 cells) is counted
+        // densely.
+        let domains: Vec<usize> =
+            self.rel.schema().iter().map(|(_, attr)| attr.domain_size as usize).collect();
+        let mut entropies = Vec::new();
+        let mut summed = vec![false; domains.len()];
+        for a in 0..domains.len() {
+            for b in a + 1..domains.len() {
+                let (ra, rb) = (domains[a], domains[b]);
+                debug_assert!(is_dense((ra * rb) as u128, rows));
+                let lanes = tally_pair(ra * rb, &bytes[a], &bytes[b], rb);
+                let pair = AttrSet::from_ids([a as u16, b as u16]);
+                entropies.push((pair, count_entropy(rows, lanes.iter().map(total))));
+                if !summed[a] {
+                    let sums = lanes.chunks_exact(rb).map(|row| row.iter().map(total).sum());
+                    entropies.push((AttrSet::singleton(a as u16), count_entropy(rows, sums)));
+                    summed[a] = true;
+                }
+                if !summed[b] {
+                    let mut sums = vec![0u64; rb];
+                    for row in lanes.chunks_exact(rb) {
+                        for (sum, cell) in sums.iter_mut().zip(row) {
+                            *sum += total(cell);
+                        }
+                    }
+                    entropies.push((
+                        AttrSet::singleton(b as u16),
+                        count_entropy(rows, sums.into_iter()),
+                    ));
+                    summed[b] = true;
+                }
+            }
+        }
+        entropies
+    }
 }
 
-/// Rows counted into interleaved lanes: row `i` goes to lane `i % LANES`.
-const LANES: usize = 4;
-
 /// Counts `codes` (each below `space`) into a dense array. Consecutive
-/// rows go round-robin into [`LANES`] interleaved counters per cell,
-/// summed at the end: rows that hit the same dominant cell then update
-/// different words instead of each waiting on the previous row's
-/// store. The sums are the same integers one array would hold.
-fn tally(space: usize, codes: impl Iterator<Item = usize>) -> Vec<u32> {
-    let mut lanes = vec![[0u32; LANES]; space];
+/// rows go round-robin into [`LANES`] interleaved counters per cell:
+/// rows that hit the same dominant cell then update different words
+/// instead of each waiting on the previous row's store. A cell's count is
+/// the [`total`] of its lanes, the integer one array would hold.
+fn tally(space: usize, codes: impl Iterator<Item = usize>) -> Vec<Lanes> {
+    let mut lanes = vec![[0; LANES]; space];
     for (i, code) in codes.enumerate() {
         lanes[code][i % LANES] += 1;
     }
-    lanes.iter().map(|cell| cell.iter().sum()).collect()
+    lanes
+}
+
+/// [`tally`] of the pair codes `x · radix + y` of two byte columns, four
+/// rows a step: row `4j + l` goes into lane `l`, as in [`tally`].
+fn tally_pair(space: usize, xs: &[u8], ys: &[u8], radix: usize) -> Vec<Lanes> {
+    let mut lanes = vec![[0; LANES]; space];
+    let code = |x: u8, y: u8| usize::from(x) * radix + usize::from(y);
+    let (xs, ys) = (xs.chunks_exact(LANES), ys.chunks_exact(LANES));
+    let tail = xs.remainder().iter().zip(ys.remainder());
+    for (x, y) in xs.zip(ys) {
+        lanes[code(x[0], y[0])][0] += 1;
+        lanes[code(x[1], y[1])][1] += 1;
+        lanes[code(x[2], y[2])][2] += 1;
+        lanes[code(x[3], y[3])][3] += 1;
+    }
+    for (lane, (&x, &y)) in tail.enumerate() {
+        lanes[code(x, y)][lane] += 1;
+    }
+    lanes
+}
+
+/// A dense cell's count: the sum of its lanes.
+fn total(cell: &Lanes) -> u64 {
+    cell.iter().map(|&count| u64::from(count)).sum()
 }
 
 /// Entropy of `rows` rows counted into cells of `counts`, in the order
-/// given (zero counts are empty cells). A count of 1 adds exactly `0.0`
-/// (`1 · ln 1`) to the sum, which never holds `-0.0`, so it is skipped
-/// without its logarithm.
+/// given (zero counts are empty cells). Each count adds its `c · ln c`,
+/// from [`C_LN_C`] below [`C_LN_C_LEN`]. An empty cell and a count of 1
+/// add exactly `+0.0`, which leaves the sum (never `-0.0`) as it is, so
+/// the sum has the bits of one over the non-empty cells without a branch
+/// on each count.
 fn count_entropy(rows: usize, counts: impl Iterator<Item = u64>) -> f64 {
-    entropy(rows as f64, counts.filter(|&count| count > 1).map(|count| count as f64))
+    let table: &[f64] = &*C_LN_C;
+    let c_ln_c = |count: u64| match table.get(count as usize) {
+        Some(&term) => term,
+        None => {
+            let f = count as f64;
+            f * f.ln()
+        }
+    };
+    entropy_from_terms(rows as f64, counts.map(c_ln_c))
 }
 
 /// Sorts `codes` and run-length compacts them in place: the distinct
@@ -419,6 +604,7 @@ fn compress(codes: &mut [u64]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::attr::Schema;
+    use crate::distribution::entropy;
 
     /// `rows` pseudo-random rows over attributes with the given domain
     /// sizes. Every third row repeats an earlier one, so cells hold
@@ -496,11 +682,12 @@ mod tests {
                     let expected = entropy(rows as f64, cells.map(|&count| f64::from(count)));
                     for bytes in [None, columns.bytes.as_deref()] {
                         let counted = CellCounts::new(&rel, &attrs, bytes).unwrap();
-                        let Counts::Dense(dense) = &counted.counts else {
+                        let Counts::Dense(lanes) = &counted.counts else {
                             panic!("{attrs:?} is counted densely")
                         };
+                        let dense: Vec<u32> = lanes.iter().map(|cell| cell.iter().sum()).collect();
                         let source = if bytes.is_some() { "bytes" } else { "rows" };
-                        assert_eq!(dense, &reference, "{rows} rows, {attrs:?}, {source}");
+                        assert_eq!(dense, reference, "{rows} rows, {attrs:?}, {source}");
                         assert_eq!(
                             counted.entropy().to_bits(),
                             expected.to_bits(),

@@ -13,7 +13,7 @@
 //! row.
 
 use crate::attr::{AttrId, AttrSet, Schema};
-use crate::count::CellCounts;
+use crate::count::{CellColumns, CellCounts};
 use crate::error::DistributionError;
 use crate::relation::Relation;
 use std::collections::BTreeMap;
@@ -219,6 +219,27 @@ impl Distribution {
         entropy(self.total, self.cells.values().copied())
     }
 
+    /// The cells column by column, in key order (see [`CellColumns`]).
+    #[must_use]
+    pub fn cell_columns(&self) -> CellColumns {
+        let mut values: Vec<Vec<u32>> =
+            self.attrs.iter().map(|_| Vec::with_capacity(self.cells.len())).collect();
+        let mut freqs = Vec::with_capacity(self.cells.len());
+        for (key, &f) in &self.cells {
+            for (column, &value) in values.iter_mut().zip(key.iter()) {
+                column.push(value);
+            }
+            freqs.push(f);
+        }
+        CellColumns {
+            attrs: self.attrs.clone(),
+            domains: self.attrs.iter().map(|a| self.schema.domain_size(a)).collect(),
+            values,
+            freqs,
+            total: self.total,
+        }
+    }
+
     /// Restricts the distribution to cells matching a conjunction of
     /// inclusive ranges and sums their mass — the exact range-count over
     /// this marginal. Attributes absent from the distribution are ignored.
@@ -272,14 +293,18 @@ impl Distribution {
 /// so both agree bit for bit when they visit the same cells in the same
 /// order.
 pub(crate) fn entropy(total: f64, frequencies: impl Iterator<Item = f64>) -> f64 {
+    entropy_from_terms(total, frequencies.filter(|&f| f > 0.0).map(|f| f * f.ln()))
+}
+
+/// [`entropy`] from the terms `f · ln f` of its non-empty cells, in the
+/// order given.
+pub(crate) fn entropy_from_terms(total: f64, terms: impl Iterator<Item = f64>) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
     let mut sum = 0.0;
-    for f in frequencies {
-        if f > 0.0 {
-            sum += f * f.ln();
-        }
+    for term in terms {
+        sum += term;
     }
     total.ln() - sum / total
 }

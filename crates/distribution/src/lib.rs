@@ -66,7 +66,7 @@ pub mod relation;
 
 pub use attr::{Attr, AttrId, AttrSet, Schema};
 pub use cache::EntropyCache;
-pub use count::Columns;
+pub use count::{CellColumns, Columns};
 pub use distribution::Distribution;
 pub use error::DistributionError;
 pub use relation::Relation;

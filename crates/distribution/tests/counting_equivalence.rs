@@ -11,6 +11,12 @@
 //! sorted counting on both sides of the boundary, `u128` codes for code
 //! spaces above 2^64, rank compression of code spaces above 2^128,
 //! domain-size-1 attributes, zero rows and single attributes.
+//!
+//! An `EntropyCache` that counted every pair up front
+//! (`EntropyCache::count_pairs`, singletons read off the pair tables)
+//! must give every singleton and pair the bits, and report the
+//! computations and hits, of a cache that counts each set on its first
+//! read.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests assert by panicking
 
@@ -84,6 +90,37 @@ fn check_subset(rel: &Relation, attrs: &AttrSet) -> Result<(), String> {
     Ok(())
 }
 
+/// Asserts a cache that counted every pair up front agrees with one that
+/// counts each set on first read: every singleton's and pair's entropy
+/// bits (read twice), then the computations and hits.
+fn check_pairs_counted_once(rel: &Relation) -> Result<(), String> {
+    let arity = rel.schema().arity() as AttrId;
+    let sets: Vec<AttrSet> = (0..arity)
+        .flat_map(|a| {
+            std::iter::once(AttrSet::singleton(a))
+                .chain((a + 1..arity).map(move |b| AttrSet::from_ids([a, b])))
+        })
+        .collect();
+    let mut per_set = EntropyCache::new(rel);
+    let mut counted = EntropyCache::new(rel);
+    counted.count_pairs();
+    for attrs in sets.iter().chain(&sets) {
+        let (h, expected) = (counted.entropy(attrs), per_set.entropy(attrs));
+        if h.to_bits() != expected.to_bits() {
+            return Err(format!("pairs counted once: {h} != {expected} over {attrs:?}"));
+        }
+    }
+    let counters = |c: &EntropyCache<'_>| (c.computations(), c.hits());
+    if counters(&counted) != counters(&per_set) {
+        return Err(format!(
+            "pairs counted once: (computations, hits) {:?} != {:?}",
+            counters(&counted),
+            counters(&per_set)
+        ));
+    }
+    Ok(())
+}
+
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
     *state ^= *state >> 7;
@@ -140,6 +177,59 @@ proptest! {
             let attrs = AttrSet::from_ids((0..arity as AttrId).filter(|&a| mask & (1 << a) != 0));
             prop_assert_eq!(check_subset(&rel, &attrs), Ok(()));
         }
+        prop_assert_eq!(check_pairs_counted_once(&rel), Ok(()));
+        // Domains of at most 256 values have byte columns, so the cache
+        // reads every pair and singleton off pair tables counted up front.
+        prop_assert_eq!(check_pairs_counted_once(&byte_relation(seed, arity, rows)), Ok(()));
+    }
+}
+
+/// Like [`random_relation`], over domains of 1 to 256 values.
+fn byte_relation(seed: u64, arity: usize, rows: usize) -> Relation {
+    let mut state = seed | 1;
+    let domains: Vec<u32> = (0..arity)
+        .map(|_| match xorshift(&mut state) % 3 {
+            0 => 1,
+            1 => 2 + (xorshift(&mut state) % 15) as u32,
+            _ => 200 + (xorshift(&mut state) % 57) as u32,
+        })
+        .collect();
+    let schema =
+        Schema::new(domains.iter().enumerate().map(|(i, &d)| (format!("a{i}"), d))).unwrap();
+    let data: Vec<Vec<u32>> = (0..rows)
+        .map(|_| domains.iter().map(|&d| (xorshift(&mut state) % u64::from(d)) as u32).collect())
+        .collect();
+    Relation::from_rows(schema, data).unwrap()
+}
+
+/// Pairs counted up front agree with per-set counting, and every
+/// singleton and pair with the reference, on byte columns at the edges:
+/// zero rows, a one-attribute schema, a domain-size-1 attribute, and
+/// cells holding 4095, 4096 and 4097 rows, either side of the bound below
+/// which `c · ln c` comes from a table.
+#[test]
+fn pairs_counted_once_on_the_edges() {
+    let relation = |domains: &[u32], data: Vec<Vec<u32>>| {
+        let schema =
+            Schema::new(domains.iter().enumerate().map(|(i, &d)| (format!("a{i}"), d))).unwrap();
+        Relation::from_rows(schema, data).unwrap()
+    };
+    let zero_rows = relation(&[3, 1, 256], Vec::new());
+    let one_attribute = relation(&[5], (0..40).map(|i| vec![i % 5]).collect());
+    let single_value = relation(&[1, 4, 7], (0..90).map(|i| vec![0, i % 4, i % 7]).collect());
+    let around_the_bound = relation(
+        &[3, 3, 2],
+        (0..3u32).flat_map(|v| (0..4_095 + v).map(move |i| vec![v, v, i % 2])).collect(),
+    );
+    for rel in [zero_rows, one_attribute, single_value, around_the_bound] {
+        check_pairs_counted_once(&rel).unwrap();
+        let arity = rel.schema().arity() as AttrId;
+        for a in 0..arity {
+            check_subset(&rel, &AttrSet::singleton(a)).unwrap();
+            for b in a + 1..arity {
+                check_subset(&rel, &AttrSet::from_ids([a, b])).unwrap();
+            }
+        }
     }
 }
 
@@ -165,7 +255,9 @@ fn empty_attribute_set_is_one_cell_of_every_row() {
 
 /// A single attribute whose domain sits on either side of the dense
 /// counting boundary `max(rows, 2^16)`, for row counts below and above
-/// `2^16`.
+/// `2^16`. Its domain has no byte column, and its pair's space is past
+/// the boundary too, so a cache asked to count pairs up front counts
+/// every set on first read.
 #[test]
 fn dense_and_sorted_counting_agree_across_the_boundary() {
     for rows in [1_000usize, 70_000] {
@@ -179,6 +271,7 @@ fn dense_and_sorted_counting_agree_across_the_boundary() {
             for attrs in [AttrSet::singleton(0), AttrSet::from_ids([0, 1])] {
                 check_subset(&rel, &attrs).unwrap();
             }
+            check_pairs_counted_once(&rel).unwrap();
         }
     }
 }

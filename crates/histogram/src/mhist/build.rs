@@ -15,7 +15,10 @@
 //! split next, so `peek_gain` is a read, `error` sums cached bucket SSEs,
 //! and `split_once` refreshes only the two new buckets.
 //!
-//! All cells live in one arena, in the distribution's key order, and a
+//! The builder starts from a marginal's cells column by column
+//! ([`CellColumns`]): a synopsis build takes them straight from its
+//! counts, and [`MhistBuilder::new`] reads them off a [`Distribution`].
+//! All cells live in one arena, in the marginal's key order, and a
 //! bucket is a contiguous range of it. The arena is column-major: one
 //! column of frequencies and one per dimension holding each cell's value
 //! as its rank, its position among the values some cell holds along that
@@ -29,7 +32,7 @@
 
 use std::ops::Range;
 
-use dbhist_distribution::{AttrId, AttrSet, Distribution};
+use dbhist_distribution::{AttrId, AttrSet, CellColumns, Distribution};
 
 use crate::bbox::BoundingBox;
 use crate::criterion::{best_split_bounded, SplitCriterion};
@@ -78,33 +81,50 @@ struct Cells {
 }
 
 impl Cells {
-    fn new(dist: &Distribution) -> Self {
-        let arity = dist.attrs().len();
-        let mut ranks: Vec<Vec<u32>> =
-            (0..arity).map(|_| Vec::with_capacity(dist.support_size())).collect();
-        let mut freqs = Vec::with_capacity(dist.support_size());
-        for (key, f) in dist.iter() {
-            for (column, &v) in ranks.iter_mut().zip(key) {
-                column.push(v);
-            }
-            freqs.push(f);
-        }
-        // Replace each value by its rank among the values held along its
-        // dimension.
-        let values = ranks
-            .iter_mut()
-            .map(|column| {
-                let mut along = column.clone();
-                along.sort_unstable();
-                along.dedup();
-                for value in column.iter_mut() {
-                    *value = rank(&along, *value);
-                }
-                along
-            })
-            .collect();
-        Self { values, ranks, freqs }
+    /// The arena over `values` (per dimension, each cell's value, below
+    /// that dimension's domain size) and `freqs`, each value replaced in
+    /// place by its rank.
+    fn new(mut values: Vec<Vec<u32>>, freqs: Vec<f64>, domains: &[u32]) -> Self {
+        let along =
+            values.iter_mut().zip(domains).map(|(column, &domain)| rank_in_place(column, domain));
+        Self { values: along.collect(), ranks: values, freqs }
     }
+}
+
+/// Replaces each value of `column` by its rank among the distinct values
+/// it holds and returns those values, ascending. A domain up to
+/// `max(cells, 2^16)` values ranks through a presence table over the
+/// domain; a wider one sorts a copy of the column.
+fn rank_in_place(column: &mut [u32], domain: u32) -> Vec<u32> {
+    let domain = domain as usize;
+    if domain > column.len().max(1 << 16) {
+        let mut along = column.to_vec();
+        along.sort_unstable();
+        along.dedup();
+        for value in column.iter_mut() {
+            *value = rank(&along, *value);
+        }
+        return along;
+    }
+    // `0` marks a value some cell holds until the ascending scan below
+    // gives it its rank; `u32::MAX` a value no cell holds.
+    let mut ranks = vec![u32::MAX; domain];
+    for &value in column.iter() {
+        ranks[value as usize] = 0;
+    }
+    let mut along = Vec::new();
+    for (value, rank) in ranks.iter_mut().enumerate() {
+        if *rank == 0 {
+            // lint:allow-next-line(as-narrowing): at most `domain` ranks, a `u32` domain size
+            *rank = along.len() as u32;
+            // lint:allow-next-line(as-narrowing): a value below a `u32` domain size
+            along.push(value as u32);
+        }
+    }
+    for value in column.iter_mut() {
+        *value = ranks[*value as usize];
+    }
+    along
 }
 
 /// The rank `value` would take among the ascending `values`: the number
@@ -195,7 +215,7 @@ fn partition_column<T: Copy + Default>(column: &mut [T], sides: &[bool], spill: 
     column[mid..].copy_from_slice(&spill[..spilled]);
 }
 
-/// Incremental MHIST-2 builder over a marginal [`Distribution`].
+/// Incremental MHIST-2 builder over a marginal's cells.
 #[derive(Debug, Clone)]
 pub struct MhistBuilder {
     attrs: AttrSet,
@@ -211,28 +231,42 @@ pub struct MhistBuilder {
 
 impl MhistBuilder {
     /// Starts a builder with a single bucket covering the full domain of
-    /// the distribution's attributes.
+    /// the distribution's attributes: [`MhistBuilder::from_cells`] over
+    /// [`Distribution::cell_columns`].
     ///
     /// # Errors
     ///
     /// Returns [`HistogramError::InvalidRequest`] if the distribution is
     /// empty or covers no attributes.
     pub fn new(dist: &Distribution, criterion: SplitCriterion) -> Result<Self, HistogramError> {
-        let attrs = dist.attrs().clone();
+        Self::from_cells(dist.cell_columns(), criterion)
+    }
+
+    /// Starts a builder with a single bucket covering the full domain of
+    /// the marginal whose cells `cells` holds in key order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HistogramError::InvalidRequest`] if the marginal is empty
+    /// or covers no attributes.
+    pub fn from_cells(
+        cells: CellColumns,
+        criterion: SplitCriterion,
+    ) -> Result<Self, HistogramError> {
+        let CellColumns { attrs, domains, values, freqs, total } = cells;
         if attrs.is_empty() {
             return Err(HistogramError::InvalidRequest {
                 reason: "MHIST requires at least one attribute".into(),
             });
         }
-        if dist.total() <= 0.0 {
+        if total <= 0.0 {
             return Err(HistogramError::InvalidRequest {
                 reason: "cannot build a histogram over an empty distribution".into(),
             });
         }
-        let ranges: Vec<(u32, u32)> =
-            attrs.iter().map(|a| (0, dist.schema().domain_size(a) - 1)).collect();
+        let ranges: Vec<(u32, u32)> = domains.iter().map(|&d| (0, d - 1)).collect();
         let domain = BoundingBox::new(attrs.clone(), ranges);
-        let cells = Cells::new(dist);
+        let cells = Cells::new(values, freqs, &domains);
         let widest = cells.values.iter().map(Vec::len).max().unwrap_or(0);
         let scratch = Scratch { sums: vec![None; widest], ..Scratch::default() };
         let root = BucketState {
@@ -246,7 +280,7 @@ impl MhistBuilder {
             attrs,
             domain,
             criterion,
-            nodes: vec![Node::Leaf { freq: dist.total() }],
+            nodes: vec![Node::Leaf { freq: total }],
             cells,
             buckets: Vec::new(),
             next: None,
@@ -550,6 +584,23 @@ mod tests {
         fn cache_matches_recompute_on_random_distributions((dist, criterion) in distribution_strategy()) {
             check_cache_to_saturation(&dist, criterion);
         }
+    }
+
+    /// A domain wider than `max(cells, 2^16)` ranks its values by sorting
+    /// instead of through a presence table; the arena is the same.
+    #[test]
+    fn wide_domains_rank_by_sorting() {
+        let schema = Schema::new(vec![("x", 200_000), ("y", 3)]).unwrap();
+        let mut dist = Distribution::empty(schema, AttrSet::from_ids([0, 1])).unwrap();
+        for (i, x) in [7u32, 70_000, 123_456, 199_999, 42].into_iter().enumerate() {
+            dist.add(&[x, i as u32 % 3], 1.0 + i as f64);
+            dist.add(&[x, 2], 0.5);
+        }
+        for criterion in [SplitCriterion::MaxDiff, SplitCriterion::VOptimal] {
+            check_cache_to_saturation(&dist, criterion);
+        }
+        let cells = MhistBuilder::new(&dist, SplitCriterion::MaxDiff).unwrap().cells;
+        assert_eq!(cells.values, [vec![7, 42, 70_000, 123_456, 199_999], vec![0, 1, 2]]);
     }
 
     #[test]

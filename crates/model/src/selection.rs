@@ -259,7 +259,14 @@ impl<'a> ForwardSelector<'a> {
     fn with_cache(mut cache: EntropyCache<'a>, config: SelectionConfig) -> Self {
         #[allow(clippy::expect_used)]
         config.validate().expect("invalid selection config"); // lint:allow(panic-surface): documented panic contract on invalid config
-        let graph = MarkovGraph::empty(cache.relation().schema().arity());
+        let arity = cache.relation().schema().arity();
+        // The first round scores every pair (each separator of the empty
+        // graph is empty), so count each pair's table once, up front, and
+        // read the singletons off those tables.
+        if config.max_edges != Some(0) && arity >= 2 {
+            cache.count_pairs();
+        }
+        let graph = MarkovGraph::empty(arity);
         let model_entropy = Self::model_entropy(&graph, &mut cache);
         Self { cache, config, graph, model_entropy, peak_candidates: 0 }
     }

@@ -48,3 +48,17 @@ fn step_and_run_report_the_same_divergence_bits() {
         assert!(!stepped.is_empty(), "{algorithm:?} accepted no edge");
     }
 }
+
+/// A selection capped at no edge scores no round, so it counts no pair
+/// table: only the singletons and the empty separator of the
+/// independence model, `arity + 1` entropies.
+#[test]
+fn no_round_counts_no_pair() {
+    let rel = census::census_data_set_1_with(20_000, 0x005e_1ec7);
+    let arity = rel.schema().arity();
+    let config = SelectionConfig { max_edges: Some(0), ..SelectionConfig::default() };
+    let selection = ForwardSelector::new(&rel, config).select();
+    assert_eq!(selection.steps, 0);
+    assert_eq!(selection.model.edge_count(), 0);
+    assert_eq!(selection.entropy_computations, arity + 1);
+}
